@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .errors import InputError, ScalePoseError, SolverError
-from .evaluation import ap_curves, curve_csv, match_detections, metric_table
+from .evaluation import ap_curves, curve_csv, match_detections, metric_table, record_metrics
 from .nocs import assign
 from .pnp import RansacConfig, ransac_pnp, scale_model_points
 from .scale import compute_stats, recover_scale
@@ -191,7 +191,8 @@ def cmd_evaluate(args):
     use_symmetry = args.symmetry == "on"
 
     matched = match_detections(detections, ground_truths)
-    table = metric_table(matched, ground_truths, use_symmetry=use_symmetry)
+    metrics = record_metrics(matched, ground_truths, use_symmetry=use_symmetry)
+    table = metric_table(metrics)
     for cat in table.skipped_categories:
         print(
             f"warning: predicted category {cat!r} has no ground truth; omitted from the mean",
@@ -214,7 +215,7 @@ def cmd_evaluate(args):
         "translation_cm": args.translation_grid or _DEFAULT_TRANS_GRID,
     }
     for metric, grid in grids.items():
-        curve = ap_curves(matched, ground_truths, metric, grid, use_symmetry=use_symmetry)
+        curve = ap_curves(metrics, metric, grid)
         fileio.atomic_write_text(os.path.join(out, f"curve_{metric}.csv"), curve_csv(curve))
 
     print(table.to_text(), end="")

@@ -1,16 +1,18 @@
-"""Detection evaluation: per-record pose metrics, VOC-style average
-precision over threshold predicates, the five-column metric table
+"""Detection evaluation: per-record pose metrics, computed once per record
+into columns (:func:`record_metrics`), VOC-style average precision over
+confidence-ordered hit matrices, the five-column metric table
 (IoU50 / IoU75 / 10cm / 10deg / 10deg10cm), and AP-vs-threshold curves.
 
 Matching policy: detections are handled per predicted category, sorted by
 descending confidence (stable on ties), and each is greedily assigned the
 unmatched ground truth of that category with the highest box IoU (requiring
-positive overlap). Ground-truth categories absent from a record set are
+positive overlap). Predicted categories absent from the ground truth are
 reported but omitted from the mean.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,13 +72,22 @@ class ApCurve:
     mean: np.ndarray  # (len(thresholds),)
 
 
+def category_rotation_error_deg(category, estimated, truth, use_symmetry=True):
+    """Rotation error in degrees under the category's symmetry rule.
+
+    Symmetric categories (bottle, bowl, can) ignore spin about the
+    canonical y-axis unless ``use_symmetry`` is off; every other category
+    uses the raw geodesic error.
+    """
+    if use_symmetry and category in SYMMETRIC_CATEGORIES:
+        return rotation_error_symmetric_deg(estimated, truth, SYMMETRY_AXIS)
+    return rotation_error_deg(estimated, truth)
+
+
 def pose_metrics(record: DetectionRecord, use_symmetry=True):
     """IoU, rotation error (deg) and translation error (cm) against the
-    record's ground truth.
-
-    Symmetric categories (bottle, bowl, can) use the symmetry-aware
-    rotation error about the canonical y-axis unless ``use_symmetry`` is
-    off.
+    record's ground truth, the rotation error as
+    :func:`category_rotation_error_deg` gives it.
 
     Raises
     ------
@@ -86,13 +97,11 @@ def pose_metrics(record: DetectionRecord, use_symmetry=True):
     gt = record.ground_truth
     if gt is None:
         raise NoGroundTruth(f"record for {record.category!r} has no ground truth")
-    if use_symmetry and record.category in SYMMETRIC_CATEGORIES:
-        rot_err = rotation_error_symmetric_deg(record.pose.rotation, gt.pose.rotation, SYMMETRY_AXIS)
-    else:
-        rot_err = rotation_error_deg(record.pose.rotation, gt.pose.rotation)
     return {
         "iou": iou3d(record.box(), gt.box()),
-        "rot_err_deg": rot_err,
+        "rot_err_deg": category_rotation_error_deg(
+            record.category, record.pose.rotation, gt.pose.rotation, use_symmetry
+        ),
         "trans_err_cm": translation_error_cm(record.pose.translation, gt.pose.translation),
     }
 
@@ -112,10 +121,10 @@ def match_detections(detections, ground_truths):
     attached ground truth is discarded first.
     """
     detections = list(detections)
-    order = _confidence_order(detections)
+    gt_boxes = [gt.box() for gt in ground_truths]
     taken = [False] * len(ground_truths)
     matched = [replace(det, ground_truth=None) for det in detections]
-    for idx in order:
+    for idx in _confidence_order(detections):
         det = detections[idx]
         det_box = det.box()
         best_j = -1
@@ -123,7 +132,7 @@ def match_detections(detections, ground_truths):
         for j, gt in enumerate(ground_truths):
             if taken[j] or gt.category != det.category:
                 continue
-            overlap = iou3d(det_box, gt.box())
+            overlap = iou3d(det_box, gt_boxes[j])
             if overlap > best_iou:
                 best_iou = overlap
                 best_j = j
@@ -138,58 +147,93 @@ def _confidence_order(detections):
     return np.argsort(-conf, kind="stable")
 
 
-def average_precision(records, ground_truths, predicate, use_symmetry=True):
-    """Area under the precision-recall curve for one category's records.
+@dataclass(frozen=True)
+class RecordMetrics:
+    """Per-record metric columns of matched detections, computed once.
 
-    ``records`` are matched detections of a single category,
-    ``ground_truths`` the category's gt count or gt list. A detection is a
-    true positive iff it has a matched ground truth and ``predicate``
-    holds on its pose metrics. Precision is envelope-interpolated
-    (monotone non-increasing) before integrating over recall.
+    Rows are grouped by ground-truth category (lexicographic order) and,
+    within a group, ordered by descending confidence (input order breaks
+    ties); rows ``starts[i]:starts[i + 1]`` belong to ``categories[i]``.
+    Unmatched rows hold NaN, which fails every threshold test.
     """
-    records = list(records)
-    n_gt = ground_truths if isinstance(ground_truths, int) else len(list(ground_truths))
-    metrics_list = [
-        pose_metrics(r, use_symmetry=use_symmetry) if r.ground_truth else None for r in records
+
+    categories: tuple[str, ...]
+    n_gt: tuple[int, ...]
+    starts: tuple[int, ...]  # (len(categories) + 1,)
+    iou: np.ndarray
+    rot_err_deg: np.ndarray
+    trans_err_cm: np.ndarray
+    skipped_categories: tuple[str, ...] = ()
+
+    def groups(self):
+        """``(rows, n_gt)`` per category: a row slice and its gt count."""
+        return [(slice(lo, hi), n) for lo, hi, n in zip(self.starts, self.starts[1:], self.n_gt)]
+
+
+def record_metrics(records, ground_truths, use_symmetry=True) -> RecordMetrics:
+    """IoU, rotation and translation error of every record, one
+    :func:`pose_metrics` call per matched record.
+
+    Records must already carry their matched ground truths (see
+    :func:`match_detections`). Detection categories absent from the gt set
+    are dropped and reported in ``skipped_categories``.
+    """
+    n_gt = Counter(gt.category for gt in ground_truths)
+    if not n_gt:
+        raise EmptyRecordSet("no ground-truth categories to evaluate")
+    by_category = {cat: [] for cat in sorted(n_gt)}
+    skipped = []  # records of categories without ground truth
+    for record in records:
+        by_category.get(record.category, skipped).append(record)
+
+    rows, starts = [], [0]
+    for recs in by_category.values():
+        rows += [recs[i] for i in _confidence_order(recs)]
+        starts.append(len(rows))
+    unmatched = {"iou": np.nan, "rot_err_deg": np.nan, "trans_err_cm": np.nan}
+    values = [
+        pose_metrics(r, use_symmetry) if r.ground_truth is not None else unmatched for r in rows
     ]
-    return _ap_from_cached(records, metrics_list, n_gt, predicate)
+    return RecordMetrics(
+        categories=tuple(by_category),
+        n_gt=tuple(n_gt[cat] for cat in by_category),
+        starts=tuple(starts),
+        **{key: np.array([v[key] for v in values], dtype=np.float64) for key in unmatched},
+        skipped_categories=tuple(sorted({r.category for r in skipped})),
+    )
 
 
-def iou_predicate(threshold):
-    return lambda m: m["iou"] >= threshold
+def average_precision(hits, n_gt):
+    """Area under the precision-recall curve, one value per hit row.
+
+    ``hits`` is a ``(T, N)`` boolean matrix: row ``t`` marks which of one
+    category's N detections, in descending confidence, are true positives
+    under threshold ``t``; ``n_gt`` is the category's ground-truth count.
+    Precision is envelope-interpolated (monotone non-increasing) before
+    integrating over recall. The integral is summed in rank order, so the
+    result does not depend on how NumPy would pair up a reduction.
+    """
+    if n_gt == 0:
+        raise EmptyRecordSet("average precision needs at least one ground truth")
+    tp = np.asarray(hits, dtype=np.float64)
+    if tp.shape[1] == 0:
+        return np.zeros(tp.shape[0])
+    cum_tp = np.cumsum(tp, axis=1)
+    cum_fp = np.cumsum(1.0 - tp, axis=1)
+    recall = cum_tp / n_gt
+    precision = cum_tp / (cum_tp + cum_fp)
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    gains = np.diff(recall, axis=1, prepend=0.0) * envelope
+    return np.cumsum(gains, axis=1)[:, -1]
 
 
-def rotation_predicate(threshold_deg):
-    return lambda m: m["rot_err_deg"] <= threshold_deg
-
-
-def translation_predicate(threshold_cm):
-    return lambda m: m["trans_err_cm"] <= threshold_cm
-
-
-def rotation_translation_predicate(threshold_deg, threshold_cm):
-    return lambda m: m["rot_err_deg"] <= threshold_deg and m["trans_err_cm"] <= threshold_cm
-
-
-TABLE_PREDICATES = {
-    "IoU50": iou_predicate(0.5),
-    "IoU75": iou_predicate(0.75),
-    "10cm": translation_predicate(10.0),
-    "10°": rotation_predicate(10.0),
-    "10°10cm": rotation_translation_predicate(10.0, 10.0),
-}
-
-
-def _group_by_category(records, ground_truths):
-    cats = sorted({gt.category for gt in ground_truths})
-    grouped = {}
-    skipped = sorted({r.category for r in records} - set(cats))
-    for cat in cats:
-        grouped[cat] = (
-            [r for r in records if r.category == cat],
-            sum(1 for gt in ground_truths if gt.category == cat),
-        )
-    return grouped, skipped
+def table_ap(iou, rot_err_deg, trans_err_cm, n_gt):
+    """AP at the five :data:`TABLE_COLUMNS` thresholds for one group of
+    records given as confidence-ordered metric columns."""
+    rot_ok = rot_err_deg <= 10.0
+    trans_ok = trans_err_cm <= 10.0
+    hits = np.array([iou >= 0.5, iou >= 0.75, trans_ok, rot_ok, rot_ok & trans_ok])
+    return average_precision(hits, n_gt)
 
 
 @dataclass(frozen=True)
@@ -223,91 +267,43 @@ class MetricTable:
         return "\n".join(lines) + "\n"
 
 
-def metric_table(records, ground_truths, use_symmetry=True) -> MetricTable:
-    """mAP at the five standard thresholds over matched records.
-
-    Records must already carry their matched ground truths (see
-    :func:`match_detections`). Detection categories absent from the gt set
-    are skipped and reported in ``skipped_categories``.
-    """
-    grouped, skipped = _group_by_category(records, ground_truths)
-    if not grouped:
-        raise EmptyRecordSet("no ground-truth categories to evaluate")
-    cats = tuple(grouped)
-    values = np.zeros((len(cats), len(TABLE_COLUMNS)))
-    for i, cat in enumerate(cats):
-        recs, n_gt = grouped[cat]
-        for j, name in enumerate(TABLE_COLUMNS):
-            values[i, j] = average_precision(
-                recs, n_gt, TABLE_PREDICATES[name], use_symmetry=use_symmetry
-            )
-    return MetricTable(cats, values, values.mean(axis=0), tuple(skipped))
+def metric_table(metrics: RecordMetrics) -> MetricTable:
+    """mAP at the five standard thresholds over :func:`record_metrics`."""
+    values = np.array(
+        [
+            table_ap(metrics.iou[rows], metrics.rot_err_deg[rows], metrics.trans_err_cm[rows], n_gt)
+            for rows, n_gt in metrics.groups()
+        ]
+    )
+    return MetricTable(metrics.categories, values, values.mean(axis=0), metrics.skipped_categories)
 
 
-_CURVE_PREDICATES = {
-    "iou": (iou_predicate, False),
-    "rotation_deg": (rotation_predicate, True),
-    "translation_cm": (translation_predicate, True),
+# Curve axis -> (metric column, hit test against a threshold).
+_CURVE_TESTS = {
+    "iou": ("iou", np.greater_equal),
+    "rotation_deg": ("rot_err_deg", np.less_equal),
+    "translation_cm": ("trans_err_cm", np.less_equal),
 }
 
 
-def ap_curves(records, ground_truths, metric, thresholds, use_symmetry=True) -> ApCurve:
+def ap_curves(metrics: RecordMetrics, metric, thresholds) -> ApCurve:
     """AP per threshold on one metric axis.
 
     ``metric`` is one of 'iou', 'rotation_deg', 'translation_cm'; the
-    threshold grid must be strictly increasing. IoU uses a >= predicate,
-    the error metrics use <=.
+    threshold grid must be strictly increasing. IoU uses a >= test, the
+    error metrics use <=.
     """
-    if metric not in _CURVE_PREDICATES:
-        raise ValueError(f"unknown metric {metric!r}; choose from {sorted(_CURVE_PREDICATES)}")
+    if metric not in _CURVE_TESTS:
+        raise ValueError(f"unknown metric {metric!r}; choose from {sorted(_CURVE_TESTS)}")
     thresholds = [float(t) for t in thresholds]
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])) or not thresholds:
         raise ValueError("threshold grid must be non-empty and strictly increasing")
-    make_predicate, _ = _CURVE_PREDICATES[metric]
-
-    grouped, _ = _group_by_category(records, ground_truths)
-    if not grouped:
-        raise EmptyRecordSet("no ground-truth categories to evaluate")
-    cats = tuple(grouped)
-
-    # metrics are threshold-independent; compute once per record
-    cached = {
-        cat: ([pose_metrics(r, use_symmetry=use_symmetry) if r.ground_truth else None for r in recs], recs, n_gt)
-        for cat, (recs, n_gt) in grouped.items()
-    }
-    per_cat = np.zeros((len(thresholds), len(cats)))
-    for ti, thr in enumerate(thresholds):
-        predicate = make_predicate(thr)
-        for ci, cat in enumerate(cats):
-            metrics_list, recs, n_gt = cached[cat]
-            per_cat[ti, ci] = _ap_from_cached(recs, metrics_list, n_gt, predicate)
-    return ApCurve(metric, tuple(thresholds), cats, per_cat, per_cat.mean(axis=1))
-
-
-def _ap_from_cached(records, metrics_list, n_gt, predicate):
-    if n_gt == 0:
-        raise EmptyRecordSet("average precision needs at least one ground truth")
-    if not records:
-        return 0.0
-    order = _confidence_order(records)
-    tp = np.zeros(len(records))
-    for rank, idx in enumerate(order):
-        m = metrics_list[idx]
-        if m is not None and predicate(m):
-            tp[rank] = 1.0
-    cum_tp = np.cumsum(tp)
-    cum_fp = np.cumsum(1.0 - tp)
-    recall = cum_tp / n_gt
-    precision = cum_tp / (cum_tp + cum_fp)
-    for i in range(len(precision) - 2, -1, -1):
-        precision[i] = max(precision[i], precision[i + 1])
-    ap = 0.0
-    prev = 0.0
-    for r, p in zip(recall, precision):
-        if r > prev:
-            ap += (r - prev) * p
-            prev = r
-    return float(ap)
+    column, test = _CURVE_TESTS[metric]
+    hits = test(getattr(metrics, column)[None, :], np.array(thresholds)[:, None])
+    per_cat = np.column_stack(
+        [average_precision(hits[:, rows], n_gt) for rows, n_gt in metrics.groups()]
+    )
+    return ApCurve(metric, tuple(thresholds), metrics.categories, per_cat, per_cat.mean(axis=1))
 
 
 def curve_csv(curve: ApCurve):

@@ -25,14 +25,13 @@ import numpy as np
 
 from .boxes import box_from_estimate, iou3d
 from .errors import PlacementFailed, UnknownCategory
-from .evaluation import DetectionRecord, GroundTruthBox
+from .evaluation import DetectionRecord, GroundTruthBox, category_rotation_error_deg, table_ap
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
     backproject,
     project,
     random_rotation,
-    rotation_error_deg,
     translation_error_cm,
     umeyama_align,
 )
@@ -416,7 +415,9 @@ def _result(scene, pipeline, noise, trial, est_pose, est_scale):
         pipeline=pipeline,
         noise=noise,
         trial=trial,
-        rotation_error_deg=rotation_error_deg(est_pose.rotation, scene.pose.rotation),
+        rotation_error_deg=category_rotation_error_deg(
+            scene.category, est_pose.rotation, scene.pose.rotation
+        ),
         translation_error_cm=translation_error_cm(est_pose.translation, scene.pose.translation),
         iou=iou3d(
             box_from_estimate(est_pose, est_scale, scene.canonical_extents),
@@ -488,20 +489,12 @@ class GridResult:
     trials: tuple[ExperimentResult, ...]
     master_seed: int
 
-    def cell_results(self, category, noise, pipeline):
-        return [
-            r
-            for r in self.trials
-            if r.category == category and r.noise == noise and r.pipeline == pipeline
-        ]
-
     def to_records(self, pipeline):
         """Detections and ground truths for the evaluation suite.
 
         The detections come pre-matched to their own trial's ground truth,
-        so they feed ``metric_table``/``average_precision`` directly; no
-        geometric matching pass is needed (or appropriate) for simulator
-        output.
+        so they feed ``record_metrics`` directly; no geometric matching
+        pass is needed (or appropriate) for simulator output.
         """
         rows = [r for r in self.trials if r.pipeline == pipeline]
         return [r.to_detection() for r in rows], [r.to_ground_truth() for r in rows]
@@ -531,24 +524,20 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
     def summary_rows(self):
-        from .evaluation import TABLE_PREDICATES, average_precision
+        """One row per (category, noise, pipeline) cell, in first-seen order.
 
-        rows = []
-        seen = []
+        Every figure comes from the stored errors and IoU of the cell's
+        results; the AP columns rank the results in trial order, since
+        every simulated detection has confidence 1.
+        """
+        cells = {}
         for r in self.trials:
-            key = (r.category, r.noise, r.pipeline)
-            if key not in seen:
-                seen.append(key)
-        for category, noise, pipeline in seen:
-            cell = self.cell_results(category, noise, pipeline)
+            cells.setdefault((r.category, r.noise, r.pipeline), []).append(r)
+        rows = []
+        for (category, noise, pipeline), cell in cells.items():
             rot = np.array([r.rotation_error_deg for r in cell])
             trans = np.array([r.translation_error_cm for r in cell])
             ious = np.array([r.iou for r in cell])
-            detections = [r.to_detection() for r in cell]
-            aps = [
-                average_precision(detections, len(detections), TABLE_PREDICATES[name])
-                for name in ("IoU50", "IoU75", "10cm", "10°", "10°10cm")
-            ]
             rows.append(
                 {
                     "category": category,
@@ -560,7 +549,7 @@ class GridResult:
                     "median_translation_error_cm": float(np.median(trans)),
                     "mean_translation_error_cm": float(trans.mean()),
                     "mean_iou": float(ious.mean()),
-                    "ap": aps,
+                    "ap": table_ap(ious, rot, trans, len(cell)),
                 }
             )
         return rows

@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import CAMERA, make_projected_scene
 from scalepose.boxes import OrientedBox3, iou3d, iou3d_mc
-from scalepose.evaluation import TABLE_COLUMNS, match_detections, metric_table
+from scalepose.evaluation import TABLE_COLUMNS, match_detections, metric_table, record_metrics
 from scalepose.geometry import (
     RigidPose,
     random_rotation,
@@ -227,7 +227,7 @@ def test_c07_metric_harness_fixture():
     from test_evaluation import fixture_records
 
     detections, gts = fixture_records()
-    table = metric_table(match_detections(detections, gts), gts)
+    table = metric_table(record_metrics(match_detections(detections, gts), gts))
     expected = {
         "bowl": [11 / 12, 1 / 2, 11 / 12, 11 / 12, 11 / 12],
         "camera": [1.0, 5 / 9, 5 / 9, 2 / 3, 1 / 3],

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d, iou3d_mc
 from scalepose.errors import NonPositiveScale
-from scalepose.geometry import RigidPose, random_rotation
+from scalepose.geometry import RigidPose, random_rotation, rotation_from_quaternion
 
 UNIT_DIAG_EXTENTS = np.array([0.6, 0.6, np.sqrt(1.0 - 2 * 0.36)])
 
@@ -22,9 +24,25 @@ def random_pair(seed, overlap=True):
     return OrientedBox3(RigidPose(r1, t1), e1), OrientedBox3(RigidPose(r2, t2), e2)
 
 
+def vectors(bound):
+    return st.tuples(*[st.floats(-bound, bound)] * 3).map(np.array)
+
+
+# Unit quaternions, kept away from the zero vector before normalizing.
+quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+# Boxes whose centres lie close enough together that most pairs overlap.
+boxes = st.builds(
+    lambda q, t, e: OrientedBox3(RigidPose(rotation_from_quaternion(q), t), e),
+    quaternions,
+    vectors(0.5),
+    st.tuples(*[st.floats(0.1, 1.5)] * 3),
+)
+
+
 class TestExactIoU:
-    def test_identical_boxes(self):
-        a, _ = random_pair(0)
+    @settings(max_examples=60, deadline=None)
+    @given(a=boxes)
+    def test_identical_boxes(self, a):
         assert iou3d(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_separated_boxes(self):
@@ -42,25 +60,22 @@ class TestExactIoU:
     def test_face_touching_is_zero_but_defined(self):
         assert iou3d(axis_aligned(), axis_aligned(tx=1.0)) == 0.0
 
-    def test_symmetry(self):
-        for seed in range(50):
-            a, b = random_pair(seed)
-            assert abs(iou3d(a, b) - iou3d(b, a)) <= 1e-9
+    @settings(max_examples=150, deadline=None)
+    @given(a=boxes, b=boxes)
+    def test_symmetry(self, a, b):
+        assert abs(iou3d(a, b) - iou3d(b, a)) <= 1e-9
 
-    def test_rigid_invariance(self):
-        rng = np.random.default_rng(99)
-        for seed in range(25):
-            a, b = random_pair(seed)
-            rot = random_rotation(rng)
-            t = rng.normal(size=3)
+    @settings(max_examples=100, deadline=None)
+    @given(a=boxes, b=boxes, rot=quaternions, t=vectors(5.0))
+    def test_rigid_invariance(self, a, b, rot, t):
+        rot = rotation_from_quaternion(rot)
 
-            def move(box):
-                return OrientedBox3(
-                    RigidPose(rot @ box.pose.rotation, rot @ box.pose.translation + t),
-                    box.extents,
-                )
+        def move(box):
+            return OrientedBox3(
+                RigidPose(rot @ box.pose.rotation, rot @ box.pose.translation + t), box.extents
+            )
 
-            assert abs(iou3d(a, b) - iou3d(move(a), move(b))) <= 1e-9
+        assert abs(iou3d(a, b) - iou3d(move(a), move(b))) <= 1e-9
 
     def test_rotated_square_overlap_closed_form(self):
         # cube vs itself rotated 45 degrees about z: octagonal cross-section
@@ -72,11 +87,10 @@ class TestExactIoU:
         v = 2.0 * (np.sqrt(2.0) - 1.0)
         assert abs(iou3d(a, b) - v / (2.0 - v)) < 1e-9
 
-    def test_range(self):
-        for seed in range(40):
-            a, b = random_pair(seed, overlap=bool(seed % 2))
-            v = iou3d(a, b)
-            assert 0.0 <= v <= 1.0
+    @settings(max_examples=150, deadline=None)
+    @given(a=boxes, b=boxes)
+    def test_range(self, a, b):
+        assert 0.0 <= iou3d(a, b) <= 1.0
 
 
 class TestMonteCarloOracle:

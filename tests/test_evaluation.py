@@ -23,22 +23,26 @@ bowl (symmetric about y), 3 gt at x = 0, 1, 2 (z = 2), scale 0.5:
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalepose.errors import EmptyRecordSet, NoGroundTruth
 from scalepose.evaluation import (
     TABLE_COLUMNS,
     DetectionRecord,
     GroundTruthBox,
+    _confidence_order,
     ap_curves,
     average_precision,
     curve_csv,
-    iou_predicate,
     match_detections,
     metric_table,
     pose_metrics,
+    record_metrics,
 )
 from scalepose.geometry import RigidPose, rotation_about_axis
 
@@ -114,6 +118,22 @@ class TestPoseMetrics:
             pose_metrics(rec)
 
 
+class TestRecordMetrics:
+    def test_columns_grouped_by_category_in_confidence_order(self):
+        detections, gts = fixture_records()
+        metrics = record_metrics(match_detections(detections, gts), gts)
+        assert metrics.categories == ("bowl", "camera")
+        assert metrics.n_gt == (3, 3)
+        assert metrics.starts == (0, 4, 10)
+        # bowl: d5 (spun about y), d6 (nested), d8 (unmatched), d9 (exact)
+        a = 0.5 * math.sqrt(0.28)
+        assert metrics.iou[:4] == pytest.approx([a / (0.6 - a), 0.512, math.nan, 1.0], nan_ok=True)
+        assert metrics.rot_err_deg[:4] == pytest.approx([0.0, 0.0, math.nan, 0.0], abs=1e-9, nan_ok=True)
+        # camera: d1, d2, d3, then the unmatched d7, d4, d10
+        assert metrics.trans_err_cm[4:7] == pytest.approx([0.0, 18.0, 0.0], abs=1e-9)
+        assert np.isnan(metrics.trans_err_cm[7:]).all()
+
+
 class TestMatching:
     def test_greedy_by_confidence(self):
         detections, gts = fixture_records()
@@ -135,38 +155,79 @@ class TestMatching:
         assert matched[0].ground_truth is None  # no overlap with the real gt
 
 
+def reference_ap(confidences, hits, n_gt):
+    """Per-rank VOC AP loop: sort by descending confidence (input order
+    breaks ties), envelope the precision from the back, then add the area
+    of each recall step in rank order."""
+    if n_gt == 0:
+        raise EmptyRecordSet("average precision needs at least one ground truth")
+    if not len(hits):
+        return 0.0
+    order = np.argsort(-np.asarray(confidences, dtype=np.float64), kind="stable")
+    tp = np.zeros(len(hits))
+    for rank, idx in enumerate(order):
+        if hits[idx]:
+            tp[rank] = 1.0
+    cum_tp = np.cumsum(tp)
+    cum_fp = np.cumsum(1.0 - tp)
+    recall = cum_tp / n_gt
+    precision = cum_tp / (cum_tp + cum_fp)
+    for i in range(len(precision) - 2, -1, -1):
+        precision[i] = max(precision[i], precision[i + 1])
+    ap = 0.0
+    prev = 0.0
+    for r, p in zip(recall, precision):
+        if r > prev:
+            ap += (r - prev) * p
+            prev = r
+    return float(ap)
+
+
 class TestAveragePrecision:
     def test_all_correct(self):
-        detections, gts = fixture_records()
-        matched = match_detections(detections[:1], gts[:1])
-        assert average_precision(matched, 1, iou_predicate(0.5)) == 1.0
+        assert average_precision([[True]], 1).tolist() == [1.0]
 
     def test_half_correct_hand_case(self):
         # 2 detections (high-conf correct, low-conf wrong), 2 gt:
         # P-R points (0.5, 1.0), (0.5, 0.5) -> area 0.5
-        gts = [GroundTruthBox("camera", _pose(x, 1.0), 1.0, EXT) for x in (0.0, 1.0)]
-        detections = [
-            DetectionRecord("camera", 0.9, _pose(0.0, 1.0), 1.0, EXT),
-            DetectionRecord("camera", 0.1, _pose(5.0, 1.0), 1.0, EXT),
-        ]
-        matched = match_detections(detections, gts)
-        assert average_precision(matched, 2, iou_predicate(0.5)) == 0.5
+        assert average_precision([[True, False]], 2).tolist() == [0.5]
 
     def test_none_correct(self):
-        gts = [GroundTruthBox("camera", _pose(0.0, 1.0), 1.0, EXT)]
-        detections = [DetectionRecord("camera", 0.9, _pose(5.0, 1.0), 1.0, EXT)]
-        matched = match_detections(detections, gts)
-        assert average_precision(matched, 1, iou_predicate(0.5)) == 0.0
+        assert average_precision([[False]], 1).tolist() == [0.0]
 
     def test_requires_ground_truth(self):
         with pytest.raises(EmptyRecordSet):
-            average_precision([], 0, iou_predicate(0.5))
+            average_precision(np.zeros((1, 0), dtype=bool), 0)
+
+    def test_no_detections_scores_zero(self):
+        assert average_precision(np.zeros((3, 0), dtype=bool), 2).tolist() == [0.0, 0.0, 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # per detection: a confidence from a small set, so ties occur, and
+        # whether it is a hit under each of three thresholds
+        detections=st.lists(
+            st.tuples(st.sampled_from([0.1, 0.5, 0.9]), st.lists(st.booleans(), min_size=3, max_size=3)),
+            max_size=40,
+        ),
+        n_gt=st.integers(1, 25),
+    )
+    # a case where NumPy's pairwise np.sum differs from the rank-order sum
+    @example(detections=[(0.5, [h] * 3) for h in (1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 0)], n_gt=9)
+    def test_matches_per_rank_reference_bit_for_bit(self, detections, n_gt):
+        confidences = [c for c, _ in detections]
+        order = _confidence_order([SimpleNamespace(confidence=c) for c in confidences])
+        ranked = [detections[i] for i in order]
+        hits = np.array([[h[t] for _, h in ranked] for t in range(3)], dtype=bool).reshape(3, -1)
+        got = average_precision(hits, n_gt)
+        expected = [reference_ap(confidences, [h[t] for _, h in detections], n_gt) for t in range(3)]
+        assert [repr(float(v)) for v in got] == [repr(v) for v in expected]
 
 
 class TestMetricTable:
     def test_fixture_matches_hand_computation(self):
         detections, gts = fixture_records()
-        table = metric_table(match_detections(detections, gts), gts)
+        table = metric_table(record_metrics(match_detections(detections, gts), gts))
         assert table.categories == ("bowl", "camera")
         bowl = dict(zip(TABLE_COLUMNS, table.row("bowl")))
         camera = dict(zip(TABLE_COLUMNS, table.row("camera")))
@@ -189,7 +250,7 @@ class TestMetricTable:
 
     def test_symmetry_flag_changes_rotation_metrics(self):
         detections, gts = fixture_records()
-        table = metric_table(match_detections(detections, gts), gts, use_symmetry=False)
+        table = metric_table(record_metrics(match_detections(detections, gts), gts, use_symmetry=False))
         bowl = dict(zip(TABLE_COLUMNS, table.row("bowl")))
         assert bowl["10°"] == pytest.approx(1 / 3, abs=1e-12)
         assert bowl["10°10cm"] == pytest.approx(1 / 3, abs=1e-12)
@@ -200,7 +261,7 @@ class TestMetricTable:
     def test_header_set_matches_benchmark_columns(self):
         assert TABLE_COLUMNS == ("IoU50", "IoU75", "10cm", "10°", "10°10cm")
         detections, gts = fixture_records()
-        table = metric_table(match_detections(detections, gts), gts)
+        table = metric_table(record_metrics(match_detections(detections, gts), gts))
         header = table.to_text().splitlines()[0]
         for column in TABLE_COLUMNS:
             assert column in header
@@ -208,7 +269,7 @@ class TestMetricTable:
 
     def test_text_table_percent_formatting(self):
         detections, gts = fixture_records()
-        table = metric_table(match_detections(detections, gts), gts)
+        table = metric_table(record_metrics(match_detections(detections, gts), gts))
         lines = table.to_text().splitlines()
         assert lines[1].split()[0] == "bowl"
         assert "91.7" in lines[1]  # 11/12 as a one-decimal percentage
@@ -216,24 +277,24 @@ class TestMetricTable:
 
     def test_conjunction_bounded_by_parts(self):
         detections, gts = fixture_records()
-        table = metric_table(match_detections(detections, gts), gts)
+        table = metric_table(record_metrics(match_detections(detections, gts), gts))
         cols = dict(zip(TABLE_COLUMNS, table.mean))
         assert cols["10°10cm"] <= min(cols["10°"], cols["10cm"]) + 1e-12
 
     def test_confidence_rescaling_invariance(self):
         detections, gts = fixture_records()
-        table_a = metric_table(match_detections(detections, gts), gts)
+        table_a = metric_table(record_metrics(match_detections(detections, gts), gts))
         rescaled = [
             DetectionRecord(d.category, 0.37 * d.confidence, d.pose, d.scale, d.canonical_extents)
             for d in detections
         ]
-        table_b = metric_table(match_detections(rescaled, gts), gts)
+        table_b = metric_table(record_metrics(match_detections(rescaled, gts), gts))
         assert np.array_equal(table_a.values, table_b.values)
 
     def test_predicted_category_without_gt_skipped(self):
         detections, gts = fixture_records()
         extra = detections + [DetectionRecord("mug", 0.99, _pose(0.0, 1.0), 0.2, EXT)]
-        table = metric_table(match_detections(extra, gts), gts)
+        table = metric_table(record_metrics(match_detections(extra, gts), gts))
         assert table.skipped_categories == ("mug",)
         assert table.categories == ("bowl", "camera")
 
@@ -242,7 +303,7 @@ class TestMetricTable:
         perfect = [
             DetectionRecord(g.category, 1.0, g.pose, g.scale, g.canonical_extents) for g in gts
         ]
-        table = metric_table(match_detections(perfect, gts), gts)
+        table = metric_table(record_metrics(match_detections(perfect, gts), gts))
         assert np.allclose(table.values, 1.0)
         assert np.allclose(table.mean, 1.0)
 
@@ -254,26 +315,26 @@ class TestApCurves:
             DetectionRecord(g.category, 1.0, g.pose, g.scale, g.canonical_extents) for g in gts
         ]
         matched = match_detections(perfect, gts)
-        curve = ap_curves(matched, gts, "rotation_deg", [1.0, 5.0, 10.0, 30.0])
+        curve = ap_curves(record_metrics(matched, gts), "rotation_deg", [1.0, 5.0, 10.0, 30.0])
         assert np.allclose(curve.mean, 1.0)
 
     def test_monotone_in_error_thresholds(self):
         detections, gts = fixture_records()
         matched = match_detections(detections, gts)
         for metric in ("rotation_deg", "translation_cm"):
-            curve = ap_curves(matched, gts, metric, list(np.linspace(0.5, 60.0, 40)))
+            curve = ap_curves(record_metrics(matched, gts), metric, list(np.linspace(0.5, 60.0, 40)))
             assert np.all(np.diff(curve.mean) >= -1e-12)
 
     def test_non_increasing_in_iou_threshold(self):
         detections, gts = fixture_records()
         matched = match_detections(detections, gts)
-        curve = ap_curves(matched, gts, "iou", list(np.linspace(0.05, 0.95, 19)))
+        curve = ap_curves(record_metrics(matched, gts), "iou", list(np.linspace(0.05, 0.95, 19)))
         assert np.all(np.diff(curve.mean) <= 1e-12)
 
     def test_csv_format(self):
         detections, gts = fixture_records()
         matched = match_detections(detections, gts)
-        curve = ap_curves(matched, gts, "iou", [0.25, 0.5, 0.75])
+        curve = ap_curves(record_metrics(matched, gts), "iou", [0.25, 0.5, 0.75])
         lines = curve_csv(curve).splitlines()
         assert lines[0] == "threshold,bowl,camera,mean"
         assert len(lines) == 4
@@ -285,6 +346,6 @@ class TestApCurves:
         detections, gts = fixture_records()
         matched = match_detections(detections, gts)
         with pytest.raises(ValueError):
-            ap_curves(matched, gts, "iou", [0.5, 0.5])
+            ap_curves(record_metrics(matched, gts), "iou", [0.5, 0.5])
         with pytest.raises(ValueError):
-            ap_curves(matched, gts, "volume", [0.5])
+            ap_curves(record_metrics(matched, gts), "volume", [0.5])

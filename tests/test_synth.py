@@ -1,9 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from scalepose.errors import PlacementFailed, UnknownCategory
-from scalepose.evaluation import metric_table
-from scalepose.geometry import rotation_about_axis
+from scalepose.evaluation import metric_table, record_metrics
+from scalepose.geometry import rotation_about_axis, rotation_error_symmetric_deg
 from scalepose.nocs import bbox_diagonal
 from scalepose.pnp import RansacConfig, ransac_pnp, scale_model_points
 from scalepose.scale import CategoryStats, MeanScalePredictor, OraclePredictor
@@ -20,6 +23,7 @@ from scalepose.synth import (
     run_grid,
     sample_scene,
 )
+from test_evaluation import reference_ap
 
 IMAGE_BOUNDS = np.array([640.0, 480.0])
 
@@ -242,7 +246,7 @@ class TestGrid:
     def test_records_feed_metric_table(self):
         grid = run_grid(["mug"], [NoiseSpec()], trials=3, master_seed=3)
         detections, gts = grid.to_records("decoupled")
-        table = metric_table(detections, gts)
+        table = metric_table(record_metrics(detections, gts))
         assert np.allclose(table.values, 1.0)  # clean scenes solve exactly
 
     def test_summary_contains_ap_columns(self):
@@ -250,6 +254,22 @@ class TestGrid:
         header = grid.summary_csv().splitlines()[0]
         for column in ("IoU50", "IoU75", "10cm", "10deg", "10deg10cm"):
             assert column in header
+
+    def test_symmetric_summary_recomputable_from_trials(self):
+        # can is symmetric about y: the trials rows, the error medians and the
+        # 10° AP must all use the same, symmetry-aware, rotation error
+        grid = run_grid(["can"], [NoiseSpec(0.5, 0, 0, 0.1)], trials=8)
+        for r in grid.trials:
+            assert r.rotation_error_deg == rotation_error_symmetric_deg(
+                r.pose.rotation, r.gt_pose.rotation, [0.0, 1.0, 0.0]
+            )
+        trials = list(csv.DictReader(io.StringIO(grid.trials_csv())))
+        for row in csv.DictReader(io.StringIO(grid.summary_csv())):
+            rot = [float(t["rotation_error_deg"]) for t in trials if t["pipeline"] == row["pipeline"]]
+            assert float(row["median_rotation_error_deg"]) == np.median(rot)
+            assert float(row["mean_rotation_error_deg"]) == np.mean(rot)
+            hits = [r <= 10.0 for r in rot]
+            assert float(row["10deg"]) == reference_ap([1.0] * len(rot), hits, len(rot))
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -266,7 +286,7 @@ class TestGrid:
         for kind in ("mean", "oracle"):
             grid = run_grid(["mug"], [NoiseSpec()], predictor_kind=kind, **kwargs)
             detections, gts = grid.to_records("decoupled")
-            tables[kind] = metric_table(detections, gts)
+            tables[kind] = metric_table(record_metrics(detections, gts))
         cols_mean = dict(zip(TABLE_COLUMNS, tables["mean"].mean))
         cols_oracle = dict(zip(TABLE_COLUMNS, tables["oracle"].mean))
         assert cols_mean["10°"] == cols_oracle["10°"] == 1.0
