@@ -1,13 +1,7 @@
-"""Hot numeric kernels behind the solvers.
+"""Hot numeric kernels behind the solvers, in pure NumPy (``_pure``).
 
-Two interchangeable backends implement the same functions:
-
-* ``_native`` -- Cython extension, used by default when the build produced it;
-* ``_pure``   -- pure NumPy, always available.
-
-The active backend is chosen at import time (env ``SCALEPOSE_BACKEND`` forces
-``pure`` or ``native``) and can be switched at runtime with
-:func:`use_backend`, which benchmarks and the parity tests rely on.
+The solvers call them through this module's attributes, so a caller can
+wrap one here (as the benchmark's tracer does) and every solver sees it.
 
 Kernel functions
 ----------------
@@ -15,73 +9,23 @@ quartic_roots(c4, c3, c2, c1, c0)        -> ascending real roots, (K,)
 p3p_distance_sets(obj, bearings)         -> camera-to-point distances, (K, 3)
 reprojection_errors(R, t, obj, pix, fx, fy, cx, cy) -> per-point pixel error,
     inf for points at non-positive depth
+pixel_errors(cam, pix, fx, fy, cx, cy)   -> the same error for camera-frame
+    points of any leading shape (one pose's points or a stack of poses')
 reprojection_normal_eqs(R, t, obj, pix, fx, fy, cx, cy)
     -> (JtJ (6,6), Jtr (6,), cost, n_valid) for the Gauss-Newton step
 points_in_box_mask(pts, R, t, half_extents) -> bool mask, closed half-spaces
 """
 
-import os
-
-from . import _pure
-
-_BACKENDS = {"pure": _pure}
-try:
-    from . import _native  # noqa: F401  (built by setup.py; optional)
-
-    _BACKENDS["native"] = _native
-except ImportError:
-    _native = None
-
-
-def _initial_backend():
-    requested = os.environ.get("SCALEPOSE_BACKEND", "").strip().lower()
-    if requested in _BACKENDS:
-        return requested
-    if requested and requested != "native":
-        raise ValueError(
-            f"SCALEPOSE_BACKEND={requested!r} not recognized; "
-            f"choose from {sorted(_BACKENDS)}"
-        )
-    return "native" if "native" in _BACKENDS else "pure"
-
-
-_name = _initial_backend()
-_active = _BACKENDS[_name]
-
-
-def available_backends():
-    return tuple(sorted(_BACKENDS))
+from ._pure import (  # noqa: F401
+    p3p_distance_sets,
+    pixel_errors,
+    points_in_box_mask,
+    quartic_roots,
+    reprojection_errors,
+    reprojection_normal_eqs,
+)
 
 
 def backend_name():
-    return _name
-
-
-def use_backend(name):
-    """Switch the active backend; returns the previous backend name."""
-    global _name, _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {sorted(_BACKENDS)}")
-    previous = _name
-    _name, _active = name, _BACKENDS[name]
-    return previous
-
-
-def quartic_roots(c4, c3, c2, c1, c0):
-    return _active.quartic_roots(c4, c3, c2, c1, c0)
-
-
-def p3p_distance_sets(obj, bearings):
-    return _active.p3p_distance_sets(obj, bearings)
-
-
-def reprojection_errors(rotation, translation, obj, pixels, fx, fy, cx, cy):
-    return _active.reprojection_errors(rotation, translation, obj, pixels, fx, fy, cx, cy)
-
-
-def reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy):
-    return _active.reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy)
-
-
-def points_in_box_mask(points, rotation, translation, half_extents):
-    return _active.points_in_box_mask(points, rotation, translation, half_extents)
+    """Name of the kernel implementation: NumPy is the only one."""
+    return "pure"

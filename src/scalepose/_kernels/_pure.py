@@ -1,8 +1,9 @@
-"""Pure NumPy backend for the hot kernels.
+"""Pure NumPy implementation of the hot kernels.
 
-Mirrors ``_native`` exactly (same algorithms, same tolerances) so results
-agree to floating-point noise; the parity tests in tests/test_kernels.py
-hold both backends to 1e-9.
+Grunert's P3P and the Ferrari quartic stay scalar Python on purpose:
+``math.acos``, ``math.sqrt`` and ``**`` on Python floats are what the
+pinned RANSAC results were computed with, and NumPy's array versions
+differ from them in the last bit on some inputs.
 """
 
 import math
@@ -277,21 +278,32 @@ def _polish_distances(s, a2, b2, c2, ca, cb, cg):
     return np.array([s1, s2, s3])
 
 
+def pixel_errors(cam, pixels, fx, fy, cx, cy):
+    """Pixel distance of camera-frame points ``cam`` (..., 3) from
+    ``pixels`` (..., 2), over any leading shape; inf where depth <= 0."""
+    z = cam[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # in place, so a stack of points needs no more than two temporaries
+        du = fx * cam[..., 0]
+        du /= z
+        du += cx
+        du -= pixels[..., 0]
+        dv = fy * cam[..., 1]
+        dv /= z
+        dv += cy
+        dv -= pixels[..., 1]
+        err = np.hypot(du, dv, out=du)
+    err[~(z > 0)] = np.inf
+    return err
+
+
 def reprojection_errors(rotation, translation, obj, pixels, fx, fy, cx, cy):
     """Per-point pixel reprojection error; inf where depth <= 0."""
     rotation = np.asarray(rotation, dtype=np.float64)
     translation = np.asarray(translation, dtype=np.float64)
     obj = np.asarray(obj, dtype=np.float64)
     pixels = np.asarray(pixels, dtype=np.float64)
-    pc = obj @ rotation.T + translation
-    z = pc[:, 2]
-    err = np.full(obj.shape[0], np.inf)
-    ok = z > 0
-    if np.any(ok):
-        du = fx * pc[ok, 0] / z[ok] + cx - pixels[ok, 0]
-        dv = fy * pc[ok, 1] / z[ok] + cy - pixels[ok, 1]
-        err[ok] = np.hypot(du, dv)
-    return err
+    return pixel_errors(obj @ rotation.T + translation, pixels, fx, fy, cx, cy)
 
 
 def reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy):

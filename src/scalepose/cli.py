@@ -167,6 +167,9 @@ def cmd_solve(args):
         "inlier_mask": [bool(v) for v in result.inlier_mask],
         "mean_reprojection_error": result.mean_reprojection_error,
         "iterations_used": result.iterations_used,
+        "stop_reason": result.stop_reason,
+        "rejected_degenerate": result.rejected_degenerate,
+        "rejected_no_solution": result.rejected_no_solution,
         "rng_seed": config.rng_seed,
         "reprojection_threshold": config.reprojection_threshold,
     }

@@ -197,12 +197,19 @@ def rotation_from_rotvec(rvec):
 
 def nearest_rotation(m):
     """Project a 3x3 matrix onto SO(3) (closest in Frobenius norm)."""
-    m = _as_array(m, (3, 3), "matrix")
+    return nearest_rotations(_as_array(m, (3, 3), "matrix")[None])[0]
+
+
+def nearest_rotations(m):
+    """:func:`nearest_rotation` over a stack of finite matrices (M, 3, 3)."""
     u, _, vt = np.linalg.svd(m)
     d = np.sign(np.linalg.det(u @ vt))
-    if d == 0:
-        d = 1.0
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    d[d == 0] = 1.0
+    flip = np.zeros_like(m)
+    flip[:, 0, 0] = 1.0
+    flip[:, 1, 1] = 1.0
+    flip[:, 2, 2] = d
+    return u @ flip @ vt
 
 
 def random_rotation(rng):

@@ -9,17 +9,19 @@ unchanged when the translation scales by alpha with them).
 Solvers:
 
 * :func:`solve_pnp_minimal` -- P3P on three points plus a disambiguation
-  point, the engine inside RANSAC;
+  point: one sample of the block solver inside RANSAC;
 * :func:`solve_pnp_lsq`     -- DLT initialization + Gauss-Newton refinement
   for 6+ correspondences;
 * :func:`refine_pnp`        -- Gauss-Newton reprojection refinement;
-* :func:`ransac_pnp`        -- robust loop with adaptive termination.
+* :func:`ransac_pnp`        -- robust loop with adaptive termination that
+  solves and scores its samples in blocks, then replays them in order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,29 +35,26 @@ from .errors import (
     NoRealSolution,
     RankDeficient,
 )
-from .geometry import CameraIntrinsics, RigidPose, nearest_rotation, rotation_from_rotvec
+from .geometry import (
+    ROTATION_TOL,
+    CameraIntrinsics,
+    RigidPose,
+    nearest_rotation,
+    nearest_rotations,
+    rotation_from_rotvec,
+)
 
 MINIMAL_SAMPLE_SIZE = 4
+
+# RANSAC samples solved and scored together. A block's arrays hold up to
+# 4 * SAMPLE_BLOCK candidates against every point; larger blocks waste more
+# work past the stop point and raise peak memory for little gain.
+SAMPLE_BLOCK = 8
 
 # Gauss-Newton termination (step norm, cost decrease, iteration cap).
 GN_STEP_TOL = 1e-10
 GN_COST_TOL = 1e-12
 GN_MAX_ITERATIONS = 50
-
-
-@dataclass(frozen=True)
-class Correspondence2D3D:
-    """One 2D pixel / 3D metric model point pair."""
-
-    image: tuple[float, float]
-    model: tuple[float, float, float]
-
-
-def split_correspondences(correspondences):
-    """Stack a list of :class:`Correspondence2D3D` into (N,2)/(N,3) arrays."""
-    image = np.array([c.image for c in correspondences], dtype=np.float64).reshape(-1, 2)
-    model = np.array([c.model for c in correspondences], dtype=np.float64).reshape(-1, 3)
-    return image, model
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,22 @@ class RansacConfig:
 @dataclass(frozen=True)
 class PnPResult:
     """Robust solve output: pose, per-correspondence inlier mask, mean
-    reprojection error over the inliers, and iterations executed."""
+    reprojection error over the inliers, and iterations executed.
+
+    ``stop_reason`` says why the sampling loop ended: ``"confidence"``
+    once the adaptive bound was met, ``"max_iterations"`` at the cap.
+    ``rejected_degenerate`` counts samples with a (near-)collinear model
+    triple, ``rejected_no_solution`` samples whose P3P candidates all
+    failed; neither exceeds ``iterations_used``.
+    """
 
     pose: RigidPose
     inlier_mask: np.ndarray
     mean_reprojection_error: float
     iterations_used: int
+    stop_reason: str
+    rejected_degenerate: int
+    rejected_no_solution: int
 
     def __post_init__(self):
         mask = np.asarray(self.inlier_mask, dtype=bool).copy()
@@ -125,30 +134,110 @@ def _bearings(image_points, k: CameraIntrinsics):
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
-def _rigid_from_triangle(src, dst):
-    """Exact rigid transform mapping triangle ``src`` onto ``dst`` (triad
-    frames); returns None when either triangle is degenerate."""
+def _norms(v):
+    """Row norms of (M, 3) vectors, bit-equal to ``np.linalg.norm`` per row."""
+    return np.sqrt(np.vecdot(v, v))
 
-    def frame(p):
-        e1 = p[1] - p[0]
-        n1 = np.linalg.norm(e1)
-        if n1 == 0:
-            return None
-        e1 = e1 / n1
-        w = np.cross(e1, p[2] - p[0])
-        nw = np.linalg.norm(w)
-        if nw < 1e-12 * n1 * max(1.0, np.linalg.norm(p[2] - p[0])):
-            return None
-        w = w / nw
-        return np.column_stack([e1, np.cross(w, e1), w])
 
-    fs = frame(src)
-    fd = frame(dst)
-    if fs is None or fd is None:
-        return None
-    rot = fd @ fs.T
-    t = dst.mean(axis=0) - rot @ src.mean(axis=0)
-    return nearest_rotation(rot), t
+def _triad_frames(p):
+    """Orthonormal frames of a stack of triangles ``p`` (M, 3, 3): columns
+    are the first edge, the in-plane normal to it and the plane normal.
+    Returns the frames and a mask of the non-degenerate triangles."""
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    n1 = _norms(e1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e1 = e1 / n1[:, None]
+        w = np.cross(e1, e2)
+        nw = _norms(w)
+        w = w / nw[:, None]
+    ok = (n1 != 0) & ~(nw < 1e-12 * n1 * np.maximum(1.0, _norms(e2)))
+    return np.stack([e1, np.cross(w, e1), w], axis=2), ok
+
+
+class _Block(NamedTuple):
+    """P3P candidates of a block of samples (see :func:`_p3p_block`)."""
+
+    degenerate: np.ndarray  # (S,) bool: (near-)collinear model triple
+    invalid: dict  # sample -> (raw rotation, translation) failing RigidPose checks
+    rotations: np.ndarray  # (H, 3, 3)
+    translations: np.ndarray  # (H, 3)
+    groups: list  # per sample, its candidates' indices in fourth-point order
+
+    def check(self, s):
+        """Raise the ValueError a RigidPose of sample ``s``'s failing
+        candidate raises (scalar path, so the message is the same)."""
+        if s in self.invalid:
+            raw, t = self.invalid[s]
+            RigidPose(nearest_rotation(raw), t)
+
+
+def _p3p_block(image, model, rays, samples, k):
+    """P3P over a block of 4-point samples ``samples`` (S, 4) of indices.
+
+    Per sample, the first three points feed Grunert's distance sets
+    (``kernels.p3p_distance_sets``, scalar); each distance set places the
+    triangle in the camera frame and the triad frames of model and camera
+    triangle give the rigid candidate. Frames, the nearest-rotation
+    projection, cheirality on all four points and the fourth point's
+    reprojection error run over the whole block. Candidates with a point
+    at non-positive depth are dropped; the rest are grouped by sample and
+    ordered by the fourth point's error (stable).
+    """
+    tri = model[samples[:, :3]]
+    e1 = tri[:, 1] - tri[:, 0]
+    e2 = tri[:, 2] - tri[:, 0]
+    edge = np.maximum(_norms(e1), _norms(e2))
+    degenerate = _norms(np.cross(e1, e2)) <= 1e-10 * edge * edge
+
+    owner, dists = [], []
+    for s in np.flatnonzero(~degenerate):
+        sets = kernels.p3p_distance_sets(tri[s], rays[samples[s, :3]])
+        owner.extend([s] * len(sets))
+        dists.extend(sets)
+    owner = np.array(owner, dtype=np.intp)
+    dists = np.array(dists).reshape(-1, 3)
+
+    src, src_ok = _triad_frames(tri[owner])
+    cam = dists[:, :, None] * rays[samples[owner, :3]]
+    dst, dst_ok = _triad_frames(cam)
+    raw = dst @ src.transpose(0, 2, 1)
+    t = cam.mean(axis=1) - (raw @ tri[owner].mean(axis=1)[:, :, None])[:, :, 0]
+    framed = src_ok & dst_ok
+    finite = np.isfinite(raw).all(axis=(1, 2))
+    rot = np.repeat(np.eye(3)[None], len(owner), axis=0)
+    solvable = framed & finite
+    rot[solvable] = nearest_rotations(raw[solvable])
+
+    quad = model[samples[owner]]
+    depths = (quad @ rot[:, 2, :, None])[:, :, 0] + t[:, 2, None]
+    kept = solvable & ~np.any(depths <= 0, axis=1)
+
+    # RigidPose's checks, for every candidate it would be built from
+    orth = np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2))
+    det = np.linalg.det(rot)
+    proper = (
+        np.isfinite(rot).all(axis=(1, 2))
+        & np.isfinite(t).all(axis=1)
+        & (orth <= ROTATION_TOL)
+        & (np.abs(det - 1.0) <= ROTATION_TOL)
+    )
+    # nearest_rotation rejects a non-finite matrix before cheirality is
+    # checked; RigidPose checks only the candidates that pass cheirality
+    invalid = {}
+    for j in np.flatnonzero((framed & ~finite) | (kept & ~proper)):
+        invalid.setdefault(int(owner[j]), (raw[j], t[j]))
+
+    rot, t, owner, quad = rot[kept], t[kept], owner[kept], quad[kept]
+    fourth = quad[:, 3:4] @ rot.transpose(0, 2, 1) + t[:, None]
+    err4 = kernels.pixel_errors(fourth[:, 0], image[samples[owner, 3]], k.fx, k.fy, k.cx, k.cy)
+    err4 = err4.tolist()
+    groups = [[] for _ in samples]
+    for j, s in enumerate(owner.tolist()):
+        groups[s].append(j)
+    for group in groups:
+        group.sort(key=err4.__getitem__)
+    return _Block(degenerate, invalid, rot, t, groups)
 
 
 def solve_pnp_minimal(image_points, model_points, intrinsics):
@@ -158,6 +247,7 @@ def solve_pnp_minimal(image_points, model_points, intrinsics):
     distance solutions); the fourth point disambiguates. Candidates where
     any of the four points falls at non-positive camera depth are dropped,
     and the survivors are ordered by the fourth point's reprojection error.
+    This is one sample of the block solver inside :func:`ransac_pnp`.
 
     Returns a non-empty list of :class:`RigidPose`.
 
@@ -172,34 +262,14 @@ def solve_pnp_minimal(image_points, model_points, intrinsics):
     if image.shape[0] != MINIMAL_SAMPLE_SIZE:
         raise ValueError(f"minimal solver needs exactly 4 correspondences, got {image.shape[0]}")
 
-    tri = model[:3]
-    area2 = np.linalg.norm(np.cross(tri[1] - tri[0], tri[2] - tri[0]))
-    edge = max(np.linalg.norm(tri[1] - tri[0]), np.linalg.norm(tri[2] - tri[0]))
-    if area2 <= 1e-10 * edge * edge:
-        raise DegenerateSample("first three model points are (near-)collinear")
-
     rays = _bearings(image, intrinsics)
-    distance_sets = kernels.p3p_distance_sets(tri, rays[:3])
-
-    scored = []
-    for s in distance_sets:
-        cam_pts = s[:, None] * rays[:3]
-        fit = _rigid_from_triangle(tri, cam_pts)
-        if fit is None:
-            continue
-        rot, t = fit
-        depths = model @ rot.T[:, 2] + t[2]
-        if np.any(depths <= 0):
-            continue
-        err = kernels.reprojection_errors(
-            rot, t, model[3:4], image[3:4], intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy
-        )[0]
-        scored.append((float(err), RigidPose(rot, t)))
-
-    if not scored:
+    block = _p3p_block(image, model, rays, np.arange(MINIMAL_SAMPLE_SIZE)[None], intrinsics)
+    if block.degenerate[0]:
+        raise DegenerateSample("first three model points are (near-)collinear")
+    block.check(0)
+    if not block.groups[0]:
         raise NoRealSolution("no P3P candidate passed cheirality")
-    scored.sort(key=lambda item: item[0])
-    return [pose for _, pose in scored]
+    return [RigidPose(block.rotations[j], block.translations[j]) for j in block.groups[0]]
 
 
 def solve_pnp_lsq(image_points, model_points, intrinsics):
@@ -320,8 +390,8 @@ def reprojection_residuals_jacobian(pose, image_points, model_points, intrinsics
 
     Residuals are (2k,) for the k points at positive depth; the Jacobian is
     (2k, 6) over the local parameters (axis-angle increment, translation
-    increment) evaluated at zero. Kept independent of the kernel backends
-    so tests can cross-check both against finite differences.
+    increment) evaluated at zero. Kept independent of the kernels so tests
+    can cross-check both against finite differences.
     """
     image, model = _validate_inputs(image_points, model_points)
     k = intrinsics
@@ -376,6 +446,12 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
     error (earlier iteration wins exact ties). The iteration budget shrinks
     adaptively from the best inlier ratio and the requested confidence.
 
+    Samples are solved and scored ``SAMPLE_BLOCK`` at a time, then replayed
+    in iteration order: the stopping rule is checked before each sample
+    and each sample's candidates are taken in their fourth-point order, so
+    the result is that of the one-sample-at-a-time loop; work past the
+    stop point is thrown away.
+
     The final pose is refined on the best consensus set and the inlier mask
     is recomputed against the refined pose.
 
@@ -394,40 +470,53 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
             f"RANSAC needs >= {MINIMAL_SAMPLE_SIZE} correspondences, got {n}"
         )
     k = intrinsics
+    rays = _bearings(image, k)
 
     best_count = 0
     best_mean = math.inf
-    best_pose = None
-    best_mask = None
+    best = None
     needed = math.inf
-    iteration = 0
+    iteration = degenerate = no_solution = 0
     while iteration < cfg.max_iterations and iteration < needed:
-        rng = np.random.default_rng((cfg.rng_seed, iteration))
-        sample = rng.choice(n, size=MINIMAL_SAMPLE_SIZE, replace=False)
-        iteration += 1
-        try:
-            candidates = solve_pnp_minimal(image[sample], model[sample], k)
-        except (DegenerateSample, NoRealSolution):
-            continue
-        for pose in candidates:
-            errors = kernels.reprojection_errors(
-                pose.rotation, pose.translation, model, image, k.fx, k.fy, k.cx, k.cy
-            )
-            mask = errors < cfg.reprojection_threshold
-            count = int(np.count_nonzero(mask))
-            if count == 0:
+        end = min(iteration + SAMPLE_BLOCK, cfg.max_iterations, needed)
+        samples = np.array([
+            np.random.default_rng((cfg.rng_seed, i)).choice(n, size=MINIMAL_SAMPLE_SIZE, replace=False)
+            for i in range(iteration, end)
+        ])
+        block = _p3p_block(image, model, rays, samples, k)
+        cam = model @ block.rotations.transpose(0, 2, 1)
+        cam += block.translations[:, None]
+        errors = kernels.pixel_errors(cam, image, k.fx, k.fy, k.cx, k.cy)
+        inliers = errors < cfg.reprojection_threshold
+        counts = np.count_nonzero(inliers, axis=1)
+        for s in range(len(samples)):
+            if iteration >= needed:
+                break
+            iteration += 1
+            if block.degenerate[s]:
+                degenerate += 1
                 continue
-            mean_err = float(errors[mask].mean())
-            if count > best_count or (count == best_count and mean_err < best_mean):
-                best_count, best_mean = count, mean_err
-                best_pose, best_mask = pose, mask
-                needed = _adaptive_iteration_bound(count / n, cfg.confidence)
+            block.check(s)
+            if not block.groups[s]:
+                no_solution += 1
+                continue
+            for j in block.groups[s]:
+                count = int(counts[j])
+                if count == 0 or count < best_count:
+                    continue
+                mean_err = float(errors[j][inliers[j]].mean())
+                if count > best_count or mean_err < best_mean:
+                    best_count, best_mean = count, mean_err
+                    best = (block.rotations[j], block.translations[j], inliers[j])
+                    needed = _adaptive_iteration_bound(count / n, cfg.confidence)
 
-    if best_pose is None or best_count < MINIMAL_SAMPLE_SIZE:
+    if best is None or best_count < MINIMAL_SAMPLE_SIZE:
         raise ConsensusNotFound(
             f"best consensus has {best_count} inlier(s) after {iteration} iteration(s)"
         )
 
+    rotation, translation, best_mask = best
+    best_pose = RigidPose(rotation, translation)
     refined = refine_pnp(best_pose, image[best_mask], model[best_mask], k)
     errors = kernels.reprojection_errors(
         refined.rotation, refined.translation, model, image, k.fx, k.fy, k.cx, k.cy
@@ -436,4 +525,5 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
     if not np.any(final_mask):
         raise ConsensusNotFound("refined pose lost all inliers")
     mean_err = float(errors[final_mask].mean())
-    return PnPResult(refined, final_mask, mean_err, iteration)
+    stop_reason = "confidence" if iteration >= needed else "max_iterations"
+    return PnPResult(refined, final_mask, mean_err, iteration, stop_reason, degenerate, no_solution)

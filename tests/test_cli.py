@@ -48,6 +48,9 @@ class TestSolve:
         assert payload["scale"] == pytest.approx(scene.scale)
         assert payload["inlier_count"] == len(scene.pixels)
         assert payload["rng_seed"] == 0
+        assert payload["stop_reason"] == "confidence"
+        rejected = payload["rejected_degenerate"] + payload["rejected_no_solution"]
+        assert 0 <= rejected <= payload["iterations_used"]
 
     def test_missing_file_exits_one(self, tmp_path, solve_fixture, capsys):
         _, _, intr, _ = solve_fixture

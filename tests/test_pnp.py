@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_projected_scene
+from conftest import CAMERA, make_projected_scene
 from scalepose.errors import (
     ConsensusNotFound,
     DegenerateSample,
@@ -19,9 +21,9 @@ from scalepose.geometry import (
     random_rotation,
     rotation_about_axis,
     rotation_error_deg,
+    rotation_from_quaternion,
 )
 from scalepose.pnp import (
-    Correspondence2D3D,
     RansacConfig,
     ransac_pnp,
     refine_pnp,
@@ -29,7 +31,6 @@ from scalepose.pnp import (
     scale_model_points,
     solve_pnp_lsq,
     solve_pnp_minimal,
-    split_correspondences,
 )
 
 DEG_PER_RAD = 180.0 / math.pi
@@ -288,6 +289,82 @@ class TestRansac:
         pose, pts, pix = make_projected_scene(30, seed=35)
         result = ransac_pnp(pix, pts, camera, RansacConfig(rng_seed=4))
         assert result.iterations_used == 1
+        assert result.stop_reason == "confidence"
+
+    def test_stop_reason_at_iteration_cap(self, camera):
+        pose, pts, noisy, _ = self._outlier_scene(680, n=60, n_out=40, pixel_noise=0.5)
+        result = ransac_pnp(noisy, pts, camera, RansacConfig(max_iterations=25, rng_seed=5))
+        assert result.iterations_used == 25
+        assert result.stop_reason == "max_iterations"
+        assert result.rejected_no_solution > 0
+
+    def test_rejection_counts_bounded_by_iterations(self, camera):
+        degenerate = 0
+        for seed in range(8):
+            pose, pts, noisy, _ = self._outlier_scene(690 + seed, n=40, n_out=16, pixel_noise=0.5)
+            # a run of collinear model points makes some samples degenerate
+            pts[:20] = pts[0] + np.linspace(-1.0, 1.0, 20)[:, None] * (pts[1] - pts[0])
+            noisy[:20] = project(pose.transform(pts[:20]), camera)
+            result = ransac_pnp(noisy, pts, camera, RansacConfig(rng_seed=seed))
+            rejected = result.rejected_degenerate + result.rejected_no_solution
+            assert 0 <= rejected <= result.iterations_used
+            degenerate += result.rejected_degenerate
+        assert degenerate > 0
+
+
+# Unit quaternions, kept away from the zero vector before normalizing.
+quaternions = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: np.linalg.norm(q) > 0.1)
+
+
+def outlier_problem(quat, size, depth, outlier_fraction, seed):
+    """Noiseless inliers of a random pose; outliers moved 20-200 px off
+    their true projection, so the true inlier mask is unambiguous."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 61))
+    points = rng.uniform(-size, size, size=(n, 3))
+    pose = RigidPose(rotation_from_quaternion(quat), [0.1 * depth * size, -0.05 * depth * size, depth * size])
+    pixels = project(pose.transform(points), CAMERA)
+    outliers = rng.choice(n, size=int(outlier_fraction * n), replace=False)
+    angle = rng.uniform(0.0, 2.0 * math.pi, size=len(outliers))
+    shift = rng.uniform(20.0, 200.0, size=len(outliers))
+    pixels[outliers] += shift[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    truth = np.ones(n, dtype=bool)
+    truth[outliers] = False
+    return pose, points, pixels, truth
+
+
+problems = st.builds(
+    outlier_problem,
+    quat=quaternions,
+    size=st.floats(0.05, 0.5),
+    depth=st.floats(3.0, 8.0),
+    outlier_fraction=st.floats(0.0, 0.4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# A miss chance of 1e-5 per solve keeps the properties from flaking.
+SURE = RansacConfig(confidence=0.99999, rng_seed=3)
+
+
+class TestRansacProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=problems)
+    def test_noiseless_inliers_recover_pose(self, problem):
+        pose, points, pixels, truth = problem
+        result = ransac_pnp(pixels, points, CAMERA, SURE)
+        assert np.max(np.abs(result.pose.rotation - pose.rotation)) < 1e-6
+        assert np.max(np.abs(result.pose.translation - pose.translation)) < 1e-6
+        assert np.array_equal(result.inlier_mask, truth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=problems, alpha=st.floats(0.25, 4.0))
+    def test_model_scale_only_scales_translation(self, problem, alpha):
+        _, points, pixels, _ = problem
+        base = ransac_pnp(pixels, points, CAMERA, SURE)
+        scaled = ransac_pnp(pixels, scale_model_points(alpha, points), CAMERA, SURE)
+        assert np.max(np.abs(scaled.pose.rotation - base.pose.rotation)) < 1e-9
+        assert np.max(np.abs(scaled.pose.translation - alpha * base.pose.translation)) < 1e-9 * max(1.0, alpha)
+        assert np.array_equal(scaled.inlier_mask, base.inlier_mask)
+        assert scaled.iterations_used == base.iterations_used
 
 
 class TestScaleModelPoints:
@@ -311,16 +388,6 @@ class TestConfigAndRecords:
             RansacConfig(confidence=1.0)
         with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
-
-    def test_correspondence_stacking(self):
-        corr = [
-            Correspondence2D3D((1.0, 2.0), (0.1, 0.2, 0.3)),
-            Correspondence2D3D((3.0, 4.0), (0.4, 0.5, 0.6)),
-        ]
-        image, model = split_correspondences(corr)
-        assert image.shape == (2, 2) and model.shape == (2, 3)
-        assert np.allclose(image[1], [3.0, 4.0])
-        assert np.allclose(model[0], [0.1, 0.2, 0.3])
 
     def test_mismatched_counts_rejected(self, camera):
         with pytest.raises(ValueError):
