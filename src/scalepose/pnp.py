@@ -135,7 +135,8 @@ def _bearings(image_points, k: CameraIntrinsics):
 
 
 def _norms(v):
-    """Row norms of (M, 3) vectors, bit-equal to ``np.linalg.norm`` per row."""
+    """Row norms of (M, 3) vectors, bit-equal to ``np.linalg.norm`` per row
+    (``np.vecdot`` takes the same dot product; it needs NumPy 2.0)."""
     return np.sqrt(np.vecdot(v, v))
 
 
