@@ -1,4 +1,18 @@
-"""Pure NumPy implementation of the hot kernels.
+"""Hot numeric kernels behind the solvers, in NumPy.
+
+The solvers call them through this module's attributes, so a caller can
+wrap one here (as the benchmark's tracer does) and every solver sees it.
+
+Kernel functions
+----------------
+quartic_roots(c4, c3, c2, c1, c0)        -> ascending real roots, (K,)
+p3p_distance_sets(obj, bearings)         -> camera-to-point distances, (K, 3)
+reprojection_errors(R, t, obj, pix, fx, fy, cx, cy) -> per-point pixel error,
+    inf for points at non-positive depth
+pixel_errors(cam, pix, fx, fy, cx, cy)   -> the same error for camera-frame
+    points of any leading shape (one pose's points or a stack of poses')
+reprojection_normal_eqs(R, t, obj, pix, fx, fy, cx, cy)
+    -> (JtJ (6,6), Jtr (6,), cost, n_valid) for the Gauss-Newton step
 
 Grunert's P3P and the Ferrari quartic stay scalar Python on purpose:
 ``math.acos``, ``math.sqrt`` and ``**`` on Python floats are what the
@@ -367,11 +381,6 @@ def reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy):
     return jtj, jtr, cost, n_valid
 
 
-def points_in_box_mask(points, rotation, translation, half_extents):
-    """Boolean mask of points inside an oriented box (boundary counts as in)."""
-    points = np.asarray(points, dtype=np.float64)
-    rotation = np.asarray(rotation, dtype=np.float64)
-    translation = np.asarray(translation, dtype=np.float64)
-    half_extents = np.asarray(half_extents, dtype=np.float64)
-    local = (points - translation) @ rotation
-    return np.all(np.abs(local) <= half_extents, axis=1)
+def backend_name():
+    """Name of the kernel implementation: NumPy is the only one."""
+    return "pure"

@@ -5,9 +5,6 @@ The exact IoU clips box A's polytope by box B's six face half-spaces
 cut so later planes see a closed boundary) and evaluates the intersection
 volume with the divergence theorem. Faces touching a clipping plane count
 as inside (closed half-spaces), which keeps the IoU continuous at contact.
-
-A seeded Monte-Carlo estimator is provided as an independent check; the
-exact method is the one the metrics use.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import NonPositiveScale
 from .geometry import RigidPose
 
@@ -84,15 +80,6 @@ class OrientedBox3:
             ]
         )
         return normals, offsets
-
-    def contains(self, points):
-        """Boolean mask of points inside the box (boundary included)."""
-        return kernels.points_in_box_mask(
-            np.atleast_2d(np.asarray(points, dtype=np.float64)),
-            self.pose.rotation,
-            self.pose.translation,
-            self.extents / 2.0,
-        )
 
 
 def box_from_estimate(pose, scale, canonical_extents):
@@ -214,31 +201,3 @@ def iou3d(a: OrientedBox3, b: OrientedBox3) -> float:
         return 0.0
     return min(1.0, max(0.0, inter / union))
 
-
-def iou3d_mc(a: OrientedBox3, b: OrientedBox3, samples, seed=0) -> float:
-    """Monte-Carlo IoU: rejection sampling in the union's bounding volume.
-
-    Deterministic for a fixed seed; retained as an independent oracle for
-    the exact method rather than a production path.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    corners = np.vstack([a.corners(), b.corners()])
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
-    rng = np.random.default_rng(seed)
-    n_inter = 0
-    n_union = 0
-    remaining = int(samples)
-    chunk = 262_144
-    while remaining > 0:
-        take = min(chunk, remaining)
-        remaining -= take
-        pts = rng.uniform(lo, hi, size=(take, 3))
-        in_a = a.contains(pts)
-        in_b = b.contains(pts)
-        n_inter += int(np.count_nonzero(in_a & in_b))
-        n_union += int(np.count_nonzero(in_a | in_b))
-    if n_union == 0:
-        return 0.0
-    return n_inter / n_union

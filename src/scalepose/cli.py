@@ -39,9 +39,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text):
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        values = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected one or more comma-separated floats, got {text!r}")
+    return values
 
 
 def build_parser():
@@ -228,9 +231,18 @@ def cmd_evaluate(args):
 
 # -- simulate ------------------------------------------------------------------------
 
-_SIM_CONFIG_KEYS = {
-    "categories", "pixel_noise", "outlier_fraction", "scale_error",
-    "depth_noise", "trials", "seed", "points", "output", "summary", "predictor",
+def _list_of(*types):
+    return lambda v: isinstance(v, list) and bool(v) and all(type(x) in types for x in v)
+
+
+# Each config key with the JSON type that its flag's parsed value has.
+_SIM_CONFIG_TYPES = {
+    "categories": ("a non-empty list of strings", _list_of(str)),
+    **{key: ("a non-empty list of numbers", _list_of(int, float))
+       for key in ("pixel_noise", "outlier_fraction", "scale_error", "depth_noise")},
+    **{key: ("an integer", lambda v: type(v) is int) for key in ("trials", "seed", "points")},
+    **{key: ("a string or null", lambda v: v is None or isinstance(v, str))
+       for key in ("output", "summary", "predictor")},
 }
 
 
@@ -238,10 +250,13 @@ def _apply_sim_config(args):
     if args.config is None:
         return args
     data = fileio.load_json(args.config, expect=dict)
-    unknown = set(data) - _SIM_CONFIG_KEYS
+    unknown = set(data) - set(_SIM_CONFIG_TYPES)
     if unknown:
         raise InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
     for key, value in data.items():
+        kind, valid = _SIM_CONFIG_TYPES[key]
+        if not valid(value):
+            raise InputError(f"{args.config}: {key} must be {kind}, got {value!r}")
         setattr(args, key, value)
     return args
 

@@ -78,6 +78,15 @@ def _require(mapping, key, path, lineno=None):
     return mapping[key]
 
 
+def _numbers(value, size):
+    """True when ``value`` is a JSON list of ``size`` numbers."""
+    return (
+        isinstance(value, list)
+        and len(value) == size
+        and all(type(v) in (int, float) for v in value)
+    )
+
+
 # -- poses ---------------------------------------------------------------------
 
 def pose_to_dict(pose: RigidPose):
@@ -111,7 +120,7 @@ def load_intrinsics(path) -> CameraIntrinsics:
             cx=_require(data, "cx", path),
             cy=_require(data, "cy", path),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}")
 
 
@@ -138,11 +147,11 @@ def load_correspondences(path):
         if not isinstance(rec, dict):
             raise InputError(f"{path}: entry {i} is not an object")
         img = _require(rec, "image", path)
-        if len(img) != 2:
+        if not _numbers(img, 2):
             raise InputError(f"{path}: entry {i}: image must be [u, v]")
         image.append(img)
         if "model" in rec:
-            if len(rec["model"]) != 3:
+            if not _numbers(rec["model"], 3):
                 raise InputError(f"{path}: entry {i}: model must be [x, y, z]")
             model.append(rec["model"])
         else:
@@ -183,26 +192,29 @@ def save_nocs_model(model: NocsModel, path, category=None):
 def load_correspondence_matrix(path) -> CorrespondenceMatrix:
     """Dense {rows, cols, data: row-major} or sparse {rows, cols, triplets}."""
     data = load_json(path, expect=dict)
-    rows = int(_require(data, "rows", path))
-    cols = int(_require(data, "cols", path))
-    if rows < 1 or cols < 1:
-        raise InputError(f"{path}: rows and cols must be positive")
-    if "data" in data:
-        flat = np.asarray(data["data"], dtype=np.float64)
-        if flat.size != rows * cols:
-            raise InputError(f"{path}: data length {flat.size} != rows*cols {rows * cols}")
-        entries = flat.reshape(rows, cols)
-    elif "triplets" in data:
-        entries = np.zeros((rows, cols))
-        for t in data["triplets"]:
-            if len(t) != 3:
-                raise InputError(f"{path}: triplets must be [row, col, value]")
-            i, j, v = int(t[0]), int(t[1]), float(t[2])
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise InputError(f"{path}: triplet index ({i}, {j}) out of bounds")
-            entries[i, j] += v
-    else:
-        raise InputError(f"{path}: need either 'data' or 'triplets'")
+    try:
+        rows = int(_require(data, "rows", path))
+        cols = int(_require(data, "cols", path))
+        if rows < 1 or cols < 1:
+            raise InputError(f"{path}: rows and cols must be positive")
+        if "data" in data:
+            flat = np.asarray(data["data"], dtype=np.float64)
+            if flat.size != rows * cols:
+                raise InputError(f"{path}: data length {flat.size} != rows*cols {rows * cols}")
+            entries = flat.reshape(rows, cols)
+        elif "triplets" in data:
+            entries = np.zeros((rows, cols))
+            for t in data["triplets"]:
+                if len(t) != 3:
+                    raise InputError(f"{path}: triplets must be [row, col, value]")
+                i, j, v = int(t[0]), int(t[1]), float(t[2])
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise InputError(f"{path}: triplet index ({i}, {j}) out of bounds")
+                entries[i, j] += v
+        else:
+            raise InputError(f"{path}: need either 'data' or 'triplets'")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}")
     try:
         return CorrespondenceMatrix(entries)
     except Exception as exc:

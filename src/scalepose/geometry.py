@@ -76,10 +76,6 @@ class RigidPose:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
 
-    def inverse(self):
-        rt = self.rotation.T
-        return RigidPose(rt, -rt @ self.translation)
-
     @classmethod
     def identity(cls):
         return cls(np.eye(3), np.zeros(3))
@@ -102,10 +98,6 @@ class SimilarityTransform:
             self, "translation", _freeze(_as_array(self.translation, (3,), "translation"))
         )
 
-    def transform(self, points):
-        pts = np.asarray(points, dtype=np.float64)
-        return self.scale * (pts @ self.rotation.T) + self.translation
-
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -119,15 +111,12 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         for name in ("fx", "fy", "cx", "cy"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
-
-    @property
-    def matrix(self):
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
 
 def project(points, intrinsics):
@@ -224,29 +213,6 @@ def random_rotation(rng):
     q = rng.normal(size=4)
     q /= np.linalg.norm(q)
     return rotation_from_quaternion(q)
-
-
-def quaternion_from_rotation(r):
-    """Unit quaternion (w, x, y, z) for a rotation matrix; w >= 0."""
-    r = ensure_rotation(r)
-    tr = np.trace(r)
-    if tr > 0:
-        s = math.sqrt(tr + 1.0) * 2
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = math.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0)) * 2
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
-    if q[0] < 0:
-        q = -q
-    return q / np.linalg.norm(q)
 
 
 def rotation_from_quaternion(q):

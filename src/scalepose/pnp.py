@@ -386,47 +386,6 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
     return pose
 
 
-def reprojection_residuals_jacobian(pose, image_points, model_points, intrinsics):
-    """Residual vector and analytic Jacobian of the refinement cost.
-
-    Residuals are (2k,) for the k points at positive depth; the Jacobian is
-    (2k, 6) over the local parameters (axis-angle increment, translation
-    increment) evaluated at zero. Kept independent of the kernels so tests
-    can cross-check both against finite differences.
-    """
-    image, model = _validate_inputs(image_points, model_points)
-    k = intrinsics
-    rx = model @ pose.rotation.T
-    pc = rx + pose.translation
-    ok = pc[:, 2] > 0
-    rx, pc, px = rx[ok], pc[ok], image[ok]
-    x, y, z = pc[:, 0], pc[:, 1], pc[:, 2]
-    invz = 1.0 / z
-
-    res = np.empty(2 * len(px))
-    res[0::2] = k.fx * x * invz + k.cx - px[:, 0]
-    res[1::2] = k.fy * y * invz + k.cy - px[:, 1]
-
-    jac = np.empty((2 * len(px), 6))
-    au = k.fx * invz
-    bu = -k.fx * x * invz * invz
-    av = k.fy * invz
-    cv = -k.fy * y * invz * invz
-    jac[0::2, 0] = bu * rx[:, 1]
-    jac[0::2, 1] = au * rx[:, 2] - bu * rx[:, 0]
-    jac[0::2, 2] = -au * rx[:, 1]
-    jac[0::2, 3] = au
-    jac[0::2, 4] = 0.0
-    jac[0::2, 5] = bu
-    jac[1::2, 0] = -av * rx[:, 2] + cv * rx[:, 1]
-    jac[1::2, 1] = -cv * rx[:, 0]
-    jac[1::2, 2] = av * rx[:, 0]
-    jac[1::2, 3] = 0.0
-    jac[1::2, 4] = av
-    jac[1::2, 5] = cv
-    return res, jac, ok
-
-
 def _adaptive_iteration_bound(inlier_ratio, confidence):
     w4 = inlier_ratio ** MINIMAL_SAMPLE_SIZE
     if w4 >= 1.0:

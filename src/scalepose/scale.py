@@ -15,7 +15,7 @@ simulation are provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -57,13 +57,11 @@ class ScalePrediction:
 
 @dataclass(frozen=True)
 class ScaleObservation:
-    """Opaque record handed to predictors; carries whatever a predictor
-    needs (the ground-truth scale for oracle variants, features for learned
-    ones)."""
+    """Record handed to predictors: the category, and the ground-truth
+    scale that the oracle variants read."""
 
     category: str
     gt_scale: float | None = None
-    features: Any = None
 
 
 @runtime_checkable
@@ -175,13 +173,3 @@ class NoisyOraclePredictor:
         noise = self._rng.normal(0.0, self.sigma) if self.sigma > 0 else 0.0
         return gt_offset(observation.gt_scale, stats) + noise
 
-
-def mean_scale_predictor() -> ScalePredictor:
-    """The mean-scale ablation arm: predicts delta = 0 for every input."""
-    return MeanScalePredictor()
-
-
-def noisy_oracle_predictor(rng_seed, sigma) -> ScalePredictor:
-    """Simulates an imperfect learned regressor; see
-    :class:`NoisyOraclePredictor`."""
-    return NoisyOraclePredictor(rng_seed, sigma)

@@ -36,7 +36,7 @@ from .geometry import (
     umeyama_align,
 )
 from .nocs import NocsModel, normalize_model
-from .pnp import RansacConfig, ransac_pnp, scale_model_points
+from .pnp import ransac_pnp, scale_model_points
 from .scale import (
     CategoryStats,
     MeanScalePredictor,
@@ -103,7 +103,6 @@ class SyntheticScene:
     intrinsics: CameraIntrinsics
     pixels: np.ndarray  # (N, 2) ground-truth projections
     depths: np.ndarray  # (N,) ground-truth camera-frame z
-    rng_seed: int
 
     def __post_init__(self):
         for name in ("canonical_extents", "pixels", "depths"):
@@ -151,12 +150,12 @@ class ExperimentResult:
     def to_ground_truth(self):
         return GroundTruthBox(self.category, self.gt_pose, self.gt_scale, self.canonical_extents)
 
-    def to_detection(self, confidence=1.0):
-        """Detection record pre-matched to this trial's own ground truth
+    def to_detection(self):
+        """Confidence-1 detection pre-matched to this trial's own ground truth
         (pairing is known by construction; no geometric matching needed)."""
         return DetectionRecord(
             self.category,
-            confidence,
+            1.0,
             self.pose,
             self.estimated_scale,
             self.canonical_extents,
@@ -328,14 +327,14 @@ def sample_scene(
     pose_ranges: PoseRanges | None = None,
     scale_stats: CategoryStats | None = None,
     point_count=256,
-    intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS,
 ) -> SyntheticScene:
     """Place one object fully inside the frame and record its projections.
 
     The ground-truth scale is drawn from Normal(mean, sigma) truncated to
     stay positive and above mean - 3 sigma. Placement rejection-samples the
     pose until every projected point lies inside the image margins; after
-    100 attempts :class:`PlacementFailed` is raised.
+    100 attempts :class:`PlacementFailed` is raised. The camera is
+    :data:`DEFAULT_INTRINSICS`.
     """
     ranges = pose_ranges or PoseRanges()
     stats = scale_stats or DEFAULT_CATEGORY_STATS[category]
@@ -354,12 +353,12 @@ def sample_scene(
             continue
         z = rng.uniform(z_lo, ranges.z_max)
         target = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
-        translation = backproject(target, z, intrinsics)
+        translation = backproject(target, z, DEFAULT_INTRINSICS)
         pose = RigidPose(rotation, translation)
         cam_pts = pose.transform(s_gt * model.points)
         if np.any(cam_pts[:, 2] <= 0.05):
             continue
-        pix = project(cam_pts, intrinsics)
+        pix = project(cam_pts, DEFAULT_INTRINSICS)
         if np.all((pix >= lo) & (pix <= hi)):
             return SyntheticScene(
                 category=category,
@@ -367,10 +366,9 @@ def sample_scene(
                 scale=s_gt,
                 model=model,
                 canonical_extents=extents,
-                intrinsics=intrinsics,
+                intrinsics=DEFAULT_INTRINSICS,
                 pixels=pix,
                 depths=cam_pts[:, 2],
-                rng_seed=int(rng_seed) if np.isscalar(rng_seed) else 0,
             )
     raise PlacementFailed(f"could not place {category!r} within 100 attempts (seed {rng_seed})")
 
@@ -436,7 +434,6 @@ def run_decoupled(
     corrupted: CorruptedObservations,
     predictor,
     stats: CategoryStats | None = None,
-    ransac_config: RansacConfig | None = None,
     noise: NoiseSpec = NoiseSpec(),
     trial: int = 0,
 ) -> ExperimentResult:
@@ -446,7 +443,7 @@ def run_decoupled(
     delta = predictor.predict_offset(observation, stats)
     prediction = recover_scale(stats, delta)
     metric_points = scale_model_points(prediction.scale, scene.model.points)
-    solved = ransac_pnp(corrupted.pixels, metric_points, scene.intrinsics, ransac_config)
+    solved = ransac_pnp(corrupted.pixels, metric_points, scene.intrinsics)
     return _result(scene, "decoupled", noise, trial, solved.pose, prediction.scale)
 
 
@@ -487,7 +484,6 @@ _SUMMARY_CSV_HEADER = (
 @dataclass(frozen=True)
 class GridResult:
     trials: tuple[ExperimentResult, ...]
-    master_seed: int
 
     def to_records(self, pipeline):
         """Detections and ground truths for the evaluation suite.
@@ -587,8 +583,6 @@ def run_grid(
     master_seed=0,
     stats_by_category=None,
     point_count=192,
-    pose_ranges: PoseRanges | None = None,
-    ransac_config: RansacConfig | None = None,
     predictor_kind="oracle",
 ) -> GridResult:
     """Full factorial (category x noise point x trial) over both pipelines.
@@ -624,7 +618,6 @@ def run_grid(
             scene = sample_scene(
                 category,
                 rng_seed=(master_seed, cell, trial, 0),
-                pose_ranges=pose_ranges,
                 scale_stats=stats,
                 point_count=point_count,
             )
@@ -635,10 +628,9 @@ def run_grid(
                     observations,
                     predictor,
                     stats=stats,
-                    ransac_config=ransac_config,
                     noise=noise,
                     trial=trial,
                 )
             )
             results.append(run_coupled(scene, observations, noise=noise, trial=trial))
-    return GridResult(tuple(results), master_seed if np.isscalar(master_seed) else 0)
+    return GridResult(tuple(results))

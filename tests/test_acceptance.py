@@ -9,7 +9,8 @@ import time
 import numpy as np
 
 from conftest import CAMERA, make_projected_scene
-from scalepose.boxes import OrientedBox3, iou3d, iou3d_mc
+from oracles import iou3d_mc, reprojection_residuals_jacobian
+from scalepose.boxes import OrientedBox3, iou3d
 from scalepose.evaluation import TABLE_COLUMNS, match_detections, metric_table, record_metrics
 from scalepose.geometry import (
     RigidPose,
@@ -22,7 +23,6 @@ from scalepose.pnp import (
     RansacConfig,
     ransac_pnp,
     refine_pnp,
-    reprojection_residuals_jacobian,
     solve_pnp_lsq,
 )
 from scalepose.scale import CategoryStats, OraclePredictor, compute_stats, gt_offset, recover_scale

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d, iou3d_mc
+from oracles import contains, iou3d_mc, points_in_box_mask
+from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d
 from scalepose.errors import NonPositiveScale
 from scalepose.geometry import RigidPose, random_rotation, rotation_from_quaternion
 
@@ -121,6 +122,24 @@ class TestMonteCarloOracle:
             iou3d_mc(a, b, 0)
 
 
+class TestPointsInBox:
+    def test_boundary_is_inside(self):
+        pts = np.array([[0.5, 0.0, 0.0], [0.5 + 1e-9, 0.0, 0.0]])
+        mask = points_in_box_mask(pts, np.eye(3), np.zeros(3), np.array([0.5, 0.5, 0.5]))
+        assert mask[0] and not mask[1]
+
+    def test_matches_manual_transform(self):
+        rng = np.random.default_rng(4)
+        rot = random_rotation(rng)
+        t = rng.normal(size=3)
+        he = rng.uniform(0.2, 1.0, size=3)
+        pts = rng.normal(size=(500, 3))
+        mask = points_in_box_mask(pts, rot, t, he)
+        local = (pts - t) @ rot
+        expected = np.all(np.abs(local) <= he, axis=1)
+        assert np.array_equal(mask, expected)
+
+
 class TestBoxConstruction:
     def test_box_from_estimate_identity_scale(self):
         box = box_from_estimate(RigidPose(np.eye(3), np.zeros(3)), 1.0, UNIT_DIAG_EXTENTS)
@@ -156,6 +175,6 @@ class TestBoxConstruction:
         center = box.pose.translation
         inside = center + 0.999 * (corners - center)
         outside = center + 1.001 * (corners - center)
-        assert bool(np.all(box.contains(inside)))
-        assert not np.any(box.contains(outside))
-        assert bool(np.all(box.contains(center[None, :])))
+        assert bool(np.all(contains(box, inside)))
+        assert not np.any(contains(box, outside))
+        assert bool(np.all(contains(box, center[None, :])))

@@ -344,3 +344,53 @@ class TestStats:
         rc = main(["stats", "--input", str(scales), "--output", str(tmp_path / "o.json")])
         assert rc == 1
         assert ":2" in capsys.readouterr().err
+
+
+CORRESPONDENCES = [{"image": [320.0, 240.0], "model": [0.0, 0.0, 0.0]}] * 4
+INTRINSICS = {"fx": 577.5, "fy": 577.5, "cx": 319.5, "cy": 239.5}
+SOLVE = ["solve", "--correspondences", "c.json", "--intrinsics", "k.json", "--output", "o.json"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, error",
+    [
+        pytest.param(
+            {"c.json": [{"image": 5, "model": [0, 0, 0]}], "k.json": INTRINSICS},
+            SOLVE, "error: c.json: ", id="image-not-a-list",
+        ),
+        pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": {**INTRINSICS, "fx": [1]}},
+            SOLVE, "error: k.json: ", id="focal-not-a-number",
+        ),
+        pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": {**INTRINSICS, "cx": float("inf")}},
+            SOLVE, "error: k.json: ", id="principal-point-infinite",
+        ),
+        pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": INTRINSICS, "m.json": {"rows": [1], "cols": 4}},
+            SOLVE + ["--model", "m.json", "--matrix", "m.json"], "error: m.json: ",
+            id="matrix-rows-not-a-number",
+        ),
+        pytest.param(
+            {"s.json": {"trials": "3"}}, ["simulate", "--config", "s.json"], "error: s.json: ",
+            id="trials-not-an-integer",
+        ),
+        pytest.param(
+            {"s.json": {"pixel_noise": 0.5}}, ["simulate", "--config", "s.json"], "error: s.json: ",
+            id="noise-not-a-list",
+        ),
+        pytest.param(
+            {}, ["simulate", "--categories", "mug", "--trials", "1", "--pixel-noise", ","],
+            "error: argument --pixel-noise: ", id="empty-noise-axis",
+        ),
+    ],
+)
+def test_malformed_input_is_a_typed_error(tmp_path, monkeypatch, capsys, files, argv, error):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert any(line.startswith(error) for line in err.splitlines()), err
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))

@@ -2,16 +2,10 @@
 (numpy.roots, dense NumPy algebra)."""
 
 import numpy as np
-import pytest
 
-from scalepose._kernels import _pure
-from scalepose.geometry import random_rotation
-
-
-# One implementation; the "_pure" id keeps the test names stable.
-@pytest.fixture(params=[_pure], ids=["_pure"])
-def backend(request):
-    return request.param
+from oracles import reprojection_residuals_jacobian
+from scalepose import _kernels as kernels
+from scalepose.geometry import RigidPose, random_rotation
 
 
 def _roots_oracle(coeffs):
@@ -25,41 +19,41 @@ def _roots_oracle(coeffs):
 
 
 class TestQuarticRoots:
-    def test_random_quartics_match_numpy_roots(self, backend):
+    def test_random_quartics_match_numpy_roots(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
             c = rng.normal(size=5)
-            mine = backend.quartic_roots(*c)
+            mine = kernels.quartic_roots(*c)
             oracle = _roots_oracle(c)
             assert len(mine) == len(oracle)
             if len(mine):
                 assert np.max(np.abs(mine - oracle)) < 1e-7
 
-    def test_known_factored_roots(self, backend):
+    def test_known_factored_roots(self):
         # (x-1)(x-2)(x-3)(x-4) = x^4 - 10x^3 + 35x^2 - 50x + 24
-        roots = backend.quartic_roots(1, -10, 35, -50, 24)
+        roots = kernels.quartic_roots(1, -10, 35, -50, 24)
         assert np.allclose(roots, [1, 2, 3, 4], atol=1e-10)
 
-    def test_no_real_roots(self, backend):
+    def test_no_real_roots(self):
         # (x^2+1)(x^2+4) has no real roots
-        assert len(backend.quartic_roots(1, 0, 5, 0, 4)) == 0
+        assert len(kernels.quartic_roots(1, 0, 5, 0, 4)) == 0
 
-    def test_biquadratic(self, backend):
+    def test_biquadratic(self):
         # x^4 - 5x^2 + 4 = (x^2-1)(x^2-4)
-        roots = backend.quartic_roots(1, 0, -5, 0, 4)
+        roots = kernels.quartic_roots(1, 0, -5, 0, 4)
         assert np.allclose(roots, [-2, -1, 1, 2], atol=1e-10)
 
-    def test_double_root_merged(self, backend):
+    def test_double_root_merged(self):
         # (x-1)^2 (x-3)(x-5)
-        roots = backend.quartic_roots(1, -10, 32, -38, 15)
+        roots = kernels.quartic_roots(1, -10, 32, -38, 15)
         assert len(roots) == 3
         assert np.allclose(roots, [1, 3, 5], atol=1e-6)
 
-    def test_degenerate_leading_coefficients(self, backend):
-        assert np.allclose(backend.quartic_roots(0, 1, -6, 11, -6), [1, 2, 3], atol=1e-9)
-        assert np.allclose(backend.quartic_roots(0, 0, 1, -3, 2), [1, 2], atol=1e-10)
-        assert np.allclose(backend.quartic_roots(0, 0, 0, 2, -4), [2], atol=1e-12)
-        assert len(backend.quartic_roots(0, 0, 0, 0, 0)) == 0
+    def test_degenerate_leading_coefficients(self):
+        assert np.allclose(kernels.quartic_roots(0, 1, -6, 11, -6), [1, 2, 3], atol=1e-9)
+        assert np.allclose(kernels.quartic_roots(0, 0, 1, -3, 2), [1, 2], atol=1e-10)
+        assert np.allclose(kernels.quartic_roots(0, 0, 0, 2, -4), [2], atol=1e-12)
+        assert len(kernels.quartic_roots(0, 0, 0, 0, 0)) == 0
 
 
 def _p3p_instance(seed):
@@ -72,15 +66,15 @@ def _p3p_instance(seed):
 
 
 class TestP3PDistances:
-    def test_recovers_true_distances(self, backend):
+    def test_recovers_true_distances(self):
         for seed in range(300):
             pts, bearings, dist = _p3p_instance(seed)
-            sets = backend.p3p_distance_sets(pts, bearings)
+            sets = kernels.p3p_distance_sets(pts, bearings)
             assert len(sets) >= 1
             best = min(np.max(np.abs(s - dist)) for s in sets)
             assert best < 1e-8
 
-    def test_all_solutions_satisfy_constraints(self, backend):
+    def test_all_solutions_satisfy_constraints(self):
         for seed in range(50):
             pts, bearings, _ = _p3p_instance(seed)
             d01 = np.dot(bearings[0], bearings[1])
@@ -89,16 +83,16 @@ class TestP3PDistances:
             a2 = np.sum((pts[1] - pts[2]) ** 2)
             b2 = np.sum((pts[0] - pts[2]) ** 2)
             c2 = np.sum((pts[0] - pts[1]) ** 2)
-            for s1, s2, s3 in backend.p3p_distance_sets(pts, bearings):
+            for s1, s2, s3 in kernels.p3p_distance_sets(pts, bearings):
                 assert abs(s2 * s2 + s3 * s3 - 2 * s2 * s3 * d12 - a2) < 1e-8 * (a2 + b2 + c2)
                 assert abs(s1 * s1 + s3 * s3 - 2 * s1 * s3 * d02 - b2) < 1e-8 * (a2 + b2 + c2)
                 assert abs(s1 * s1 + s2 * s2 - 2 * s1 * s2 * d01 - c2) < 1e-8 * (a2 + b2 + c2)
                 assert s1 > 0 and s2 > 0 and s3 > 0
 
-    def test_degenerate_triangle_returns_empty(self, backend):
+    def test_degenerate_triangle_returns_empty(self):
         pts = np.array([[0.0, 0, 1], [0.0, 0, 1], [1.0, 0, 2]])
         bearings = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        assert len(backend.p3p_distance_sets(pts, bearings)) == 0
+        assert len(kernels.p3p_distance_sets(pts, bearings)) == 0
 
 
 class TestReprojectionKernels:
@@ -110,9 +104,9 @@ class TestReprojectionKernels:
         pix = rng.uniform([0, 0], [640, 480], size=(n, 2))
         return rot, t, obj, pix
 
-    def test_matches_manual_projection(self, backend):
+    def test_matches_manual_projection(self):
         rot, t, obj, pix = self._setup(2)
-        err = backend.reprojection_errors(rot, t, obj, pix, 577.5, 577.5, 319.5, 239.5)
+        err = kernels.reprojection_errors(rot, t, obj, pix, 577.5, 577.5, 319.5, 239.5)
         cam = obj @ rot.T + t
         expected = np.hypot(
             577.5 * cam[:, 0] / cam[:, 2] + 319.5 - pix[:, 0],
@@ -120,7 +114,7 @@ class TestReprojectionKernels:
         )
         assert np.max(np.abs(err - expected)) < 1e-9
 
-    def test_stacked_poses_match_one_pose_at_a_time(self, backend):
+    def test_stacked_poses_match_one_pose_at_a_time(self):
         # RANSAC scores a stack of candidate poses at once and relies on
         # getting the bits of one reprojection_errors call per pose
         rng = np.random.default_rng(6)
@@ -128,24 +122,21 @@ class TestReprojectionKernels:
         ts = np.array([0.1, -0.05, 0.3]) + 0.5 * rng.normal(size=(12, 3))
         _, _, obj, pix = self._setup(7, n=150)
         cam = obj @ rots.transpose(0, 2, 1) + ts[:, None]
-        stacked = backend.pixel_errors(cam, pix, 577.5, 577.5, 319.5, 239.5)
+        stacked = kernels.pixel_errors(cam, pix, 577.5, 577.5, 319.5, 239.5)
         assert np.isinf(stacked).any() and np.isfinite(stacked).any()
         for rot, t, row in zip(rots, ts, stacked):
-            single = backend.reprojection_errors(rot, t, obj, pix, 577.5, 577.5, 319.5, 239.5)
+            single = kernels.reprojection_errors(rot, t, obj, pix, 577.5, 577.5, 319.5, 239.5)
             assert np.array_equal(row, single)
 
-    def test_behind_camera_is_inf(self, backend):
+    def test_behind_camera_is_inf(self):
         rot = np.eye(3)
         obj = np.array([[0.0, 0.0, -2.0], [0.0, 0.0, 2.0]])
-        err = backend.reprojection_errors(rot, np.zeros(3), obj, np.zeros((2, 2)), 100, 100, 0, 0)
+        err = kernels.reprojection_errors(rot, np.zeros(3), obj, np.zeros((2, 2)), 100, 100, 0, 0)
         assert np.isinf(err[0]) and np.isfinite(err[1])
 
-    def test_normal_eqs_match_explicit_jacobian(self, backend, camera):
-        from scalepose.geometry import RigidPose
-        from scalepose.pnp import reprojection_residuals_jacobian
-
+    def test_normal_eqs_match_explicit_jacobian(self, camera):
         rot, t, obj, pix = self._setup(3)
-        jtj, jtr, cost, n_valid = backend.reprojection_normal_eqs(
+        jtj, jtr, cost, n_valid = kernels.reprojection_normal_eqs(
             rot, t, obj, pix, camera.fx, camera.fy, camera.cx, camera.cy
         )
         res, jac, ok = reprojection_residuals_jacobian(RigidPose(rot, t), pix, obj, camera)
@@ -153,22 +144,4 @@ class TestReprojectionKernels:
         assert np.max(np.abs(jtj - jac.T @ jac)) < 1e-6 * max(1.0, np.abs(jtj).max())
         assert np.max(np.abs(jtr - jac.T @ res)) < 1e-6 * max(1.0, np.abs(jtr).max())
         assert abs(cost - res @ res) < 1e-9 * max(1.0, cost)
-
-
-class TestPointsInBox:
-    def test_boundary_is_inside(self, backend):
-        pts = np.array([[0.5, 0.0, 0.0], [0.5 + 1e-9, 0.0, 0.0]])
-        mask = backend.points_in_box_mask(pts, np.eye(3), np.zeros(3), np.array([0.5, 0.5, 0.5]))
-        assert mask[0] and not mask[1]
-
-    def test_matches_manual_transform(self, backend):
-        rng = np.random.default_rng(4)
-        rot = random_rotation(rng)
-        t = rng.normal(size=3)
-        he = rng.uniform(0.2, 1.0, size=3)
-        pts = rng.normal(size=(500, 3))
-        mask = backend.points_in_box_mask(pts, rot, t, he)
-        local = (pts - t) @ rot
-        expected = np.all(np.abs(local) <= he, axis=1)
-        assert np.array_equal(mask, expected)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CAMERA, make_projected_scene
+from oracles import reprojection_residuals_jacobian
 from scalepose.errors import (
     ConsensusNotFound,
     DegenerateSample,
@@ -27,7 +28,6 @@ from scalepose.pnp import (
     RansacConfig,
     ransac_pnp,
     refine_pnp,
-    reprojection_residuals_jacobian,
     scale_model_points,
     solve_pnp_lsq,
     solve_pnp_minimal,

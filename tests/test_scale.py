@@ -15,8 +15,6 @@ from scalepose.scale import (
     combine_loss,
     compute_stats,
     gt_offset,
-    mean_scale_predictor,
-    noisy_oracle_predictor,
     recover_scale,
     scale_loss,
 )
@@ -149,7 +147,7 @@ class TestLosses:
 
 class TestPredictors:
     def test_mean_scale_predictor_is_zero_offset(self):
-        pred = mean_scale_predictor()
+        pred = MeanScalePredictor()
         stats = CategoryStats("mug", 1.3, 0.0, 1)
         obs = ScaleObservation("mug", gt_scale=2.0)
         assert pred.predict_offset(obs, stats) == 0.0
@@ -176,7 +174,7 @@ class TestPredictors:
 
     def test_noisy_oracle_zero_sigma_exact(self):
         stats = CategoryStats("mug", 1.0, 0.0, 1)
-        pred = noisy_oracle_predictor(rng_seed=0, sigma=0.0)
+        pred = NoisyOraclePredictor(rng_seed=0, sigma=0.0)
         obs = ScaleObservation("mug", gt_scale=1.4)
         assert pred.predict_offset(obs, stats) == gt_offset(1.4, stats)
 

@@ -123,7 +123,6 @@ def _hand_scene(n=1000, seed=0):
         intrinsics=DEFAULT_INTRINSICS,
         pixels=pix,
         depths=depths,
-        rng_seed=seed,
     )
 
 
