@@ -58,11 +58,9 @@ from .scale import (
     ScaleObservation,
     ScalePrediction,
     ScalePredictor,
-    combine_loss,
     compute_stats,
     gt_offset,
     recover_scale,
-    scale_loss,
 )
 from .synth import (
     NoiseSpec,
@@ -108,7 +106,6 @@ __all__ = [
     "average_precision",
     "backproject",
     "box_from_estimate",
-    "combine_loss",
     "compute_stats",
     "corrupt",
     "gt_offset",
@@ -130,7 +127,6 @@ __all__ = [
     "run_decoupled",
     "run_grid",
     "sample_scene",
-    "scale_loss",
     "scale_model_points",
     "solve_pnp_lsq",
     "solve_pnp_minimal",

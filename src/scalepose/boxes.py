@@ -1,48 +1,45 @@
 """Oriented 3D boxes and their intersection-over-union.
 
-The exact IoU clips box A's polytope by box B's six face half-spaces
-(Sutherland-Hodgman on each face polygon, with a cap polygon rebuilt per
-cut so later planes see a closed boundary) and evaluates the intersection
-volume with the divergence theorem. Faces touching a clipping plane count
-as inside (closed half-spaces), which keeps the IoU continuous at contact.
+The intersection of two boxes is the convex polytope bounded by their
+twelve face planes, so its vertices are the points where three planes meet
+inside all twelve closed half-spaces. The exact IoU solves all 220 plane
+triples at once, keeps the feasible points, orders each face's vertices by
+angle about the face centre, and sums the pyramids from an interior point
+over the faces. A face of one box that nearly coincides with a face of the
+other is measured together with it, so that vertices on the fold between
+them are counted once. Points on a plane count as inside (closed
+half-spaces), which keeps the IoU continuous at contact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import NonPositiveScale
 from .geometry import RigidPose
 
-# Points within this fraction of the box scale from a clipping plane are
+# Points within this fraction of the box scale from a face plane are
 # treated as on the plane (and kept).
 _PLANE_EPS = 1e-12
 
-_CORNER_SIGNS = np.array(
-    [
-        [-1, -1, -1],
-        [+1, -1, -1],
-        [+1, +1, -1],
-        [-1, +1, -1],
-        [-1, -1, +1],
-        [+1, -1, +1],
-        [+1, +1, +1],
-        [-1, +1, +1],
-    ],
-    dtype=np.float64,
-)
+# Plane triples this close to singular are skipped: two planes at a smaller
+# angle stay within _PLANE_EPS of each other across the boxes, so other
+# triples give their vertices.
+_SINGULAR_DET = 1e-14
 
-# Quad faces of the unit box above, wound counter-clockwise seen from outside.
-_FACE_INDICES = (
-    (0, 3, 2, 1),  # -z
-    (4, 5, 6, 7),  # +z
-    (0, 1, 5, 4),  # -y
-    (2, 3, 7, 6),  # +y
-    (0, 4, 7, 3),  # -x
-    (1, 2, 6, 5),  # +x
-)
+# Faces of the two boxes whose normals agree to this cosine (about 8 degrees)
+# are measured as one pair.
+_PAIR_COS = 0.99
+
+_PLANE_TRIPLES = np.array(list(combinations(range(12), 3)))
+
+# In-plane frame of each of the twelve faces (a's six, then b's): the two
+# box axes other than the face normal's, as rows of [a's axes; b's axes].
+_FACE_U = np.array([1, 2, 0, 1, 2, 0, 4, 5, 3, 4, 5, 3])
+_FACE_V = np.array([2, 0, 1, 2, 0, 1, 5, 3, 4, 5, 3, 4])
 
 
 @dataclass(frozen=True)
@@ -63,24 +60,6 @@ class OrientedBox3:
     def volume(self):
         return float(np.prod(self.extents))
 
-    def corners(self):
-        """World-frame corner positions, (8, 3)."""
-        local = _CORNER_SIGNS * (self.extents / 2.0)
-        return self.pose.transform(local)
-
-    def half_spaces(self):
-        """Six (normal, offset) pairs with n . x <= d inside the box."""
-        r = self.pose.rotation
-        c = self.pose.translation
-        normals = np.vstack([r.T, -r.T])
-        offsets = np.concatenate(
-            [
-                normals[:3] @ c + self.extents / 2.0,
-                normals[3:] @ c + self.extents / 2.0,
-            ]
-        )
-        return normals, offsets
-
 
 def box_from_estimate(pose, scale, canonical_extents):
     """Box for a pose/scale estimate: extents = scale * canonical extents.
@@ -94,90 +73,23 @@ def box_from_estimate(pose, scale, canonical_extents):
     return OrientedBox3(pose, float(scale) * np.asarray(canonical_extents, dtype=np.float64))
 
 
-def _clip_faces(faces, normal, offset, eps):
-    """Clip a closed convex polygon mesh by the half-space n . x <= d."""
-    kept = []
-    cut_points = []
-    clipped_any = False
-    for poly in faces:
-        dist = poly @ normal - offset
-        if np.all(dist <= eps):
-            kept.append(poly)
-            continue
-        clipped_any = True
-        if np.all(dist >= -eps):
-            continue
-        out = []
-        m = len(poly)
-        for i in range(m):
-            j = (i + 1) % m
-            di, dj = dist[i], dist[j]
-            if di <= eps:
-                out.append(poly[i])
-                if di < -eps and dj > eps:
-                    w = di / (di - dj)
-                    p = poly[i] + w * (poly[j] - poly[i])
-                    out.append(p)
-                    cut_points.append(p)
-                elif -eps <= di <= eps:
-                    cut_points.append(poly[i])
-            elif dj < -eps:
-                w = di / (di - dj)
-                p = poly[i] + w * (poly[j] - poly[i])
-                out.append(p)
-                cut_points.append(p)
-        if len(out) >= 3:
-            kept.append(np.asarray(out))
+def _polygon_areas(u, v, members, points):
+    """Area of each polygon whose in-plane frame is a row of ``u``, ``v``:
+    its member points, ordered by angle about their centre.
 
-    if clipped_any and len(cut_points) >= 3:
-        cap = _build_cap(np.asarray(cut_points), normal)
-        if cap is not None:
-            kept.append(cap)
-    return kept
-
-
-def _build_cap(points, normal):
-    """Order the cut points into the convex cap polygon on the plane."""
-    center = points.mean(axis=0)
-    # orthonormal basis of the plane
-    a = np.eye(3)[np.argmin(np.abs(normal))]
-    u = np.cross(normal, a)
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    rel = points - center
-    ang = np.arctan2(rel @ v, rel @ u)
-    order = np.argsort(ang, kind="stable")
-    poly = points[order]
-    # drop duplicates (edge endpoints get recorded twice)
-    scale = max(1.0, float(np.abs(poly).max()))
-    keep = [0]
-    for i in range(1, len(poly)):
-        if np.linalg.norm(poly[i] - poly[keep[-1]]) > 1e-9 * scale:
-            keep.append(i)
-    if len(keep) > 1 and np.linalg.norm(poly[keep[0]] - poly[keep[-1]]) <= 1e-9 * scale:
-        keep.pop()
-    if len(keep) < 3:
-        return None
-    return poly[keep]
-
-
-def _mesh_volume(faces):
-    """Volume of a closed convex polygon mesh via the divergence theorem.
-
-    Face winding is normalized against the interior point (mean of all
-    vertices), which convexity makes unambiguous.
+    Non-members sort last and collapse onto the first vertex, so they add
+    nothing to the shoelace sum.
     """
-    if not faces:
-        return 0.0
-    interior = np.vstack(faces).mean(axis=0)
-    total = 0.0
-    for poly in faces:
-        rel = poly - interior
-        v = 0.0
-        for i in range(1, len(poly) - 1):
-            v += float(np.linalg.det(np.stack([rel[0], rel[i], rel[i + 1]])))
-        total += abs(v)
-    return total / 6.0
+    centre = (members @ points) / np.maximum(members.sum(axis=1, keepdims=True), 1)
+    rel = points[None, :, :] - centre[:, None, :]
+    x, y = np.einsum("fpk,fk->fp", rel, u), np.einsum("fpk,fk->fp", rel, v)
+    order = np.argsort(np.where(members, np.arctan2(y, x), np.inf), axis=1)
+    kept = np.take_along_axis(members, order, axis=1)
+    x = np.take_along_axis(x, order, axis=1)
+    y = np.take_along_axis(y, order, axis=1)
+    x, y = np.where(kept, x, x[:, :1]), np.where(kept, y, y[:, :1])
+    wrap = x[:, -1] * y[:, 0] - x[:, 0] * y[:, -1]
+    return 0.5 * (np.sum(x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1], axis=1) + wrap)
 
 
 def iou3d(a: OrientedBox3, b: OrientedBox3) -> float:
@@ -188,16 +100,46 @@ def iou3d(a: OrientedBox3, b: OrientedBox3) -> float:
     if gap > 0.5 * (np.linalg.norm(a.extents) + np.linalg.norm(b.extents)):
         return 0.0
 
-    faces = [a.corners()[list(idx)] for idx in _FACE_INDICES]
-    normals, offsets = b.half_spaces()
+    # The twelve face planes n . x <= d (a's six, then b's), with x taken
+    # from a's centre so that round-off scales with the boxes, not with
+    # their distance from the camera.
+    ra, rb = a.pose.rotation.T, b.pose.rotation.T
+    normals = np.vstack([ra, -ra, rb, -rb])
+    offsets = np.concatenate([a.extents, a.extents, b.extents, b.extents]) / 2.0
+    offsets[6:] += normals[6:] @ (b.pose.translation - a.pose.translation)
     eps = _PLANE_EPS * scale
-    for n, d in zip(normals, offsets):
-        faces = _clip_faces(faces, n, d, eps)
-        if not faces:
-            return 0.0
-    inter = _mesh_volume(faces)
+
+    systems = normals[_PLANE_TRIPLES]
+    with np.errstate(all="ignore"):
+        regular = np.abs(np.linalg.det(systems)) > _SINGULAR_DET
+    points = np.linalg.solve(systems[regular], offsets[_PLANE_TRIPLES[regular]][..., None])[..., 0]
+    dist = normals @ points.T - offsets[:, None]
+    feasible = np.all(dist <= eps, axis=0)
+    points, on_face = points[feasible], np.abs(dist[:, feasible]) <= eps
+    if not len(points):
+        return 0.0
+
+    # A face g of b within a few degrees of a face f of a is measured with
+    # it. Near-coincident vertices may land on either face, but the two
+    # facets project onto f's plane without overlap, so g's area is that
+    # projection less f's, over cos(f, g). Coincident planes are the
+    # zero-angle case and count once.
+    facing = normals[:6] @ normals[6:].T
+    f = np.argmax(facing, axis=0)
+    cos = facing[f, np.arange(6)]
+    pair = cos > _PAIR_COS
+    f, g, cos = f[pair], np.flatnonzero(pair) + 6, cos[pair]
+    axes = np.vstack([ra, rb])
+    u, v = axes[_FACE_U], axes[_FACE_V]
+    area = _polygon_areas(
+        np.vstack([u, u[f]]), np.vstack([v, v[f]]), np.vstack([on_face, on_face[f] | on_face[g]]), points
+    )
+    area[g] = (area[12:] - area[f]) / cos
+
+    # pyramids from an interior point over every face: area * height / 3
+    height = offsets - normals @ points.mean(axis=0)
+    inter = float(area[:12] @ height) / 3.0
     union = a.volume + b.volume - inter
     if union <= 0:
         return 0.0
     return min(1.0, max(0.0, inter / union))
-

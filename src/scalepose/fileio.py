@@ -124,10 +124,6 @@ def load_intrinsics(path) -> CameraIntrinsics:
         raise InputError(f"{path}: {exc}")
 
 
-def save_intrinsics(k: CameraIntrinsics, path):
-    dump_json({"fx": k.fx, "fy": k.fy, "cx": k.cx, "cy": k.cy}, path)
-
-
 # -- correspondences ---------------------------------------------------------------
 
 def load_correspondences(path):
@@ -163,14 +159,6 @@ def load_correspondences(path):
     return image_arr, model_arr
 
 
-def save_correspondences(image_points, model_points, path):
-    rows = [
-        {"image": [float(u) for u in img], "model": [float(x) for x in mod]}
-        for img, mod in zip(np.asarray(image_points), np.asarray(model_points))
-    ]
-    dump_json(rows, path)
-
-
 # -- canonical models and correspondence matrices -------------------------------------
 
 def load_nocs_model(path) -> NocsModel:
@@ -180,13 +168,6 @@ def load_nocs_model(path) -> NocsModel:
         return NocsModel(np.asarray(pts, dtype=np.float64))
     except Exception as exc:
         raise InputError(f"{path}: {exc}")
-
-
-def save_nocs_model(model: NocsModel, path, category=None):
-    payload = {"points": [[float(v) for v in p] for p in model.points]}
-    if category is not None:
-        payload = {"category": category, **payload}
-    dump_json(payload, path)
 
 
 def load_correspondence_matrix(path) -> CorrespondenceMatrix:
@@ -267,10 +248,13 @@ def load_detections(path):
     records = []
     for lineno, rec in iter_jsonl(path):
         try:
+            confidence = float(_require(rec, "confidence", path, lineno))
+            if not np.isfinite(confidence):
+                raise ValueError(f"confidence must be finite, got {confidence}")
             records.append(
                 DetectionRecord(
                     category=str(_require(rec, "category", path, lineno)),
-                    confidence=float(_require(rec, "confidence", path, lineno)),
+                    confidence=confidence,
                     pose=pose_from_dict(_require(rec, "pose", path, lineno), path, lineno),
                     scale=float(_require(rec, "scale", path, lineno)),
                     canonical_extents=_extents_from(rec, path, lineno),
@@ -300,36 +284,3 @@ def load_ground_truths(path):
     if not records:
         raise InputError(f"{path}: no ground-truth records")
     return records
-
-
-def detections_jsonl(records):
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "category": r.category,
-                    "confidence": float(r.confidence),
-                    "pose": pose_to_dict(r.pose),
-                    "scale": float(r.scale),
-                    "canonical_extents": [float(v) for v in r.canonical_extents],
-                }
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def ground_truths_jsonl(records):
-    lines = []
-    for r in records:
-        lines.append(
-            json.dumps(
-                {
-                    "category": r.category,
-                    "pose": pose_to_dict(r.pose),
-                    "scale": float(r.scale),
-                    "canonical_extents": [float(v) for v in r.canonical_extents],
-                }
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -21,9 +21,6 @@ import numpy as np
 
 from .errors import EmptyList, NonPositiveResult, NonPositiveScale
 
-DEFAULT_CORR_WEIGHT = 1.0
-DEFAULT_SCALE_WEIGHT = 0.1
-
 
 @dataclass(frozen=True)
 class CategoryStats:
@@ -112,23 +109,6 @@ def gt_offset(gt_scale, stats: CategoryStats) -> float:
     if not gt_scale > 0:
         raise NonPositiveScale(f"ground-truth scale must be positive, got {gt_scale}")
     return (gt_scale - stats.mean_scale) / stats.mean_scale
-
-
-def scale_loss(delta_gt, delta) -> float:
-    """L1 supervision value on the scalar offset: |delta_gt - delta|."""
-    return abs(float(delta_gt) - float(delta))
-
-
-def combine_loss(corr_loss, s_loss, corr_weight=DEFAULT_CORR_WEIGHT, scale_weight=DEFAULT_SCALE_WEIGHT):
-    """Weighted total of the correspondence and scale losses.
-
-    The correspondence loss is an externally supplied scalar (its internals
-    live in the correspondence-learning stage, not here). Default weights
-    are 1.0 and 0.1.
-    """
-    if corr_loss < 0 or s_loss < 0:
-        raise ValueError("losses must be non-negative")
-    return float(corr_weight) * float(corr_loss) + float(scale_weight) * float(s_loss)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,34 @@
 """Reference implementations the tests compare the package against.
 
-They are independent of the code they check: a seeded Monte-Carlo IoU for
-the exact oriented-box IoU, and an explicit residual Jacobian for the
-Gauss-Newton normal equations.
+They are independent of the code they check: box corners and a seeded
+Monte-Carlo IoU for the exact oriented-box IoU, and an explicit residual
+Jacobian for the Gauss-Newton normal equations.
 """
 
 import numpy as np
 
 from scalepose.boxes import OrientedBox3
 from scalepose.pnp import _validate_inputs
+
+
+_CORNER_SIGNS = np.array(
+    [
+        [-1, -1, -1],
+        [+1, -1, -1],
+        [+1, +1, -1],
+        [-1, +1, -1],
+        [-1, -1, +1],
+        [+1, -1, +1],
+        [+1, +1, +1],
+        [-1, +1, +1],
+    ],
+    dtype=np.float64,
+)
+
+
+def corners(box: OrientedBox3):
+    """World-frame corner positions, (8, 3)."""
+    return box.pose.transform(_CORNER_SIGNS * (box.extents / 2.0))
 
 
 def points_in_box_mask(points, rotation, translation, half_extents):
@@ -39,9 +59,9 @@ def iou3d_mc(a: OrientedBox3, b: OrientedBox3, samples, seed=0) -> float:
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    corners = np.vstack([a.corners(), b.corners()])
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
+    both = np.vstack([corners(a), corners(b)])
+    lo = both.min(axis=0)
+    hi = both.max(axis=0)
     rng = np.random.default_rng(seed)
     n_inter = 0
     n_union = 0

@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "average_precision",
     "backproject",
     "box_from_estimate",
-    "combine_loss",
     "compute_stats",
     "corrupt",
     "gt_offset",
@@ -55,7 +54,6 @@ PUBLIC_NAMES = [
     "run_decoupled",
     "run_grid",
     "sample_scene",
-    "scale_loss",
     "scale_model_points",
     "solve_pnp_lsq",
     "solve_pnp_minimal",

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import contains, iou3d_mc, points_in_box_mask
+from oracles import contains, corners, iou3d_mc, points_in_box_mask
 from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d
 from scalepose.errors import NonPositiveScale
-from scalepose.geometry import RigidPose, random_rotation, rotation_from_quaternion
+from scalepose.geometry import RigidPose, random_rotation, rotation_about_axis, rotation_from_quaternion
 
 UNIT_DIAG_EXTENTS = np.array([0.6, 0.6, np.sqrt(1.0 - 2 * 0.36)])
 
@@ -61,6 +61,35 @@ class TestExactIoU:
     def test_face_touching_is_zero_but_defined(self):
         assert iou3d(axis_aligned(), axis_aligned(tx=1.0)) == 0.0
 
+    @pytest.mark.parametrize(
+        "other, expected",
+        [
+            # the same cube turned a quarter about z: all six planes shared
+            (OrientedBox3(RigidPose(rotation_about_axis([0, 0, 1], 90.0), np.zeros(3)), (1, 1, 1)), 1.0),
+            # a half-size cube in one corner shares three faces
+            (axis_aligned(0.25, 0.25, 0.25, extents=(0.5, 0.5, 0.5)), 0.125),
+            # a quarter-volume column shares four faces
+            (axis_aligned(0.25, 0.25, 0.0, extents=(0.5, 0.5, 1.0)), 0.25),
+            # touching along an edge, then at a single vertex
+            (axis_aligned(1.0, 1.0, 0.0), 0.0),
+            (axis_aligned(1.0, 1.0, 1.0), 0.0),
+        ],
+        ids=["quarter-turn", "corner-cube", "column", "edge-contact", "vertex-contact"],
+    )
+    def test_shared_face_planes_count_once(self, other, expected):
+        assert abs(iou3d(axis_aligned(), other) - expected) < 1e-12
+        assert abs(iou3d(other, axis_aligned()) - expected) < 1e-12
+
+    @pytest.mark.parametrize("extents, axis", [((1, 1, 1), (1, 2, 3)), ((0.3, 0.2, 0.1), (1, 1, 0))])
+    def test_nearly_coincident_faces(self, extents, axis):
+        # a box against itself turned 1e-10 degrees and moved 1e-13: every
+        # face nearly coincides with its twin, and the IoU stays near 1
+        a = axis_aligned(0.0, 0.0, 1.0, extents=extents)
+        turn = rotation_about_axis(np.array(axis) / np.linalg.norm(axis), 1e-10)
+        b = OrientedBox3(RigidPose(turn, [1e-13, 1e-13, 1.0 + 1e-13]), extents)
+        assert iou3d(a, b) > 1.0 - 1e-9
+        assert iou3d(b, a) > 1.0 - 1e-9
+
     @settings(max_examples=150, deadline=None)
     @given(a=boxes, b=boxes)
     def test_symmetry(self, a, b):
@@ -81,8 +110,6 @@ class TestExactIoU:
     def test_rotated_square_overlap_closed_form(self):
         # cube vs itself rotated 45 degrees about z: octagonal cross-section
         # with area 2*(sqrt(2)-1), volume likewise, IoU = v / (2 - v)
-        from scalepose.geometry import rotation_about_axis
-
         a = axis_aligned()
         b = OrientedBox3(RigidPose(rotation_about_axis([0, 0, 1], 45.0), np.zeros(3)), (1, 1, 1))
         v = 2.0 * (np.sqrt(2.0) - 1.0)
@@ -170,11 +197,11 @@ class TestBoxConstruction:
     def test_corners_and_containment(self):
         rng = np.random.default_rng(6)
         box = OrientedBox3(RigidPose(random_rotation(rng), rng.normal(size=3)), (0.4, 0.6, 0.8))
-        corners = box.corners()
-        assert corners.shape == (8, 3)
+        points = corners(box)
+        assert points.shape == (8, 3)
         center = box.pose.translation
-        inside = center + 0.999 * (corners - center)
-        outside = center + 1.001 * (corners - center)
+        inside = center + 0.999 * (points - center)
+        outside = center + 1.001 * (points - center)
         assert bool(np.all(contains(box, inside)))
         assert not np.any(contains(box, outside))
         assert bool(np.all(contains(box, center[None, :])))

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import writers
 from scalepose import fileio
 from scalepose.cli import main
 from scalepose.geometry import rotation_error_deg
@@ -18,8 +19,8 @@ def solve_fixture(tmp_path):
     corr = tmp_path / "corr.json"
     intr = tmp_path / "intrinsics.json"
     stats = tmp_path / "stats.json"
-    fileio.save_correspondences(scene.pixels, scene.model.points, str(corr))
-    fileio.save_intrinsics(scene.intrinsics, str(intr))
+    writers.save_correspondences(scene.pixels, scene.model.points, str(corr))
+    writers.save_intrinsics(scene.intrinsics, str(intr))
     fileio.save_stats([CategoryStats("laptop", scene.scale, 0.01, 5)], str(stats))
     return scene, corr, intr, stats
 
@@ -68,7 +69,7 @@ class TestSolve:
     def test_three_points_exits_two(self, tmp_path, solve_fixture, capsys):
         scene, _, intr, _ = solve_fixture
         corr3 = tmp_path / "c3.json"
-        fileio.save_correspondences(scene.pixels[:3], scene.model.points[:3], str(corr3))
+        writers.save_correspondences(scene.pixels[:3], scene.model.points[:3], str(corr3))
         rc = main(
             [
                 "solve",
@@ -86,7 +87,7 @@ class TestSolve:
         scene, corr, intr, stats = solve_fixture
         n = len(scene.model)
         model_path = tmp_path / "model.json"
-        fileio.save_nocs_model(scene.model, str(model_path), category="laptop")
+        writers.save_nocs_model(scene.model, str(model_path), category="laptop")
         matrix_path = tmp_path / "c.json"
         triplets = [[i, i, 1.0] for i in range(n)]
         fileio.dump_json({"rows": n, "cols": n, "triplets": triplets}, str(matrix_path))
@@ -153,8 +154,8 @@ class TestEvaluate:
         detections, gts = grid.to_records("decoupled")
         pred = tmp_path / "pred.jsonl"
         gt = tmp_path / "gt.jsonl"
-        pred.write_text(fileio.detections_jsonl(detections))
-        gt.write_text(fileio.ground_truths_jsonl(gts))
+        pred.write_text(writers.detections_jsonl(detections))
+        gt.write_text(writers.ground_truths_jsonl(gts))
         return pred, gt
 
     def test_perfect_predictions_all_hundred(self, tmp_path, records, capsys):
@@ -349,6 +350,13 @@ class TestStats:
 CORRESPONDENCES = [{"image": [320.0, 240.0], "model": [0.0, 0.0, 0.0]}] * 4
 INTRINSICS = {"fx": 577.5, "fy": 577.5, "cx": 319.5, "cy": 239.5}
 SOLVE = ["solve", "--correspondences", "c.json", "--intrinsics", "k.json", "--output", "o.json"]
+GROUND_TRUTH = {
+    "category": "mug",
+    "pose": {"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 1]},
+    "scale": 0.2,
+    "canonical_extents": [0.5, 0.5, 0.5],
+}
+EVALUATE = ["evaluate", "--predictions", "p.jsonl", "--ground-truth", "g.jsonl", "--output-dir", "out"]
 
 
 @pytest.mark.parametrize(
@@ -382,6 +390,10 @@ SOLVE = ["solve", "--correspondences", "c.json", "--intrinsics", "k.json", "--ou
         pytest.param(
             {}, ["simulate", "--categories", "mug", "--trials", "1", "--pixel-noise", ","],
             "error: argument --pixel-noise: ", id="empty-noise-axis",
+        ),
+        pytest.param(
+            {"p.jsonl": {**GROUND_TRUTH, "confidence": float("nan")}, "g.jsonl": GROUND_TRUTH},
+            EVALUATE, "error: p.jsonl:1: ", id="confidence-nan",
         ),
     ],
 )

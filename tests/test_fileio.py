@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import writers
 from scalepose import fileio
 from scalepose.errors import InputError
 from scalepose.evaluation import DetectionRecord, GroundTruthBox
@@ -37,7 +38,7 @@ class TestIntrinsicsAndCorrespondences:
     def test_intrinsics_round_trip(self, tmp_path):
         k = CameraIntrinsics(577.5, 570.25, 319.5, 239.5)
         path = tmp_path / "k.json"
-        fileio.save_intrinsics(k, str(path))
+        writers.save_intrinsics(k, str(path))
         assert fileio.load_intrinsics(str(path)) == k
 
     def test_missing_intrinsics_field(self, tmp_path):
@@ -51,7 +52,7 @@ class TestIntrinsicsAndCorrespondences:
         image = rng.uniform(0, 640, size=(7, 2))
         model = rng.normal(size=(7, 3))
         path = tmp_path / "corr.json"
-        fileio.save_correspondences(image, model, str(path))
+        writers.save_correspondences(image, model, str(path))
         img2, mdl2 = fileio.load_correspondences(str(path))
         assert np.array_equal(img2, image)
         assert np.array_equal(mdl2, model)
@@ -118,8 +119,8 @@ class TestStatsAndRecords:
         gts = [GroundTruthBox("mug", RigidPose(random_rotation(rng), rng.normal(size=3)), 0.21, ext)]
         dpath = tmp_path / "d.jsonl"
         gpath = tmp_path / "g.jsonl"
-        dpath.write_text(fileio.detections_jsonl(detections))
-        gpath.write_text(fileio.ground_truths_jsonl(gts))
+        dpath.write_text(writers.detections_jsonl(detections))
+        gpath.write_text(writers.ground_truths_jsonl(gts))
         d2 = fileio.load_detections(str(dpath))
         g2 = fileio.load_ground_truths(str(gpath))
         assert d2[0].category == "mug" and d2[0].confidence == 0.9

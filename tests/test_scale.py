@@ -12,11 +12,9 @@ from scalepose.scale import (
     NoisyOraclePredictor,
     OraclePredictor,
     ScaleObservation,
-    combine_loss,
     compute_stats,
     gt_offset,
     recover_scale,
-    scale_loss,
 )
 
 positive_scales = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -102,47 +100,6 @@ class TestScaleRecovery:
     def test_non_positive_gt_rejected(self):
         with pytest.raises(NonPositiveScale):
             gt_offset(0.0, CategoryStats("mug", 1.0, 0.0, 1))
-
-
-class TestLosses:
-    def test_zero_when_equal(self):
-        assert scale_loss(0.3, 0.3) == 0.0
-
-    def test_l1_distance(self):
-        assert abs(scale_loss(0.5, 0.2) - 0.3) < 1e-15
-
-    @given(a=st.floats(-10, 10), b=st.floats(-10, 10))
-    @settings(max_examples=200, deadline=None)
-    def test_symmetric(self, a, b):
-        assert scale_loss(a, b) == scale_loss(b, a)
-
-    def test_mean_scale_baseline_loss_is_normalized_deviation(self):
-        stats = CategoryStats("mug", 1.0, 0.0, 1)
-        for gt in (0.5, 1.0, 2.5):
-            delta_gt = gt_offset(gt, stats)
-            assert scale_loss(delta_gt, 0.0) == abs(delta_gt)
-
-    def test_default_weights(self):
-        assert abs(combine_loss(1.0, 1.0) - 1.1) < 1e-15
-
-    def test_explicit_weights(self):
-        assert abs(combine_loss(1.0, 1.0, 1.0, 0.1) - 1.1) < 1e-15
-
-    def test_zero_losses(self):
-        assert combine_loss(0.0, 0.0, 5.0, 7.0) == 0.0
-
-    def test_linearity_in_each_argument(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            lc, ls = rng.uniform(0, 4, size=2)
-            w1, w2 = rng.uniform(0, 2, size=2)
-            a = rng.uniform(0.1, 3.0)
-            assert abs(combine_loss(a * lc, ls, w1, w2) - (a * w1 * lc + w2 * ls)) < 1e-12
-            assert abs(combine_loss(lc, a * ls, w1, w2) - (w1 * lc + a * w2 * ls)) < 1e-12
-
-    def test_negative_losses_rejected(self):
-        with pytest.raises(ValueError):
-            combine_loss(-1.0, 0.0)
 
 
 class TestPredictors:
