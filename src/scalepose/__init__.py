@@ -18,8 +18,6 @@ from .evaluation import (
     average_precision,
     match_detections,
     metric_table,
-    pose_metrics,
-    record_metrics,
 )
 from .geometry import (
     CameraIntrinsics,
@@ -115,10 +113,8 @@ __all__ = [
     "match_detections",
     "metric_table",
     "normalize_model",
-    "pose_metrics",
     "project",
     "ransac_pnp",
-    "record_metrics",
     "recover_scale",
     "refine_pnp",
     "rotation_error_deg",

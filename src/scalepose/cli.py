@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .errors import InputError, ScalePoseError, SolverError
-from .evaluation import ap_curves, curve_csv, match_detections, metric_table, record_metrics
+from .evaluation import ap_curves, curve_csv, match_detections, metric_table
 from .nocs import assign
 from .pnp import RansacConfig, ransac_pnp, scale_model_points
 from .scale import compute_stats, recover_scale
@@ -196,8 +196,7 @@ def cmd_evaluate(args):
     ground_truths = fileio.load_ground_truths(args.ground_truth)
     use_symmetry = args.symmetry == "on"
 
-    matched = match_detections(detections, ground_truths)
-    metrics = record_metrics(matched, ground_truths, use_symmetry=use_symmetry)
+    metrics = match_detections(detections, ground_truths, use_symmetry=use_symmetry)
     table = metric_table(metrics)
     for cat in table.skipped_categories:
         print(

@@ -87,10 +87,6 @@ class EmptyList(InputError):
 
 # -- eval -------------------------------------------------------------------
 
-class NoGroundTruth(InputError):
-    """Detection record has no matched ground truth."""
-
-
 class EmptyRecordSet(InputError):
     """Evaluation requested on an empty record set."""
 

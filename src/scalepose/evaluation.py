@@ -1,24 +1,26 @@
-"""Detection evaluation: per-record pose metrics, computed once per record
-into columns (:func:`record_metrics`), VOC-style average precision over
-confidence-ordered hit matrices, the five-column metric table
-(IoU50 / IoU75 / 10cm / 10deg / 10deg10cm), and AP-vs-threshold curves.
+"""Detection evaluation: one greedy matching pass that yields each
+detection's metric columns (:func:`match_detections`), VOC-style average
+precision over confidence-ordered hit matrices, the five-column metric
+table (IoU50 / IoU75 / 10cm / 10deg / 10deg10cm), and AP-vs-threshold
+curves.
 
-Matching policy: detections are handled per predicted category, sorted by
-descending confidence (stable on ties), and each is greedily assigned the
-unmatched ground truth of that category with the highest box IoU (requiring
-positive overlap). Predicted categories absent from the ground truth are
-reported but omitted from the mean.
+Matching policy (as in the NOCS protocol): detections are handled per
+predicted category, sorted by descending confidence (stable on ties), and
+each is greedily assigned the untaken ground truth of that category with
+the highest box IoU (requiring positive overlap). The IoU found while
+matching is the row's IoU; rotation and translation errors are computed
+for matched rows only. Predicted categories absent from the ground truth
+are reported but omitted from the mean.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import OrientedBox3, box_from_estimate, iou3d
-from .errors import EmptyRecordSet, NoGroundTruth
+from .errors import EmptyRecordSet
 from .geometry import (
     RigidPose,
     rotation_error_deg,
@@ -48,14 +50,13 @@ class GroundTruthBox:
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One detection, optionally carrying its matched ground truth."""
+    """One detection: pose, metric scale, unit-diagonal extents, confidence."""
 
     category: str
     confidence: float
     pose: RigidPose
     scale: float
     canonical_extents: tuple[float, float, float]
-    ground_truth: GroundTruthBox | None = None
 
     def box(self) -> OrientedBox3:
         return box_from_estimate(self.pose, self.scale, self.canonical_extents)
@@ -84,69 +85,6 @@ def category_rotation_error_deg(category, estimated, truth, use_symmetry=True):
     return rotation_error_deg(estimated, truth)
 
 
-def pose_metrics(record: DetectionRecord, use_symmetry=True):
-    """IoU, rotation error (deg) and translation error (cm) against the
-    record's ground truth, the rotation error as
-    :func:`category_rotation_error_deg` gives it.
-
-    Raises
-    ------
-    NoGroundTruth
-        If the record has no matched ground truth.
-    """
-    gt = record.ground_truth
-    if gt is None:
-        raise NoGroundTruth(f"record for {record.category!r} has no ground truth")
-    return {
-        "iou": iou3d(record.box(), gt.box()),
-        "rot_err_deg": category_rotation_error_deg(
-            record.category, record.pose.rotation, gt.pose.rotation, use_symmetry
-        ),
-        "trans_err_cm": translation_error_cm(record.pose.translation, gt.pose.translation),
-    }
-
-
-def match_detections(detections, ground_truths):
-    """Greedily attach ground truths to detections within each category.
-
-    Association for record streams that carry no pairing of their own
-    (e.g. prediction/ground-truth files): detections are visited in
-    descending confidence (input order breaks ties) and each takes the
-    unmatched same-category ground truth with the highest IoU, provided
-    the overlap is positive. Records whose detection-to-truth pairing is
-    already known (the simulator's output) should skip this and attach
-    their ground truth directly.
-
-    Returns new records in the original input order; any previously
-    attached ground truth is discarded first.
-    """
-    detections = list(detections)
-    gt_boxes = [gt.box() for gt in ground_truths]
-    taken = [False] * len(ground_truths)
-    matched = [replace(det, ground_truth=None) for det in detections]
-    for idx in _confidence_order(detections):
-        det = detections[idx]
-        det_box = det.box()
-        best_j = -1
-        best_iou = 0.0
-        for j, gt in enumerate(ground_truths):
-            if taken[j] or gt.category != det.category:
-                continue
-            overlap = iou3d(det_box, gt_boxes[j])
-            if overlap > best_iou:
-                best_iou = overlap
-                best_j = j
-        if best_j >= 0:
-            taken[best_j] = True
-            matched[idx] = replace(det, ground_truth=ground_truths[best_j])
-    return matched
-
-
-def _confidence_order(detections):
-    conf = np.array([d.confidence for d in detections], dtype=np.float64)
-    return np.argsort(-conf, kind="stable")
-
-
 @dataclass(frozen=True)
 class RecordMetrics:
     """Per-record metric columns of matched detections, computed once.
@@ -170,37 +108,75 @@ class RecordMetrics:
         return [(slice(lo, hi), n) for lo, hi, n in zip(self.starts, self.starts[1:], self.n_gt)]
 
 
-def record_metrics(records, ground_truths, use_symmetry=True) -> RecordMetrics:
-    """IoU, rotation and translation error of every record, one
-    :func:`pose_metrics` call per matched record.
+def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetrics:
+    """Greedy matching and the metric columns of every detection, in one pass.
 
-    Records must already carry their matched ground truths (see
-    :func:`match_detections`). Detection categories absent from the gt set
-    are dropped and reported in ``skipped_categories``.
+    Per ground-truth category, detections are visited in descending
+    confidence (input order breaks ties) and each takes the untaken truth
+    of its category with the highest IoU, provided the overlap is positive.
+    That IoU is the row's ``iou``; rotation error (as
+    :func:`category_rotation_error_deg` gives it) and translation error
+    (cm) are computed for matched rows only. Detection categories absent
+    from the gt set are dropped and reported in ``skipped_categories``.
     """
-    n_gt = Counter(gt.category for gt in ground_truths)
-    if not n_gt:
+    gts_by_category = {}
+    for gt in ground_truths:
+        gts_by_category.setdefault(gt.category, []).append(gt)
+    if not gts_by_category:
         raise EmptyRecordSet("no ground-truth categories to evaluate")
-    by_category = {cat: [] for cat in sorted(n_gt)}
-    skipped = []  # records of categories without ground truth
-    for record in records:
-        by_category.get(record.category, skipped).append(record)
+    categories = sorted(gts_by_category)
+    dets_by_category = {cat: [] for cat in categories}
+    skipped = set()
+    for det in detections:
+        group = dets_by_category.get(det.category)
+        if group is None:
+            skipped.add(det.category)
+        else:
+            group.append(det)
 
-    rows, starts = [], [0]
-    for recs in by_category.values():
-        rows += [recs[i] for i in _confidence_order(recs)]
-        starts.append(len(rows))
-    unmatched = {"iou": np.nan, "rot_err_deg": np.nan, "trans_err_cm": np.nan}
-    values = [
-        pose_metrics(r, use_symmetry) if r.ground_truth is not None else unmatched for r in rows
-    ]
+    columns, starts = [], [0]
+    for cat in categories:
+        gts, dets = gts_by_category[cat], dets_by_category[cat]
+        gt_boxes = [gt.box() for gt in gts]
+        taken = [False] * len(gts)
+        for idx in _confidence_order(dets):
+            det = dets[idx]
+            det_box = det.box()
+            best_j = -1
+            best_iou = 0.0
+            for j, gt_box in enumerate(gt_boxes):
+                if taken[j]:
+                    continue
+                overlap = iou3d(det_box, gt_box)
+                if overlap > best_iou:
+                    best_iou = overlap
+                    best_j = j
+            if best_j < 0:
+                columns.append((np.nan, np.nan, np.nan))
+                continue
+            taken[best_j] = True
+            gt = gts[best_j]
+            columns.append((
+                best_iou,
+                category_rotation_error_deg(cat, det.pose.rotation, gt.pose.rotation, use_symmetry),
+                translation_error_cm(det.pose.translation, gt.pose.translation),
+            ))
+        starts.append(len(columns))
+    iou, rot_err_deg, trans_err_cm = np.array(columns, dtype=np.float64).reshape(-1, 3).T.copy()
     return RecordMetrics(
-        categories=tuple(by_category),
-        n_gt=tuple(n_gt[cat] for cat in by_category),
+        categories=tuple(categories),
+        n_gt=tuple(len(gts_by_category[cat]) for cat in categories),
         starts=tuple(starts),
-        **{key: np.array([v[key] for v in values], dtype=np.float64) for key in unmatched},
-        skipped_categories=tuple(sorted({r.category for r in skipped})),
+        iou=iou,
+        rot_err_deg=rot_err_deg,
+        trans_err_cm=trans_err_cm,
+        skipped_categories=tuple(sorted(skipped)),
     )
+
+
+def _confidence_order(detections):
+    conf = np.array([d.confidence for d in detections], dtype=np.float64)
+    return np.argsort(-conf, kind="stable")
 
 
 def average_precision(hits, n_gt):
@@ -268,7 +244,7 @@ class MetricTable:
 
 
 def metric_table(metrics: RecordMetrics) -> MetricTable:
-    """mAP at the five standard thresholds over :func:`record_metrics`."""
+    """mAP at the five standard thresholds over :func:`match_detections`."""
     values = np.array(
         [
             table_ap(metrics.iou[rows], metrics.rot_err_deg[rows], metrics.trans_err_cm[rows], n_gt)

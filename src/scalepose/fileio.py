@@ -237,11 +237,20 @@ def save_stats(stats_list, path):
 
 # -- detections / ground truth (JSON-lines) ---------------------------------------------
 
-def _extents_from(rec, path, lineno):
+def _size_from(rec, path, lineno):
+    """The record's ``scale`` and ``canonical_extents`` as keyword arguments,
+    checked so that its box (extents ``scale * canonical_extents``) is valid."""
+    scale = float(_require(rec, "scale", path, lineno))
+    if not 0 < scale < np.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     ext = _require(rec, "canonical_extents", path, lineno)
     if len(ext) != 3:
-        raise InputError(f"{path}:{lineno}: canonical_extents must have 3 entries")
-    return tuple(float(v) for v in ext)
+        raise ValueError("canonical_extents must have 3 entries")
+    ext = tuple(float(v) for v in ext)
+    size = scale * np.array(ext)
+    if not np.all((size > 0) & (size < np.inf)):
+        raise ValueError(f"canonical_extents times scale must be positive and finite, got {list(ext)}")
+    return {"scale": scale, "canonical_extents": ext}
 
 
 def load_detections(path):
@@ -256,8 +265,7 @@ def load_detections(path):
                     category=str(_require(rec, "category", path, lineno)),
                     confidence=confidence,
                     pose=pose_from_dict(_require(rec, "pose", path, lineno), path, lineno),
-                    scale=float(_require(rec, "scale", path, lineno)),
-                    canonical_extents=_extents_from(rec, path, lineno),
+                    **_size_from(rec, path, lineno),
                 )
             )
         except (TypeError, ValueError) as exc:
@@ -275,8 +283,7 @@ def load_ground_truths(path):
                 GroundTruthBox(
                     category=str(_require(rec, "category", path, lineno)),
                     pose=pose_from_dict(_require(rec, "pose", path, lineno), path, lineno),
-                    scale=float(_require(rec, "scale", path, lineno)),
-                    canonical_extents=_extents_from(rec, path, lineno),
+                    **_size_from(rec, path, lineno),
                 )
             )
         except (TypeError, ValueError) as exc:

@@ -76,10 +76,6 @@ class RigidPose:
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
 
 @dataclass(frozen=True)
 class SimilarityTransform:
@@ -278,13 +274,12 @@ def translation_error_cm(a, b):
 
 # -- similarity alignment ------------------------------------------------------
 
-def umeyama_align(src, dst, estimate_scale=True):
+def umeyama_align(src, dst):
     """Least-squares similarity transform between paired 3D point sets.
 
     Finds (s, R, t) minimizing sum ||dst_i - (s R src_i + t)||^2 (Umeyama
-    1991). With ``estimate_scale=False`` the scale is fixed to 1 (rigid
-    Procrustes). Reflections are prevented by sign correction on the
-    smallest singular value.
+    1991). Reflections are prevented by sign correction on the smallest
+    singular value.
 
     Parameters
     ----------
@@ -318,10 +313,7 @@ def umeyama_align(src, dst, estimate_scale=True):
         d[2] = -1.0
     rot = u @ np.diag(d) @ vt
 
-    if estimate_scale:
-        var_src = (src_c ** 2).sum() / n
-        scale = float(np.dot(s, d)) / var_src
-    else:
-        scale = 1.0
+    var_src = (src_c ** 2).sum() / n
+    scale = float(np.dot(s, d)) / var_src
     t = mu_dst - scale * rot @ mu_src
     return SimilarityTransform(scale, rot, t)

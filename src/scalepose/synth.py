@@ -25,7 +25,7 @@ import numpy as np
 
 from .boxes import box_from_estimate, iou3d
 from .errors import PlacementFailed, UnknownCategory
-from .evaluation import DetectionRecord, GroundTruthBox, category_rotation_error_deg, table_ap
+from .evaluation import category_rotation_error_deg, table_ap
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
@@ -146,21 +146,6 @@ class ExperimentResult:
                   self.estimated_scale, self.gt_scale)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"non-finite experiment result: {values}")
-
-    def to_ground_truth(self):
-        return GroundTruthBox(self.category, self.gt_pose, self.gt_scale, self.canonical_extents)
-
-    def to_detection(self):
-        """Confidence-1 detection pre-matched to this trial's own ground truth
-        (pairing is known by construction; no geometric matching needed)."""
-        return DetectionRecord(
-            self.category,
-            1.0,
-            self.pose,
-            self.estimated_scale,
-            self.canonical_extents,
-            ground_truth=self.to_ground_truth(),
-        )
 
 
 # -- procedural category shapes ------------------------------------------------
@@ -460,7 +445,7 @@ def run_coupled(
     propagates into rotation, translation, and scale together.
     """
     cam_points = backproject(corrupted.pixels, corrupted.pseudo_depths, scene.intrinsics)
-    sim = umeyama_align(scene.model.points, cam_points, estimate_scale=True)
+    sim = umeyama_align(scene.model.points, cam_points)
     pose = RigidPose(sim.rotation, sim.translation)
     return _result(scene, "coupled", noise, trial, pose, sim.scale)
 
@@ -484,16 +469,6 @@ _SUMMARY_CSV_HEADER = (
 @dataclass(frozen=True)
 class GridResult:
     trials: tuple[ExperimentResult, ...]
-
-    def to_records(self, pipeline):
-        """Detections and ground truths for the evaluation suite.
-
-        The detections come pre-matched to their own trial's ground truth,
-        so they feed ``record_metrics`` directly; no geometric matching
-        pass is needed (or appropriate) for simulator output.
-        """
-        rows = [r for r in self.trials if r.pipeline == pipeline]
-        return [r.to_detection() for r in rows], [r.to_ground_truth() for r in rows]
 
     def trials_csv(self):
         lines = [_TRIAL_CSV_HEADER]

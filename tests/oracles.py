@@ -1,13 +1,19 @@
 """Reference implementations the tests compare the package against.
 
 They are independent of the code they check: box corners and a seeded
-Monte-Carlo IoU for the exact oriented-box IoU, and an explicit residual
-Jacobian for the Gauss-Newton normal equations.
+Monte-Carlo IoU for the exact oriented-box IoU, an explicit residual
+Jacobian for the Gauss-Newton normal equations, and the two-pass
+evaluation that the one-pass ``match_detections`` replaced.
 """
+
+from collections import Counter
 
 import numpy as np
 
-from scalepose.boxes import OrientedBox3
+from scalepose.boxes import OrientedBox3, iou3d
+from scalepose.errors import EmptyRecordSet
+from scalepose.evaluation import RecordMetrics, category_rotation_error_deg
+from scalepose.geometry import translation_error_cm
 from scalepose.pnp import _validate_inputs
 
 
@@ -119,3 +125,72 @@ def reprojection_residuals_jacobian(pose, image_points, model_points, intrinsics
     jac[1::2, 4] = av
     jac[1::2, 5] = cv
     return res, jac, ok
+
+
+def _confidence_order(records):
+    """Indices by descending confidence; input order breaks ties."""
+    return np.argsort(-np.array([r.confidence for r in records], dtype=np.float64), kind="stable")
+
+
+def reference_pose_metrics(detection, gt, use_symmetry=True):
+    """IoU, rotation error (deg) and translation error (cm) of one matched pair."""
+    return {
+        "iou": iou3d(detection.box(), gt.box()),
+        "rot_err_deg": category_rotation_error_deg(
+            detection.category, detection.pose.rotation, gt.pose.rotation, use_symmetry
+        ),
+        "trans_err_cm": translation_error_cm(detection.pose.translation, gt.pose.translation),
+    }
+
+
+def reference_record_metrics(detections, ground_truths, use_symmetry=True):
+    """Matching and metric columns in two passes.
+
+    Pass one visits all detections in one global confidence order and gives
+    each the untaken same-category truth of highest positive IoU. Pass two
+    groups the matched pairs by ground-truth category, orders each group by
+    confidence again and measures every matched pair afresh, IoU included.
+    """
+    detections = list(detections)
+    gt_boxes = [gt.box() for gt in ground_truths]
+    taken = [False] * len(ground_truths)
+    matched = [None] * len(detections)
+    for idx in _confidence_order(detections):
+        det = detections[idx]
+        det_box = det.box()
+        best_j = -1
+        best_iou = 0.0
+        for j, gt in enumerate(ground_truths):
+            if taken[j] or gt.category != det.category:
+                continue
+            overlap = iou3d(det_box, gt_boxes[j])
+            if overlap > best_iou:
+                best_iou = overlap
+                best_j = j
+        if best_j >= 0:
+            taken[best_j] = True
+            matched[idx] = ground_truths[best_j]
+
+    n_gt = Counter(gt.category for gt in ground_truths)
+    if not n_gt:
+        raise EmptyRecordSet("no ground-truth categories to evaluate")
+    by_category = {cat: [] for cat in sorted(n_gt)}
+    skipped = []
+    for det, gt in zip(detections, matched):
+        by_category.get(det.category, skipped).append((det, gt))
+    rows, starts = [], [0]
+    for pairs in by_category.values():
+        rows += [pairs[i] for i in _confidence_order([det for det, _ in pairs])]
+        starts.append(len(rows))
+    unmatched = {"iou": np.nan, "rot_err_deg": np.nan, "trans_err_cm": np.nan}
+    values = [
+        reference_pose_metrics(det, gt, use_symmetry) if gt is not None else unmatched
+        for det, gt in rows
+    ]
+    return RecordMetrics(
+        categories=tuple(by_category),
+        n_gt=tuple(n_gt[cat] for cat in by_category),
+        starts=tuple(starts),
+        **{key: np.array([v[key] for v in values], dtype=np.float64) for key in unmatched},
+        skipped_categories=tuple(sorted({det.category for det, _ in skipped})),
+    )

@@ -11,7 +11,7 @@ import numpy as np
 from conftest import CAMERA, make_projected_scene
 from oracles import iou3d_mc, reprojection_residuals_jacobian
 from scalepose.boxes import OrientedBox3, iou3d
-from scalepose.evaluation import TABLE_COLUMNS, match_detections, metric_table, record_metrics
+from scalepose.evaluation import TABLE_COLUMNS, match_detections, metric_table
 from scalepose.geometry import (
     RigidPose,
     random_rotation,
@@ -227,7 +227,7 @@ def test_c07_metric_harness_fixture():
     from test_evaluation import fixture_records
 
     detections, gts = fixture_records()
-    table = metric_table(record_metrics(match_detections(detections, gts), gts))
+    table = metric_table(match_detections(detections, gts))
     expected = {
         "bowl": [11 / 12, 1 / 2, 11 / 12, 11 / 12, 11 / 12],
         "camera": [1.0, 5 / 9, 5 / 9, 2 / 3, 1 / 3],

@@ -42,10 +42,8 @@ PUBLIC_NAMES = [
     "match_detections",
     "metric_table",
     "normalize_model",
-    "pose_metrics",
     "project",
     "ransac_pnp",
-    "record_metrics",
     "recover_scale",
     "refine_pnp",
     "rotation_error_deg",

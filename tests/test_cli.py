@@ -8,6 +8,7 @@ import pytest
 import writers
 from scalepose import fileio
 from scalepose.cli import main
+from scalepose.evaluation import DetectionRecord, GroundTruthBox
 from scalepose.geometry import rotation_error_deg
 from scalepose.scale import CategoryStats
 from scalepose.synth import NoiseSpec, run_grid, sample_scene
@@ -151,7 +152,11 @@ class TestEvaluate:
     @pytest.fixture
     def records(self, tmp_path):
         grid = run_grid(["mug", "can"], [NoiseSpec()], trials=2, master_seed=7)
-        detections, gts = grid.to_records("decoupled")
+        rows = [r for r in grid.trials if r.pipeline == "decoupled"]
+        detections = [
+            DetectionRecord(r.category, 1.0, r.pose, r.estimated_scale, r.canonical_extents) for r in rows
+        ]
+        gts = [GroundTruthBox(r.category, r.gt_pose, r.gt_scale, r.canonical_extents) for r in rows]
         pred = tmp_path / "pred.jsonl"
         gt = tmp_path / "gt.jsonl"
         pred.write_text(writers.detections_jsonl(detections))
@@ -394,6 +399,26 @@ EVALUATE = ["evaluate", "--predictions", "p.jsonl", "--ground-truth", "g.jsonl",
         pytest.param(
             {"p.jsonl": {**GROUND_TRUTH, "confidence": float("nan")}, "g.jsonl": GROUND_TRUTH},
             EVALUATE, "error: p.jsonl:1: ", id="confidence-nan",
+        ),
+        pytest.param(
+            {"p.jsonl": {**GROUND_TRUTH, "confidence": 0.9, "scale": 0}, "g.jsonl": GROUND_TRUTH},
+            EVALUATE, "error: p.jsonl:1: scale", id="scale-zero",
+        ),
+        pytest.param(
+            {"p.jsonl": {**GROUND_TRUTH, "confidence": 0.9}, "g.jsonl": {**GROUND_TRUTH, "scale": float("nan")}},
+            EVALUATE, "error: g.jsonl:1: scale", id="scale-nan",
+        ),
+        pytest.param(
+            {"p.jsonl": {**GROUND_TRUTH, "confidence": 0.9, "canonical_extents": [0.5, 0, 0.5]},
+             "g.jsonl": GROUND_TRUTH},
+            EVALUATE, "error: p.jsonl:1: canonical_extents", id="extent-zero",
+        ),
+        pytest.param(
+            # a category without ground truth is never matched, so only the
+            # loader sees this record
+            {"p.jsonl": {**GROUND_TRUTH, "category": "teapot", "confidence": 0.9, "scale": -1.0},
+             "g.jsonl": GROUND_TRUTH},
+            EVALUATE, "error: p.jsonl:1: scale", id="scale-negative-unmatched-category",
         ),
     ],
 )

@@ -30,7 +30,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scalepose.errors import EmptyRecordSet, NoGroundTruth
+from oracles import reference_record_metrics
+from scalepose.errors import EmptyRecordSet
 from scalepose.evaluation import (
     TABLE_COLUMNS,
     DetectionRecord,
@@ -41,10 +42,8 @@ from scalepose.evaluation import (
     curve_csv,
     match_detections,
     metric_table,
-    pose_metrics,
-    record_metrics,
 )
-from scalepose.geometry import RigidPose, rotation_about_axis
+from scalepose.geometry import RigidPose, random_rotation, rotation_about_axis
 
 EXT = (0.6, 0.6, math.sqrt(0.28))
 IDENTITY = np.eye(3)
@@ -72,11 +71,51 @@ def fixture_records():
     return detections, camera_gt + bowl_gt
 
 
+# Crowded random scenes: boxes on a tight lattice so truths overlap one
+# another, detections that copy a truth exactly (duplicates when two copy
+# the same one) or sit anywhere, confidences from a small set so ties
+# occur, and "mug" detections, which never have a truth.
+_ROTATIONS = [IDENTITY] + [random_rotation(np.random.default_rng(seed)) for seed in range(5)]
+_POSES = st.builds(
+    lambda r, x, z: RigidPose(_ROTATIONS[r], [x, 0.0, z]),
+    st.integers(0, len(_ROTATIONS) - 1),
+    st.sampled_from([0.0, 0.05, 0.2, 0.45, 3.0]),
+    st.sampled_from([1.0, 1.1]),
+)
+_SCALES = st.sampled_from([0.3, 0.5, 0.8])
+_CONFIDENCES = st.sampled_from([0.3, 0.6, 0.9])
+
+
+@st.composite
+def crowded_scenes(draw):
+    gts = draw(
+        st.lists(
+            st.builds(GroundTruthBox, st.sampled_from(["bowl", "camera"]), _POSES, _SCALES, st.just(EXT)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    copies = st.builds(
+        lambda gt, conf: DetectionRecord(gt.category, conf, gt.pose, gt.scale, EXT),
+        st.sampled_from(gts),
+        _CONFIDENCES,
+    )
+    anywhere = st.builds(
+        DetectionRecord, st.sampled_from(["bowl", "camera", "mug"]), _CONFIDENCES, _POSES, _SCALES, st.just(EXT)
+    )
+    return draw(st.lists(st.one_of(copies, anywhere), max_size=10)), gts
+
+
+def _row(detection, gt, use_symmetry=True):
+    """The (iou, rot_err_deg, trans_err_cm) row of one detection against one truth."""
+    metrics = match_detections([detection], [gt], use_symmetry=use_symmetry)
+    return {key: float(getattr(metrics, key)[0]) for key in ("iou", "rot_err_deg", "trans_err_cm")}
+
+
 class TestPoseMetrics:
     def test_perfect_prediction(self):
         gt = GroundTruthBox("camera", _pose(0.0, 1.0), 1.0, EXT)
-        rec = DetectionRecord("camera", 1.0, _pose(0.0, 1.0), 1.0, EXT, ground_truth=gt)
-        m = pose_metrics(rec)
+        m = _row(DetectionRecord("camera", 1.0, _pose(0.0, 1.0), 1.0, EXT), gt)
         assert m["iou"] == pytest.approx(1.0, abs=1e-9)
         assert m["rot_err_deg"] == pytest.approx(0.0, abs=1e-9)
         assert m["trans_err_cm"] == pytest.approx(0.0, abs=1e-9)
@@ -84,15 +123,15 @@ class TestPoseMetrics:
     def test_ten_degree_rotation_measured(self):
         gt = GroundTruthBox("camera", _pose(0.0, 1.0), 1.0, EXT)
         rot = rotation_about_axis([1, 0, 0], 10.0)
-        rec = DetectionRecord("camera", 1.0, _pose(0.0, 1.0, rot), 1.0, EXT, ground_truth=gt)
-        assert pose_metrics(rec)["rot_err_deg"] == pytest.approx(10.0, abs=1e-9)
+        rec = DetectionRecord("camera", 1.0, _pose(0.0, 1.0, rot), 1.0, EXT)
+        assert _row(rec, gt)["rot_err_deg"] == pytest.approx(10.0, abs=1e-9)
 
     def test_symmetric_category_absorbs_axis_spin(self):
         gt = GroundTruthBox("bowl", _pose(0.0, 2.0), 0.5, EXT)
         rot = rotation_about_axis([0, 1, 0], 37.0)
-        rec = DetectionRecord("bowl", 1.0, _pose(0.0, 2.0, rot), 0.5, EXT, ground_truth=gt)
-        assert pose_metrics(rec)["rot_err_deg"] == pytest.approx(0.0, abs=1e-9)
-        assert pose_metrics(rec, use_symmetry=False)["rot_err_deg"] == pytest.approx(37.0, abs=1e-9)
+        rec = DetectionRecord("bowl", 1.0, _pose(0.0, 2.0, rot), 0.5, EXT)
+        assert _row(rec, gt)["rot_err_deg"] == pytest.approx(0.0, abs=1e-9)
+        assert _row(rec, gt, use_symmetry=False)["rot_err_deg"] == pytest.approx(37.0, abs=1e-9)
 
     def test_matches_composed_metric_calls(self):
         from scalepose.boxes import box_from_estimate, iou3d
@@ -102,8 +141,7 @@ class TestPoseMetrics:
         gt_pose = RigidPose(random_rotation(rng), [0.1, 0.0, 1.4])
         est_pose = RigidPose(random_rotation(rng), [0.12, -0.03, 1.38])
         gt = GroundTruthBox("camera", gt_pose, 0.3, EXT)
-        rec = DetectionRecord("camera", 1.0, est_pose, 0.28, EXT, ground_truth=gt)
-        m = pose_metrics(rec)
+        m = _row(DetectionRecord("camera", 1.0, est_pose, 0.28, EXT), gt)
         assert m["rot_err_deg"] == pytest.approx(rotation_error_deg(est_pose.rotation, gt_pose.rotation))
         assert m["trans_err_cm"] == pytest.approx(
             translation_error_cm(est_pose.translation, gt_pose.translation)
@@ -113,15 +151,16 @@ class TestPoseMetrics:
         )
 
     def test_missing_ground_truth(self):
-        rec = DetectionRecord("camera", 1.0, _pose(0.0, 1.0), 1.0, EXT)
-        with pytest.raises(NoGroundTruth):
-            pose_metrics(rec)
+        # no overlap with the only truth: the row stays unmatched, all NaN
+        gt = GroundTruthBox("camera", _pose(0.0, 1.0), 1.0, EXT)
+        m = _row(DetectionRecord("camera", 1.0, _pose(5.0, 1.0), 1.0, EXT), gt)
+        assert all(math.isnan(v) for v in m.values())
 
 
 class TestRecordMetrics:
     def test_columns_grouped_by_category_in_confidence_order(self):
         detections, gts = fixture_records()
-        metrics = record_metrics(match_detections(detections, gts), gts)
+        metrics = match_detections(detections, gts)
         assert metrics.categories == ("bowl", "camera")
         assert metrics.n_gt == (3, 3)
         assert metrics.starts == (0, 4, 10)
@@ -133,26 +172,38 @@ class TestRecordMetrics:
         assert metrics.trans_err_cm[4:7] == pytest.approx([0.0, 18.0, 0.0], abs=1e-9)
         assert np.isnan(metrics.trans_err_cm[7:]).all()
 
+    def test_no_ground_truth_is_an_error(self):
+        detections, _ = fixture_records()
+        with pytest.raises(EmptyRecordSet):
+            match_detections(detections, [])
+
 
 class TestMatching:
     def test_greedy_by_confidence(self):
+        # rows in confidence order per category: bowl d5 d6 d8 d9, then
+        # camera d1 d2 d3 d7 d4 d10
         detections, gts = fixture_records()
-        matched = match_detections(detections, gts)
-        has_gt = [m.ground_truth is not None for m in matched]
-        assert has_gt == [True, True, True, False, False, False, True, True, False, True]
+        matched = ~np.isnan(match_detections(detections, gts).iou)
+        assert matched.tolist() == [True, True, False, True, True, True, True, False, False, False]
 
     def test_each_gt_used_once(self):
-        detections, gts = fixture_records()
-        matched = match_detections(detections, gts)
-        used = [id(m.ground_truth) for m in matched if m.ground_truth is not None]
-        assert len(used) == len(set(used))
+        # two exact copies of one truth: the higher-confidence one (the first
+        # in input order on a tie) takes it, the other stays unmatched
+        gt = GroundTruthBox("camera", _pose(0.0, 1.0), 1.0, EXT)
+        for confidences in ((0.4, 0.9), (0.9, 0.9)):
+            dets = [DetectionRecord("camera", c, _pose(0.0, 1.0), 1.0, EXT) for c in confidences]
+            assert match_detections(dets, [gt]).iou == pytest.approx([1.0, math.nan], nan_ok=True)
 
-    def test_stale_attachments_cleared(self):
-        gts = [GroundTruthBox("camera", _pose(0.0, 1.0), 1.0, EXT)]
-        stale = GroundTruthBox("camera", _pose(9.0, 1.0), 1.0, EXT)
-        det = DetectionRecord("camera", 0.9, _pose(5.0, 1.0), 1.0, EXT, ground_truth=stale)
-        matched = match_detections([det], gts)
-        assert matched[0].ground_truth is None  # no overlap with the real gt
+    @settings(max_examples=100, deadline=None)
+    @given(scene=crowded_scenes(), use_symmetry=st.booleans())
+    def test_matches_two_pass_reference_bit_for_bit(self, scene, use_symmetry):
+        detections, gts = scene
+        got = match_detections(detections, gts, use_symmetry=use_symmetry)
+        expected = reference_record_metrics(detections, gts, use_symmetry=use_symmetry)
+        for key in ("categories", "n_gt", "starts", "skipped_categories"):
+            assert getattr(got, key) == getattr(expected, key), key
+        for key in ("iou", "rot_err_deg", "trans_err_cm"):
+            assert np.array_equal(getattr(got, key), getattr(expected, key), equal_nan=True), key
 
 
 def reference_ap(confidences, hits, n_gt):
@@ -227,7 +278,7 @@ class TestAveragePrecision:
 class TestMetricTable:
     def test_fixture_matches_hand_computation(self):
         detections, gts = fixture_records()
-        table = metric_table(record_metrics(match_detections(detections, gts), gts))
+        table = metric_table(match_detections(detections, gts))
         assert table.categories == ("bowl", "camera")
         bowl = dict(zip(TABLE_COLUMNS, table.row("bowl")))
         camera = dict(zip(TABLE_COLUMNS, table.row("camera")))
@@ -250,7 +301,7 @@ class TestMetricTable:
 
     def test_symmetry_flag_changes_rotation_metrics(self):
         detections, gts = fixture_records()
-        table = metric_table(record_metrics(match_detections(detections, gts), gts, use_symmetry=False))
+        table = metric_table(match_detections(detections, gts, use_symmetry=False))
         bowl = dict(zip(TABLE_COLUMNS, table.row("bowl")))
         assert bowl["10°"] == pytest.approx(1 / 3, abs=1e-12)
         assert bowl["10°10cm"] == pytest.approx(1 / 3, abs=1e-12)
@@ -261,7 +312,7 @@ class TestMetricTable:
     def test_header_set_matches_benchmark_columns(self):
         assert TABLE_COLUMNS == ("IoU50", "IoU75", "10cm", "10°", "10°10cm")
         detections, gts = fixture_records()
-        table = metric_table(record_metrics(match_detections(detections, gts), gts))
+        table = metric_table(match_detections(detections, gts))
         header = table.to_text().splitlines()[0]
         for column in TABLE_COLUMNS:
             assert column in header
@@ -269,7 +320,7 @@ class TestMetricTable:
 
     def test_text_table_percent_formatting(self):
         detections, gts = fixture_records()
-        table = metric_table(record_metrics(match_detections(detections, gts), gts))
+        table = metric_table(match_detections(detections, gts))
         lines = table.to_text().splitlines()
         assert lines[1].split()[0] == "bowl"
         assert "91.7" in lines[1]  # 11/12 as a one-decimal percentage
@@ -277,24 +328,24 @@ class TestMetricTable:
 
     def test_conjunction_bounded_by_parts(self):
         detections, gts = fixture_records()
-        table = metric_table(record_metrics(match_detections(detections, gts), gts))
+        table = metric_table(match_detections(detections, gts))
         cols = dict(zip(TABLE_COLUMNS, table.mean))
         assert cols["10°10cm"] <= min(cols["10°"], cols["10cm"]) + 1e-12
 
     def test_confidence_rescaling_invariance(self):
         detections, gts = fixture_records()
-        table_a = metric_table(record_metrics(match_detections(detections, gts), gts))
+        table_a = metric_table(match_detections(detections, gts))
         rescaled = [
             DetectionRecord(d.category, 0.37 * d.confidence, d.pose, d.scale, d.canonical_extents)
             for d in detections
         ]
-        table_b = metric_table(record_metrics(match_detections(rescaled, gts), gts))
+        table_b = metric_table(match_detections(rescaled, gts))
         assert np.array_equal(table_a.values, table_b.values)
 
     def test_predicted_category_without_gt_skipped(self):
         detections, gts = fixture_records()
         extra = detections + [DetectionRecord("mug", 0.99, _pose(0.0, 1.0), 0.2, EXT)]
-        table = metric_table(record_metrics(match_detections(extra, gts), gts))
+        table = metric_table(match_detections(extra, gts))
         assert table.skipped_categories == ("mug",)
         assert table.categories == ("bowl", "camera")
 
@@ -303,7 +354,7 @@ class TestMetricTable:
         perfect = [
             DetectionRecord(g.category, 1.0, g.pose, g.scale, g.canonical_extents) for g in gts
         ]
-        table = metric_table(record_metrics(match_detections(perfect, gts), gts))
+        table = metric_table(match_detections(perfect, gts))
         assert np.allclose(table.values, 1.0)
         assert np.allclose(table.mean, 1.0)
 
@@ -314,27 +365,26 @@ class TestApCurves:
         perfect = [
             DetectionRecord(g.category, 1.0, g.pose, g.scale, g.canonical_extents) for g in gts
         ]
-        matched = match_detections(perfect, gts)
-        curve = ap_curves(record_metrics(matched, gts), "rotation_deg", [1.0, 5.0, 10.0, 30.0])
+        curve = ap_curves(match_detections(perfect, gts), "rotation_deg", [1.0, 5.0, 10.0, 30.0])
         assert np.allclose(curve.mean, 1.0)
 
     def test_monotone_in_error_thresholds(self):
         detections, gts = fixture_records()
-        matched = match_detections(detections, gts)
+        metrics = match_detections(detections, gts)
         for metric in ("rotation_deg", "translation_cm"):
-            curve = ap_curves(record_metrics(matched, gts), metric, list(np.linspace(0.5, 60.0, 40)))
+            curve = ap_curves(metrics, metric, list(np.linspace(0.5, 60.0, 40)))
             assert np.all(np.diff(curve.mean) >= -1e-12)
 
     def test_non_increasing_in_iou_threshold(self):
         detections, gts = fixture_records()
-        matched = match_detections(detections, gts)
-        curve = ap_curves(record_metrics(matched, gts), "iou", list(np.linspace(0.05, 0.95, 19)))
+        metrics = match_detections(detections, gts)
+        curve = ap_curves(metrics, "iou", list(np.linspace(0.05, 0.95, 19)))
         assert np.all(np.diff(curve.mean) <= 1e-12)
 
     def test_csv_format(self):
         detections, gts = fixture_records()
-        matched = match_detections(detections, gts)
-        curve = ap_curves(record_metrics(matched, gts), "iou", [0.25, 0.5, 0.75])
+        metrics = match_detections(detections, gts)
+        curve = ap_curves(metrics, "iou", [0.25, 0.5, 0.75])
         lines = curve_csv(curve).splitlines()
         assert lines[0] == "threshold,bowl,camera,mean"
         assert len(lines) == 4
@@ -344,8 +394,8 @@ class TestApCurves:
 
     def test_grid_validation(self):
         detections, gts = fixture_records()
-        matched = match_detections(detections, gts)
+        metrics = match_detections(detections, gts)
         with pytest.raises(ValueError):
-            ap_curves(record_metrics(matched, gts), "iou", [0.5, 0.5])
+            ap_curves(metrics, "iou", [0.5, 0.5])
         with pytest.raises(ValueError):
-            ap_curves(record_metrics(matched, gts), "volume", [0.5])
+            ap_curves(metrics, "volume", [0.5])

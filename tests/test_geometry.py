@@ -173,15 +173,6 @@ class TestUmeyama:
             assert np.max(np.abs(sim.rotation - rot)) < 1e-9
             assert np.max(np.abs(sim.translation - t)) < 1e-9
 
-    def test_fixed_scale_mode(self):
-        rng = np.random.default_rng(10)
-        src = rng.normal(size=(12, 3))
-        rot = random_rotation(rng)
-        dst = src @ rot.T + np.array([0.1, -0.2, 0.3])
-        sim = umeyama_align(src, dst, estimate_scale=False)
-        assert sim.scale == 1.0
-        assert np.max(np.abs(sim.rotation - rot)) < 1e-9
-
     def test_rotation_invariant_to_source_scaling(self):
         rng = np.random.default_rng(12)
         src = rng.normal(size=(20, 3))
