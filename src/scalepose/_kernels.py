@@ -5,8 +5,9 @@ wrap one here (as the benchmark's tracer does) and every solver sees it.
 
 Kernel functions
 ----------------
-quartic_roots(c4, c3, c2, c1, c0)        -> ascending real roots, (K,)
-p3p_distance_sets(obj, bearings)         -> camera-to-point distances, (K, 3)
+quartic_roots(c4, c3, c2, c1, c0)        -> ascending real roots, a list
+p3p_distance_sets(a2, b2, c2, ca, cb, cg) -> camera-to-point distances, a list
+    of (s1, s2, s3) tuples
 reprojection_errors(R, t, obj, pix, fx, fy, cx, cy) -> per-point pixel error,
     inf for points at non-positive depth
 pixel_errors(cam, pix, fx, fy, cx, cy)   -> the same error for camera-frame
@@ -14,10 +15,11 @@ pixel_errors(cam, pix, fx, fy, cx, cy)   -> the same error for camera-frame
 reprojection_normal_eqs(R, t, obj, pix, fx, fy, cx, cy)
     -> (JtJ (6,6), Jtr (6,), cost, n_valid) for the Gauss-Newton step
 
-Grunert's P3P and the Ferrari quartic stay scalar Python on purpose:
-``math.acos``, ``math.sqrt`` and ``**`` on Python floats are what the
-pinned RANSAC results were computed with, and NumPy's array versions
-differ from them in the last bit on some inputs.
+Grunert's P3P and the Ferrari quartic are scalar code on Python floats,
+called once per RANSAC sample: it makes no NumPy call, and at a block of
+eight samples that beats array code (a vectorised Grunert with companion
+eigenvalues and an array Newton polish took 1.11 ms per block, about what
+eight scalar calls took before the NumPy calls left them).
 """
 
 import math
@@ -80,7 +82,7 @@ def quartic_roots(c4, c3, c2, c1, c0):
     coeffs = (c4, c3, c2, c1, c0)
     scale = max(abs(c) for c in coeffs)
     if scale == 0.0:
-        return np.empty(0)
+        return []
     roots = []
     if abs(c4) <= 1e-14 * scale:
         if abs(c3) <= 1e-14 * scale:
@@ -139,35 +141,25 @@ def quartic_roots(c4, c3, c2, c1, c0):
     for x in polished:
         if not unique or abs(x - unique[-1]) > _DEDUP_RTOL * (1.0 + abs(x)):
             unique.append(x)
-    return np.asarray(unique, dtype=np.float64)
+    return unique
 
 
-def p3p_distance_sets(obj, bearings):
+def p3p_distance_sets(a2, b2, c2, ca, cb, cg):
     """Grunert P3P: distances from camera center to three world points.
 
-    Parameters
+    Parameters (Python floats)
     ----------
-    obj : (3, 3) float64
-        World/model points P1, P2, P3 (rows).
-    bearings : (3, 3) float64
-        Unit bearing vectors of the corresponding image rays (rows).
+    a2, b2, c2 : squared triangle sides |P2-P3|^2, |P1-P3|^2, |P1-P2|^2.
+    ca, cb, cg : cosines between the unit bearings of rays 2-3, 1-3, 1-2.
 
     Returns
     -------
-    (K, 3) float64, K <= 4
-        Positive distance triples (s1, s2, s3), Newton-polished on the
-        three law-of-cosines constraints and deduplicated.
+    list of (s1, s2, s3) float tuples, at most four
+        Positive distance triples, Newton-polished on the three
+        law-of-cosines constraints, deduplicated and sorted by s1.
     """
-    obj = np.asarray(obj, dtype=np.float64)
-    f = np.asarray(bearings, dtype=np.float64)
-    a2 = float(np.sum((obj[1] - obj[2]) ** 2))
-    b2 = float(np.sum((obj[0] - obj[2]) ** 2))
-    c2 = float(np.sum((obj[0] - obj[1]) ** 2))
     if min(a2, b2, c2) <= 0.0:
-        return np.empty((0, 3))
-    ca = float(f[1] @ f[2])
-    cb = float(f[0] @ f[2])
-    cg = float(f[0] @ f[1])
+        return []
 
     q_ = a2 / b2
     cc = c2 / b2
@@ -228,68 +220,55 @@ def p3p_distance_sets(obj, bearings):
             disc = cg * cg - 1.0 + cc * den_s1
             if disc < 0:
                 continue
-            best_u, best_res = None, np.inf
-            for u_cand in (cg + math.sqrt(disc), cg - math.sqrt(disc)):
-                res = abs(u_cand * u_cand + v * v - 2.0 * u_cand * v * ca - q_ * den_s1)
-                if res < best_res:
-                    best_u, best_res = u_cand, res
-            u = best_u
-        if u is None or u <= 0:
+            u = min(
+                (cg + math.sqrt(disc), cg - math.sqrt(disc)),
+                key=lambda w: abs(w * w + v * v - 2.0 * w * v * ca - q_ * den_s1),
+            )
+        if u <= 0:
             continue
         s1 = math.sqrt(b2 / den_s1)
-        s = np.array([s1, u * s1, v * s1])
-        s = _polish_distances(s, a2, b2, c2, ca, cb, cg)
-        if s is None:
-            continue
-        sets.append(s)
+        s = _polish_distances(s1, u * s1, v * s1, a2, b2, c2, ca, cb, cg)
+        if s is not None:
+            sets.append(s)
 
-    if not sets:
-        return np.empty((0, 3))
     sets.sort(key=lambda t: t[0])
-    unique = [sets[0]]
+    unique = sets[:1]
     for s in sets[1:]:
         if abs(s[0] - unique[-1][0]) > _DEDUP_RTOL * (1.0 + abs(s[0])):
             unique.append(s)
-    return np.asarray(unique)
+    return unique
 
 
-def _polish_distances(s, a2, b2, c2, ca, cb, cg):
-    """Newton-polish (s1, s2, s3) on the three distance constraints."""
+def _polish_distances(s1, s2, s3, a2, b2, c2, ca, cb, cg):
+    """Newton-polish (s1, s2, s3) on the three distance constraints.
+
+    The Jacobian has a zero diagonal, so each step is solved by Cramer's
+    rule on its six off-diagonal entries.
+    """
     scale = a2 + b2 + c2
-    s1, s2, s3 = s
     for _ in range(5):
         r0 = s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2
         r1 = s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2
         r2 = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2
         if abs(r0) + abs(r1) + abs(r2) <= 1e-14 * scale:
             break
-        j = np.array(
-            [
-                [0.0, 2.0 * s2 - 2.0 * s3 * ca, 2.0 * s3 - 2.0 * s2 * ca],
-                [2.0 * s1 - 2.0 * s3 * cb, 0.0, 2.0 * s3 - 2.0 * s1 * cb],
-                [2.0 * s1 - 2.0 * s2 * cg, 2.0 * s2 - 2.0 * s1 * cg, 0.0],
-            ]
-        )
-        det = (
-            j[0, 1] * (j[1, 2] * j[2, 0] - j[1, 0] * j[2, 2])
-            + j[0, 2] * (j[1, 0] * j[2, 1] - j[1, 1] * j[2, 0])
-            - j[0, 0] * (j[1, 1] * j[2, 2] - j[1, 2] * j[2, 1])
-        )
+        j01, j02 = 2.0 * s2 - 2.0 * s3 * ca, 2.0 * s3 - 2.0 * s2 * ca
+        j10, j12 = 2.0 * s1 - 2.0 * s3 * cb, 2.0 * s3 - 2.0 * s1 * cb
+        j20, j21 = 2.0 * s1 - 2.0 * s2 * cg, 2.0 * s2 - 2.0 * s1 * cg
+        det = j01 * j12 * j20 + j02 * j10 * j21
         if det == 0.0 or not math.isfinite(det):
             break
-        try:
-            delta = np.linalg.solve(j, [r0, r1, r2])
-        except np.linalg.LinAlgError:
-            break
-        s1, s2, s3 = s1 - delta[0], s2 - delta[1], s3 - delta[2]
+        s1 -= (j01 * j12 * r2 + j02 * j21 * r1 - j12 * j21 * r0) / det
+        s2 -= (j12 * j20 * r0 + j02 * j10 * r2 - j02 * j20 * r1) / det
+        s3 -= (j10 * j21 * r0 + j01 * j20 * r1 - j01 * j10 * r2) / det
     r0 = s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2
     r1 = s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2
     r2 = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2
-    if abs(r0) + abs(r1) + abs(r2) > 1e-6 * scale:
+    if not abs(r0) + abs(r1) + abs(r2) <= 1e-6 * scale:
         return None
     if s1 <= 0 or s2 <= 0 or s3 <= 0:
         return None
-    return np.array([s1, s2, s3])
+    return s1, s2, s3
 
 
 def pixel_errors(cam, pixels, fx, fy, cx, cy):

@@ -176,14 +176,15 @@ class _Block(NamedTuple):
 def _p3p_block(image, model, rays, samples, k):
     """P3P over a block of 4-point samples ``samples`` (S, 4) of indices.
 
-    Per sample, the first three points feed Grunert's distance sets
-    (``kernels.p3p_distance_sets``, scalar); each distance set places the
-    triangle in the camera frame and the triad frames of model and camera
-    triangle give the rigid candidate. Frames, the nearest-rotation
-    projection, cheirality on all four points and the fourth point's
-    reprojection error run over the whole block. Candidates with a point
-    at non-positive depth are dropped; the rest are grouped by sample and
-    ordered by the fourth point's error (stable).
+    The block's squared triangle sides and bearing cosines are computed
+    once, as Python floats; each non-degenerate sample passes its six to
+    ``kernels.p3p_distance_sets`` (Grunert, scalar, one call per sample).
+    Each distance set places the triangle in the camera frame, and the
+    triad frames of model and camera triangle give the rigid candidate.
+    Frames, the nearest-rotation projection, cheirality on all four points
+    and the fourth point's reprojection error run over the whole block.
+    Candidates with a point at non-positive depth are dropped; the rest
+    are grouped by sample and ordered by the fourth point's error (stable).
     """
     tri = model[samples[:, :3]]
     e1 = tri[:, 1] - tri[:, 0]
@@ -191,16 +192,22 @@ def _p3p_block(image, model, rays, samples, k):
     edge = np.maximum(_norms(e1), _norms(e2))
     degenerate = _norms(np.cross(e1, e2)) <= 1e-10 * edge * edge
 
+    # squared sides opposite each point and the bearing cosines between
+    # the other two, as Python floats for the scalar kernel; a sum of
+    # squares and vecdot give the bits of a one-triangle np.sum and @
+    sides = np.square(tri[:, [1, 0, 0]] - tri[:, [2, 2, 1]]).sum(axis=2).tolist()
+    bear = rays[samples[:, :3]]
+    cosines = np.vecdot(bear[:, [1, 0, 0]], bear[:, [2, 2, 1]]).tolist()
     owner, dists = [], []
-    for s in np.flatnonzero(~degenerate):
-        sets = kernels.p3p_distance_sets(tri[s], rays[samples[s, :3]])
+    for s in np.flatnonzero(~degenerate).tolist():
+        sets = kernels.p3p_distance_sets(*sides[s], *cosines[s])
         owner.extend([s] * len(sets))
         dists.extend(sets)
     owner = np.array(owner, dtype=np.intp)
     dists = np.array(dists).reshape(-1, 3)
 
     src, src_ok = _triad_frames(tri[owner])
-    cam = dists[:, :, None] * rays[samples[owner, :3]]
+    cam = dists[:, :, None] * bear[owner]
     dst, dst_ok = _triad_frames(cam)
     raw = dst @ src.transpose(0, 2, 1)
     t = cam.mean(axis=1) - (raw @ tri[owner].mean(axis=1)[:, :, None])[:, :, 0]

@@ -23,11 +23,12 @@ class TestQuarticRoots:
         rng = np.random.default_rng(0)
         for _ in range(500):
             c = rng.normal(size=5)
-            mine = kernels.quartic_roots(*c)
+            mine = kernels.quartic_roots(*c.tolist())
             oracle = _roots_oracle(c)
+            assert isinstance(mine, list)
             assert len(mine) == len(oracle)
-            if len(mine):
-                assert np.max(np.abs(mine - oracle)) < 1e-7
+            if mine:
+                assert np.max(np.abs(np.array(mine) - oracle)) < 1e-7
 
     def test_known_factored_roots(self):
         # (x-1)(x-2)(x-3)(x-4) = x^4 - 10x^3 + 35x^2 - 50x + 24
@@ -36,7 +37,7 @@ class TestQuarticRoots:
 
     def test_no_real_roots(self):
         # (x^2+1)(x^2+4) has no real roots
-        assert len(kernels.quartic_roots(1, 0, 5, 0, 4)) == 0
+        assert kernels.quartic_roots(1, 0, 5, 0, 4) == []
 
     def test_biquadratic(self):
         # x^4 - 5x^2 + 4 = (x^2-1)(x^2-4)
@@ -53,7 +54,26 @@ class TestQuarticRoots:
         assert np.allclose(kernels.quartic_roots(0, 1, -6, 11, -6), [1, 2, 3], atol=1e-9)
         assert np.allclose(kernels.quartic_roots(0, 0, 1, -3, 2), [1, 2], atol=1e-10)
         assert np.allclose(kernels.quartic_roots(0, 0, 0, 2, -4), [2], atol=1e-12)
-        assert len(kernels.quartic_roots(0, 0, 0, 0, 0)) == 0
+        assert kernels.quartic_roots(0, 0, 0, 0, 0) == []
+
+
+def _p3p_args(pts, bearings):
+    """The kernel's inputs for camera-frame points ``pts`` (3, 3): squared
+    sides |P2-P3|^2, |P1-P3|^2, |P1-P2|^2, then the bearing cosines of
+    rays 2-3, 1-3 and 1-2, as Python floats."""
+    sides = pts[[1, 0, 0]] - pts[[2, 2, 1]]
+    cosines = np.vecdot(bearings[[1, 0, 0]], bearings[[2, 2, 1]])
+    return [*np.vecdot(sides, sides).tolist(), *cosines.tolist()]
+
+
+def _residuals(s, a2, b2, c2, ca, cb, cg):
+    """The three law-of-cosines residuals of a distance set."""
+    s1, s2, s3 = s
+    return (
+        s2 * s2 + s3 * s3 - 2 * s2 * s3 * ca - a2,
+        s1 * s1 + s3 * s3 - 2 * s1 * s3 * cb - b2,
+        s1 * s1 + s2 * s2 - 2 * s1 * s2 * cg - c2,
+    )
 
 
 def _p3p_instance(seed):
@@ -69,30 +89,25 @@ class TestP3PDistances:
     def test_recovers_true_distances(self):
         for seed in range(300):
             pts, bearings, dist = _p3p_instance(seed)
-            sets = kernels.p3p_distance_sets(pts, bearings)
+            sets = kernels.p3p_distance_sets(*_p3p_args(pts, bearings))
             assert len(sets) >= 1
-            best = min(np.max(np.abs(s - dist)) for s in sets)
+            best = min(np.max(np.abs(np.array(s) - dist)) for s in sets)
             assert best < 1e-8
 
     def test_all_solutions_satisfy_constraints(self):
         for seed in range(50):
             pts, bearings, _ = _p3p_instance(seed)
-            d01 = np.dot(bearings[0], bearings[1])
-            d02 = np.dot(bearings[0], bearings[2])
-            d12 = np.dot(bearings[1], bearings[2])
-            a2 = np.sum((pts[1] - pts[2]) ** 2)
-            b2 = np.sum((pts[0] - pts[2]) ** 2)
-            c2 = np.sum((pts[0] - pts[1]) ** 2)
-            for s1, s2, s3 in kernels.p3p_distance_sets(pts, bearings):
-                assert abs(s2 * s2 + s3 * s3 - 2 * s2 * s3 * d12 - a2) < 1e-8 * (a2 + b2 + c2)
-                assert abs(s1 * s1 + s3 * s3 - 2 * s1 * s3 * d02 - b2) < 1e-8 * (a2 + b2 + c2)
-                assert abs(s1 * s1 + s2 * s2 - 2 * s1 * s2 * d01 - c2) < 1e-8 * (a2 + b2 + c2)
-                assert s1 > 0 and s2 > 0 and s3 > 0
+            args = _p3p_args(pts, bearings)
+            scale = sum(args[:3])
+            for s in kernels.p3p_distance_sets(*args):
+                assert type(s) is tuple and all(type(v) is float for v in s)
+                assert max(map(abs, _residuals(s, *args))) < 1e-8 * scale
+                assert min(s) > 0
 
     def test_degenerate_triangle_returns_empty(self):
         pts = np.array([[0.0, 0, 1], [0.0, 0, 1], [1.0, 0, 2]])
         bearings = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        assert len(kernels.p3p_distance_sets(pts, bearings)) == 0
+        assert kernels.p3p_distance_sets(*_p3p_args(pts, bearings)) == []
 
 
 class TestReprojectionKernels:
