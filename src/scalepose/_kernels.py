@@ -28,6 +28,12 @@ import numpy as np
 
 # Relative tolerance for merging duplicate polynomial roots / distance sets.
 _DEDUP_RTOL = 1e-8
+# Below this |2 (cos_g - v cos_a)| / (1 + v), the quartic root v is taken as
+# shared by two P3P solutions.
+_SHARED_ROOT_TOL = 1e-4
+# Polynomial coefficients below this times the largest are taken as zero;
+# P3P's leading coefficient can cancel to about 1e-15 instead of to 0.
+_NEGLIGIBLE = 1e-12
 
 
 def _cubic_max_real_root(a, b, c):
@@ -60,7 +66,7 @@ def _quadratic_real_roots(b, c, out):
     """Real roots of y^2 + b y + c appended to ``out`` (stable form)."""
     disc = b * b - 4.0 * c
     if disc < 0:
-        if disc > -1e-12 * max(1.0, b * b + abs(c)):
+        if disc > -1e-10 * max(1.0, b * b + abs(c)):
             out.append(-0.5 * b)
         return
     sq = math.sqrt(disc)
@@ -84,10 +90,10 @@ def quartic_roots(c4, c3, c2, c1, c0):
     if scale == 0.0:
         return []
     roots = []
-    if abs(c4) <= 1e-14 * scale:
-        if abs(c3) <= 1e-14 * scale:
-            if abs(c2) <= 1e-14 * scale:
-                if abs(c1) > 1e-14 * scale:
+    if abs(c4) <= _NEGLIGIBLE * scale:
+        if abs(c3) <= _NEGLIGIBLE * scale:
+            if abs(c2) <= _NEGLIGIBLE * scale:
+                if abs(c1) > _NEGLIGIBLE * scale:
                     roots.append(-c0 / c1)
             else:
                 _quadratic_real_roots(c1 / c2, c0 / c2, roots)
@@ -122,16 +128,22 @@ def quartic_roots(c4, c3, c2, c1, c0):
                 _quadratic_real_roots(s2m, half - 0.5 * q / s2m, ys)
         roots = [y + shift for y in ys]
 
-    # polish on the full-precision original polynomial
+    # polish on the full-precision original polynomial; a step that
+    # raises |f| is refused, as Newton on the real part of a near-double
+    # complex pair would throw the root far off
     polished = []
     for x in roots:
+        f = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
         for _ in range(3):
-            f = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
             df = ((4.0 * c4 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
             if df == 0.0:
                 break
             step = f / df
-            x -= step
+            x_next = x - step
+            f_next = (((c4 * x_next + c3) * x_next + c2) * x_next + c1) * x_next + c0
+            if abs(f_next) > abs(f):
+                break
+            x, f = x_next, f_next
             if abs(step) <= 1e-14 * (1.0 + abs(x)):
                 break
         polished.append(x)
@@ -212,29 +224,28 @@ def p3p_distance_sets(a2, b2, c2, ca, cb, cg):
         if den_s1 <= 0:
             continue
         denom = 2.0 * (cg - v * ca)
-        if abs(denom) > 1e-9 * (1.0 + abs(v)):
-            u = ((big_a - 1.0) * v * v - 2.0 * big_a * cb * v + big_a + 1.0) / denom
+        if abs(denom) > _SHARED_ROOT_TOL * (1.0 + abs(v)):
+            us = (((big_a - 1.0) * v * v - 2.0 * big_a * cb * v + big_a + 1.0) / denom,)
         else:
-            # fall back to the quadratic for u; keep the root consistent
-            # with the first law-of-cosines equation
+            # two solutions share this v, a double root that rounding can
+            # split by 1e-6 or make complex, and the linear equation for u
+            # degenerates: try both roots of the quadratic one and let the
+            # polish decide
             disc = cg * cg - 1.0 + cc * den_s1
             if disc < 0:
                 continue
-            u = min(
-                (cg + math.sqrt(disc), cg - math.sqrt(disc)),
-                key=lambda w: abs(w * w + v * v - 2.0 * w * v * ca - q_ * den_s1),
-            )
-        if u <= 0:
-            continue
+            us = (cg + math.sqrt(disc), cg - math.sqrt(disc))
         s1 = math.sqrt(b2 / den_s1)
-        s = _polish_distances(s1, u * s1, v * s1, a2, b2, c2, ca, cb, cg)
-        if s is not None:
-            sets.append(s)
+        for u in us:
+            if u > 0:
+                s = _polish_distances(s1, u * s1, v * s1, a2, b2, c2, ca, cb, cg)
+                if s is not None:
+                    sets.append(s)
 
-    sets.sort(key=lambda t: t[0])
-    unique = sets[:1]
-    for s in sets[1:]:
-        if abs(s[0] - unique[-1][0]) > _DEDUP_RTOL * (1.0 + abs(s[0])):
+    sets.sort()
+    unique = []
+    for s in sets:
+        if all(max(abs(x - y) for x, y in zip(s, t)) > _DEDUP_RTOL * (1.0 + max(s)) for t in unique):
             unique.append(s)
     return unique
 

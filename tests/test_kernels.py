@@ -1,7 +1,11 @@
 """Kernel contracts: the NumPy kernels must match independent oracles
 (numpy.roots, dense NumPy algebra)."""
 
+import math
+
 import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import reprojection_residuals_jacobian
 from scalepose import _kernels as kernels
@@ -108,6 +112,46 @@ class TestP3PDistances:
         pts = np.array([[0.0, 0, 1], [0.0, 0, 1], [1.0, 0, 2]])
         bearings = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         assert kernels.p3p_distance_sets(*_p3p_args(pts, bearings)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pts=st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(1.0, 5.0)),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_well_conditioned_triangles(self, pts):
+        # well conditioned: no side under 0.1, no angle of the triangle
+        # under 15 degrees, no two rays within 5 degrees, and the camera
+        # away from the danger cylinder, where the constraints' Jacobian
+        # turns singular
+        pts = np.array(pts)
+        dist = np.linalg.norm(pts, axis=1)
+        bearings = pts / dist[:, None]
+        args = _p3p_args(pts, bearings)
+        a2, b2, c2, ca, cb, cg = args
+        side = np.sqrt(args[:3])
+        assume(side.min() > 0.1)
+        cos_angles = [
+            (b2 + c2 - a2) / (2 * side[1] * side[2]),
+            (a2 + c2 - b2) / (2 * side[0] * side[2]),
+            (a2 + b2 - c2) / (2 * side[0] * side[1]),
+        ]
+        assume(max(cos_angles) < math.cos(math.radians(15)))
+        assume(max(ca, cb, cg) < math.cos(math.radians(5)))
+        s1, s2, s3 = dist
+        jac = 2 * np.array(
+            [[0, s2 - s3 * ca, s3 - s2 * ca], [s1 - s3 * cb, 0, s3 - s1 * cb], [s1 - s2 * cg, s2 - s1 * cg, 0]]
+        )
+        assume(np.linalg.cond(jac) < 1e3)
+
+        sets = kernels.p3p_distance_sets(*args)
+        scale = a2 + b2 + c2
+        for s in sets:
+            assert max(map(abs, _residuals(s, *args))) <= 1e-10 * scale
+            assert min(s) > 0
+        assert min(np.max(np.abs(np.array(s) - dist)) for s in sets) <= 1e-8 * dist.max()
 
 
 class TestReprojectionKernels:
