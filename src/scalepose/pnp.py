@@ -406,18 +406,20 @@ def _adaptive_iteration_bound(inlier_ratio, confidence):
 def ransac_pnp(image_points, model_points, intrinsics, config=None):
     """RANSAC over minimal P3P samples with Gauss-Newton polish.
 
-    Per iteration ``i`` the 4-point sample is drawn from a fresh generator
-    seeded with (rng_seed, i), so the sample sequence is a pure function of
-    the config and results are reproducible bit for bit. A hypothesis
-    beats the incumbent on higher inlier count, then lower mean inlier
-    error (earlier iteration wins exact ties). The iteration budget shrinks
-    adaptively from the best inlier ratio and the requested confidence.
+    All samples come from one generator seeded with ``rng_seed``: sample
+    ``i`` is the first four indices of the argsort of row ``i`` of its
+    uniform draws, each row ``n`` wide and consumed in order. The sample
+    sequence is therefore a function of ``(rng_seed, n)`` alone, and
+    results are reproducible bit for bit. A hypothesis beats the incumbent
+    on higher inlier count, then lower mean inlier error (earlier
+    iteration wins exact ties). The iteration budget shrinks adaptively
+    from the best inlier ratio and the requested confidence.
 
-    Samples are solved and scored ``SAMPLE_BLOCK`` at a time, then replayed
-    in iteration order: the stopping rule is checked before each sample
-    and each sample's candidates are taken in their fourth-point order, so
-    the result is that of the one-sample-at-a-time loop; work past the
-    stop point is thrown away.
+    Samples are drawn, solved and scored ``SAMPLE_BLOCK`` at a time, then
+    replayed in iteration order: the stopping rule is checked before each
+    sample and each sample's candidates are taken in their fourth-point
+    order, so the result is that of the one-sample-at-a-time loop, for
+    any block size; work past the stop point is thrown away.
 
     The final pose is refined on the best consensus set and the inlier mask
     is recomputed against the refined pose.
@@ -438,6 +440,7 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
         )
     k = intrinsics
     rays = _bearings(image, k)
+    rng = np.random.default_rng(cfg.rng_seed)
 
     best_count = 0
     best_mean = math.inf
@@ -446,10 +449,7 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
     iteration = degenerate = no_solution = 0
     while iteration < cfg.max_iterations and iteration < needed:
         end = min(iteration + SAMPLE_BLOCK, cfg.max_iterations, needed)
-        samples = np.array([
-            np.random.default_rng((cfg.rng_seed, i)).choice(n, size=MINIMAL_SAMPLE_SIZE, replace=False)
-            for i in range(iteration, end)
-        ])
+        samples = rng.random((end - iteration, n)).argsort(axis=1)[:, :MINIMAL_SAMPLE_SIZE]
         block = _p3p_block(image, model, rays, samples, k)
         cam = model @ block.rotations.transpose(0, 2, 1)
         cam += block.translations[:, None]

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import CAMERA, make_projected_scene
 from oracles import reprojection_residuals_jacobian
+from scalepose import pnp
 from scalepose.errors import (
     ConsensusNotFound,
     DegenerateSample,
@@ -15,6 +17,7 @@ from scalepose.errors import (
     NonPositiveScale,
     NoRealSolution,
     RankDeficient,
+    ScalePoseError,
 )
 from scalepose.geometry import (
     RigidPose,
@@ -292,11 +295,14 @@ class TestRansac:
         assert result.stop_reason == "confidence"
 
     def test_stop_reason_at_iteration_cap(self, camera):
-        pose, pts, noisy, _ = self._outlier_scene(680, n=60, n_out=40, pixel_noise=0.5)
+        # With 20 of 60 points outliers, 25 samples all miss the inliers
+        # with chance (1 - (2/3)^4)^25 < 0.5%. A consensus of the 40 inliers
+        # leaves the 0.999 bound at 32 samples, so the cap stops the run.
+        pose, pts, noisy, _ = self._outlier_scene(680, n=60, n_out=20, pixel_noise=0.5)
         result = ransac_pnp(noisy, pts, camera, RansacConfig(max_iterations=25, rng_seed=5))
         assert result.iterations_used == 25
         assert result.stop_reason == "max_iterations"
-        assert result.rejected_no_solution > 0
+        assert rotation_error_deg(result.pose.rotation, pose.rotation) < 1.0
 
     def test_rejection_counts_bounded_by_iterations(self, camera):
         degenerate = 0
@@ -310,6 +316,14 @@ class TestRansac:
             assert 0 <= rejected <= result.iterations_used
             degenerate += result.rejected_degenerate
         assert degenerate > 0
+
+    def test_counts_samples_without_solution(self, camera):
+        # With half the points outliers, about 5% of samples leave no P3P
+        # candidate in front of the camera. The 0.999 bound asks for about
+        # 108 samples, and all of them have one with chance 0.95^108 < 0.5%.
+        pose, pts, noisy, _ = self._outlier_scene(700, n=100, n_out=50, pixel_noise=0.5)
+        result = ransac_pnp(noisy, pts, camera, RansacConfig(rng_seed=0))
+        assert 0 < result.rejected_no_solution <= result.iterations_used
 
 
 # Unit quaternions, kept away from the zero vector before normalizing.
@@ -365,6 +379,66 @@ class TestRansacProperties:
         assert np.max(np.abs(scaled.pose.translation - alpha * base.pose.translation)) < 1e-9 * max(1.0, alpha)
         assert np.array_equal(scaled.inlier_mask, base.inlier_mask)
         assert scaled.iterations_used == base.iterations_used
+
+
+def block_problem(seed, n, outlier_fraction, collinear_fraction, noise):
+    """Seeded pixels and model points: a run of collinear model points makes
+    some samples degenerate, outliers land anywhere in the image."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.1, 0.1, size=(n, 3))
+    collinear = int(collinear_fraction * n)
+    if collinear:
+        steps = np.linspace(-1.0, 1.0, collinear)[:, None]
+        points[:collinear] = points[0] + steps * (points[1] - points[0])
+    pose = RigidPose(random_rotation(rng), [0.0, 0.0, rng.uniform(0.4, 1.2)])
+    pixels = project(pose.transform(points), CAMERA) + rng.normal(0.0, noise, size=(n, 2))
+    bad = rng.choice(n, size=int(outlier_fraction * n), replace=False)
+    pixels[bad] = rng.uniform([0.0, 0.0], [640.0, 480.0], size=(len(bad), 2))
+    return pixels, points
+
+
+def ransac_outcome(pixels, points, config):
+    """Everything a solve reports, as exact values or the error raised."""
+    try:
+        r = ransac_pnp(pixels, points, CAMERA, config)
+    except (ScalePoseError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return (
+        repr(r.pose.rotation.tolist()),
+        repr(r.pose.translation.tolist()),
+        r.inlier_mask.tobytes(),
+        repr(r.mean_reprojection_error),
+        r.iterations_used,
+        r.stop_reason,
+        r.rejected_degenerate,
+        r.rejected_no_solution,
+    )
+
+
+class TestSampleBlockInvariance:
+    # A block of one sample is the one-sample-at-a-time loop.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=st.builds(
+            block_problem,
+            seed=st.integers(0, 2**32 - 1),
+            n=st.integers(6, 80),
+            outlier_fraction=st.floats(0.0, 0.6),
+            collinear_fraction=st.sampled_from([0.0, 0.5, 0.8]),
+            noise=st.floats(0.0, 1.0),
+        ),
+        max_iterations=st.integers(1, 40),
+        confidence=st.sampled_from([0.9, 0.999, 0.99999]),
+        rng_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_result_does_not_depend_on_block_size(self, problem, max_iterations, confidence, rng_seed):
+        pixels, points = problem
+        config = RansacConfig(2.0, max_iterations, confidence, rng_seed)
+        outcomes = []
+        for block in (1, 3, 8, 64):
+            with mock.patch.object(pnp, "SAMPLE_BLOCK", block):
+                outcomes.append(ransac_outcome(pixels, points, config))
+        assert outcomes[1:] == outcomes[:1] * 3
 
 
 class TestScaleModelPoints:
