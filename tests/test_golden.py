@@ -12,7 +12,9 @@ columnar metrics pass replaced it:
 * ``simulate/``: the trials and summary CSVs of a camera/laptop/mug grid
   (the categories whose rotation error has no symmetry rule).
 
-Regenerate them only for a deliberate change of output format.
+Regenerate them only for a deliberate change of output format or of the
+RANSAC sample stream; ``simulate/`` is the output of ``scalepose`` run with
+``SIMULATE_ARGS`` plus ``--output``/``--summary`` into it.
 """
 
 from pathlib import Path

@@ -1,10 +1,11 @@
 """RANSAC-PnP results pinned bit for bit.
 
 ``tests/golden/ransac.json`` holds the result of ``ransac_pnp`` on each
-problem below, captured from the serial one-sample-at-a-time loop before
-hypotheses were scored in blocks: ``iterations_used``, the inlier mask, the
-mean inlier error and the pose as ``repr`` floats, or the error class name.
-The block-batched loop must reproduce every value exactly.
+problem below, with all samples of a solve drawn from one generator:
+``iterations_used``, the inlier mask, the mean inlier error and the pose as
+``repr`` floats, or the error class name. Every value must be reproduced
+exactly. That a block of samples gives the result of the one-at-a-time
+loop is the block-size property in ``test_pnp.py``.
 
 The problems cover 4 to 200 points, 0 to 70% outliers, two runs into the
 1000-iteration cap, one run into a 200-iteration cap, models with collinear
