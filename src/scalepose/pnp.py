@@ -65,12 +65,14 @@ class RansacConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.reprojection_threshold > 0:
-            raise ValueError(f"reprojection_threshold must be > 0, got {self.reprojection_threshold}")
+        if not 0 < self.reprojection_threshold < math.inf:
+            raise ValueError(f"reprojection_threshold must be finite and > 0, got {self.reprojection_threshold}")
         if not 0 < self.confidence < 1:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ValueError(f"rng_seed must be a non-negative integer, got {self.rng_seed!r}")
 
 
 @dataclass(frozen=True)

@@ -572,6 +572,8 @@ def run_grid(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
+        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
     if predictor_kind not in ("oracle", "mean"):
         raise ValueError(f"predictor_kind must be 'oracle' or 'mean', got {predictor_kind!r}")
     categories = list(categories)

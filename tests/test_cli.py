@@ -397,6 +397,18 @@ EVALUATE = ["evaluate", "--predictions", "p.jsonl", "--ground-truth", "g.jsonl",
             "error: argument --pixel-noise: ", id="empty-noise-axis",
         ),
         pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": INTRINSICS}, SOLVE + ["--threshold", "inf"],
+            "error: reprojection_threshold must be finite", id="threshold-infinite",
+        ),
+        pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": INTRINSICS}, SOLVE + ["--seed", "-1"],
+            "error: rng_seed must be a non-negative integer", id="solve-seed-negative",
+        ),
+        pytest.param(
+            {}, ["simulate", "--categories", "mug", "--trials", "1", "--seed", "-1"],
+            "error: master_seed must be a non-negative integer", id="simulate-seed-negative",
+        ),
+        pytest.param(
             {"p.jsonl": {**GROUND_TRUTH, "confidence": float("nan")}, "g.jsonl": GROUND_TRUTH},
             EVALUATE, "error: p.jsonl:1: ", id="confidence-nan",
         ),

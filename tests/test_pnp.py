@@ -462,6 +462,12 @@ class TestConfigAndRecords:
             RansacConfig(confidence=1.0)
         with pytest.raises(ValueError):
             RansacConfig(max_iterations=0)
+        for threshold in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="reprojection_threshold"):
+                RansacConfig(reprojection_threshold=threshold)
+        for seed in (-1, 1.5, (1, 2)):
+            with pytest.raises(ValueError, match="rng_seed"):
+                RansacConfig(rng_seed=seed)
 
     def test_mismatched_counts_rejected(self, camera):
         with pytest.raises(ValueError):
