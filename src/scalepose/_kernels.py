@@ -71,11 +71,7 @@ def _quadratic_real_roots(b, c, out):
         return
     sq = math.sqrt(disc)
     q = -0.5 * (b + math.copysign(sq, b))
-    out.append(q)
-    if q != 0.0:
-        out.append(c / q)
-    else:
-        out.append(-b - q)
+    out.extend((q, c / q if q != 0.0 else -b - q))
 
 
 def quartic_roots(c4, c3, c2, c1, c0):
@@ -275,11 +271,9 @@ def _polish_distances(s1, s2, s3, a2, b2, c2, ca, cb, cg):
     r0 = s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2
     r1 = s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2
     r2 = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2
-    if not abs(r0) + abs(r1) + abs(r2) <= 1e-6 * scale:
-        return None
-    if s1 <= 0 or s2 <= 0 or s3 <= 0:
-        return None
-    return s1, s2, s3
+    if abs(r0) + abs(r1) + abs(r2) <= 1e-6 * scale and min(s1, s2, s3) > 0:
+        return s1, s2, s3
+    return None
 
 
 def pixel_errors(cam, pixels, fx, fy, cx, cy):
