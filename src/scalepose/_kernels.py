@@ -1,4 +1,4 @@
-"""Hot numeric kernels behind the solvers, in NumPy.
+"""Hot numeric kernels behind the solvers.
 
 The solvers call them through this module's attributes, so a caller can
 wrap one here (as the benchmark's tracer does) and every solver sees it.
@@ -16,10 +16,11 @@ reprojection_normal_eqs(R, t, obj, pix, fx, fy, cx, cy)
     -> (JtJ (6,6), Jtr (6,), cost, n_valid) for the Gauss-Newton step
 
 Grunert's P3P and the Ferrari quartic are scalar code on Python floats,
-called once per RANSAC sample: it makes no NumPy call, and at a block of
-eight samples that beats array code (a vectorised Grunert with companion
+called once per RANSAC sample, and make no NumPy call: at a block of
+eight samples that beats array code. A vectorised Grunert with companion
 eigenvalues and an array Newton polish took 1.11 ms per block, about what
-eight scalar calls took before the NumPy calls left them).
+eight scalar calls took while they still made NumPy calls, and a call now
+takes about 30 us. The reprojection kernels are NumPy.
 """
 
 import math

@@ -195,8 +195,7 @@ def _p3p_block(image, model, rays, samples, k):
     degenerate = _norms(np.cross(e1, e2)) <= 1e-10 * edge * edge
 
     # squared sides opposite each point and the bearing cosines between
-    # the other two, as Python floats for the scalar kernel; a sum of
-    # squares and vecdot give the bits of a one-triangle np.sum and @
+    # the other two, as Python floats for the scalar kernel
     sides = np.square(tri[:, [1, 0, 0]] - tri[:, [2, 2, 1]]).sum(axis=2).tolist()
     bear = rays[samples[:, :3]]
     cosines = np.vecdot(bear[:, [1, 0, 0]], bear[:, [2, 2, 1]]).tolist()

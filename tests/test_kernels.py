@@ -1,5 +1,5 @@
-"""Kernel contracts: the NumPy kernels must match independent oracles
-(numpy.roots, dense NumPy algebra)."""
+"""Kernel contracts: the kernels must match independent oracles
+(numpy.roots, dense NumPy algebra, the law-of-cosines constraints)."""
 
 import math
 
@@ -151,7 +151,7 @@ class TestP3PDistances:
         for s in sets:
             assert max(map(abs, _residuals(s, *args))) <= 1e-10 * scale
             assert min(s) > 0
-        assert min(np.max(np.abs(np.array(s) - dist)) for s in sets) <= 1e-8 * dist.max()
+        assert min((np.max(np.abs(np.array(s) - dist)) for s in sets), default=math.inf) <= 1e-8 * dist.max()
 
 
 class TestReprojectionKernels:
