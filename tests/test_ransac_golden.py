@@ -2,8 +2,9 @@
 
 ``tests/golden/ransac.json`` holds the result of ``ransac_pnp`` on each
 problem below, with all samples of a solve drawn from one generator:
-``iterations_used``, the inlier mask, the mean inlier error and the pose as
-``repr`` floats, or the error class name. Every value must be reproduced
+``iterations_used``, the stop reason, both rejection counts, the inlier
+mask, the mean inlier error and the pose as ``repr`` floats, or the error
+class name. Every value must be reproduced
 exactly. That a block of samples gives the result of the one-at-a-time
 loop is the block-size property in ``test_pnp.py``.
 
@@ -87,6 +88,9 @@ def solve(name):
         return {"error": type(exc).__name__}
     return {
         "iterations_used": result.iterations_used,
+        "stop_reason": result.stop_reason,
+        "rejected_degenerate": result.rejected_degenerate,
+        "rejected_no_solution": result.rejected_no_solution,
         "inlier_mask": "".join("1" if v else "0" for v in result.inlier_mask),
         "mean_reprojection_error": repr(result.mean_reprojection_error),
         "rotation": [repr(float(v)) for v in result.pose.rotation.ravel()],
