@@ -182,18 +182,13 @@ def rotation_from_rotvec(rvec):
 
 def nearest_rotation(m):
     """Project a 3x3 matrix onto SO(3) (closest in Frobenius norm)."""
-    m = _as_array(m, (3, 3), "matrix")
-    u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    if d == 0:
-        d = 1.0
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    return nearest_rotations(_as_array(m, (3, 3), "matrix")[None])[0]
 
 
 def nearest_rotations(m):
-    """:func:`nearest_rotation` over a stack of finite matrices (M, 3, 3),
-    bit-equal to it per matrix. The one-matrix function keeps its own,
-    cheaper path: Gauss-Newton refinement calls it on every step."""
+    """Project each of a stack of finite matrices (M, 3, 3) onto SO(3);
+    the results pass :class:`RigidPose`'s checks. The only projection:
+    :func:`nearest_rotation` is its one-matrix case."""
     u, _, vt = np.linalg.svd(m)
     d = np.sign(np.linalg.det(u @ vt))
     d[d == 0] = 1.0

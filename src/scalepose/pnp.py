@@ -36,7 +36,6 @@ from .errors import (
     RankDeficient,
 )
 from .geometry import (
-    ROTATION_TOL,
     CameraIntrinsics,
     RigidPose,
     nearest_rotation,
@@ -145,7 +144,9 @@ def _norms(v):
 def _triad_frames(p):
     """Orthonormal frames of a stack of triangles ``p`` (M, 3, 3): columns
     are the first edge, the in-plane normal to it and the plane normal.
-    Returns the frames and a mask of the non-degenerate triangles."""
+    Returns the frames and a mask of the non-degenerate triangles, whose
+    twice-area exceeds ``1e-10`` times the longer edge at the first vertex
+    squared: a scale-invariant rule, the only collinearity test."""
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     n1 = _norms(e1)
@@ -154,7 +155,7 @@ def _triad_frames(p):
         w = np.cross(e1, e2)
         nw = _norms(w)
         w = w / nw[:, None]
-    ok = (n1 != 0) & ~(nw < 1e-12 * n1 * np.maximum(1.0, _norms(e2)))
+        ok = n1 * nw > 1e-10 * np.square(np.maximum(n1, _norms(e2)))
     return np.stack([e1, np.cross(w, e1), w], axis=2), ok
 
 
@@ -162,37 +163,29 @@ class _Block(NamedTuple):
     """P3P candidates of a block of samples (see :func:`_p3p_block`)."""
 
     degenerate: np.ndarray  # (S,) bool: (near-)collinear model triple
-    invalid: dict  # sample -> (raw rotation, translation) failing RigidPose checks
     rotations: np.ndarray  # (H, 3, 3)
     translations: np.ndarray  # (H, 3)
     groups: list  # per sample, its candidates' indices in fourth-point order
-
-    def check(self, s):
-        """Raise the ValueError a RigidPose of sample ``s``'s failing
-        candidate raises (scalar path, so the message is the same)."""
-        if s in self.invalid:
-            raw, t = self.invalid[s]
-            RigidPose(nearest_rotation(raw), t)
 
 
 def _p3p_block(image, model, rays, samples, k):
     """P3P over a block of 4-point samples ``samples`` (S, 4) of indices.
 
-    The block's squared triangle sides and bearing cosines are computed
-    once, as Python floats; each non-degenerate sample passes its six to
-    ``kernels.p3p_distance_sets`` (Grunert, scalar, one call per sample).
-    Each distance set places the triangle in the camera frame, and the
-    triad frames of model and camera triangle give the rigid candidate.
-    Frames, the nearest-rotation projection, cheirality on all four points
-    and the fourth point's reprojection error run over the whole block.
-    Candidates with a point at non-positive depth are dropped; the rest
+    The frames of the S model triangles are computed once, and a sample
+    whose triangle fails their mask is degenerate. The block's squared
+    sides and bearing cosines are computed once, as Python floats; each
+    non-degenerate sample passes its six to ``kernels.p3p_distance_sets``
+    (Grunert, scalar, one call per sample). Each distance set places the
+    triangle in the camera frame, and the frames of model and camera
+    triangle give the rigid candidate. Camera frames, the nearest-rotation
+    projection, cheirality on all four points and the fourth point's
+    reprojection error run over the whole block. Candidates with a bad
+    camera frame or a point at non-positive depth are dropped; the rest
     are grouped by sample and ordered by the fourth point's error (stable).
     """
     tri = model[samples[:, :3]]
-    e1 = tri[:, 1] - tri[:, 0]
-    e2 = tri[:, 2] - tri[:, 0]
-    edge = np.maximum(_norms(e1), _norms(e2))
-    degenerate = _norms(np.cross(e1, e2)) <= 1e-10 * edge * edge
+    src, ok = _triad_frames(tri)
+    degenerate = ~ok
 
     # squared sides opposite each point and the bearing cosines between
     # the other two, as Python floats for the scalar kernel
@@ -200,43 +193,24 @@ def _p3p_block(image, model, rays, samples, k):
     bear = rays[samples[:, :3]]
     cosines = np.vecdot(bear[:, [1, 0, 0]], bear[:, [2, 2, 1]]).tolist()
     owner, dists = [], []
-    for s in np.flatnonzero(~degenerate).tolist():
+    for s in np.flatnonzero(ok).tolist():
         sets = kernels.p3p_distance_sets(*sides[s], *cosines[s])
         owner.extend([s] * len(sets))
         dists.extend(sets)
     owner = np.array(owner, dtype=np.intp)
     dists = np.array(dists).reshape(-1, 3)
 
-    src, src_ok = _triad_frames(tri[owner])
     cam = dists[:, :, None] * bear[owner]
-    dst, dst_ok = _triad_frames(cam)
-    raw = dst @ src.transpose(0, 2, 1)
+    dst, framed = _triad_frames(cam)
+    raw = dst @ src[owner].transpose(0, 2, 1)
+    framed &= np.isfinite(raw).all(axis=(1, 2))
+    owner, cam, raw = owner[framed], cam[framed], raw[framed]
     t = cam.mean(axis=1) - (raw @ tri[owner].mean(axis=1)[:, :, None])[:, :, 0]
-    framed = src_ok & dst_ok
-    finite = np.isfinite(raw).all(axis=(1, 2))
-    rot = np.repeat(np.eye(3)[None], len(owner), axis=0)
-    solvable = framed & finite
-    rot[solvable] = nearest_rotations(raw[solvable])
+    rot = nearest_rotations(raw)
 
     quad = model[samples[owner]]
     depths = (quad @ rot[:, 2, :, None])[:, :, 0] + t[:, 2, None]
-    kept = solvable & ~np.any(depths <= 0, axis=1)
-
-    # RigidPose's checks, for every candidate it would be built from
-    orth = np.abs(rot.transpose(0, 2, 1) @ rot - np.eye(3)).max(axis=(1, 2))
-    det = np.linalg.det(rot)
-    proper = (
-        np.isfinite(rot).all(axis=(1, 2))
-        & np.isfinite(t).all(axis=1)
-        & (orth <= ROTATION_TOL)
-        & (np.abs(det - 1.0) <= ROTATION_TOL)
-    )
-    # nearest_rotation rejects a non-finite matrix before cheirality is
-    # checked; RigidPose checks only the candidates that pass cheirality
-    invalid = {}
-    for j in np.flatnonzero((framed & ~finite) | (kept & ~proper)):
-        invalid.setdefault(int(owner[j]), (raw[j], t[j]))
-
+    kept = ~np.any(depths <= 0, axis=1)
     rot, t, owner, quad = rot[kept], t[kept], owner[kept], quad[kept]
     fourth = quad[:, 3:4] @ rot.transpose(0, 2, 1) + t[:, None]
     err4 = kernels.pixel_errors(fourth[:, 0], image[samples[owner, 3]], k.fx, k.fy, k.cx, k.cy)
@@ -246,7 +220,7 @@ def _p3p_block(image, model, rays, samples, k):
         groups[s].append(j)
     for group in groups:
         group.sort(key=err4.__getitem__)
-    return _Block(degenerate, invalid, rot, t, groups)
+    return _Block(degenerate, rot, t, groups)
 
 
 def solve_pnp_minimal(image_points, model_points, intrinsics):
@@ -275,7 +249,6 @@ def solve_pnp_minimal(image_points, model_points, intrinsics):
     block = _p3p_block(image, model, rays, np.arange(MINIMAL_SAMPLE_SIZE)[None], intrinsics)
     if block.degenerate[0]:
         raise DegenerateSample("first three model points are (near-)collinear")
-    block.check(0)
     if not block.groups[0]:
         raise NoRealSolution("no P3P candidate passed cheirality")
     return [RigidPose(block.rotations[j], block.translations[j]) for j in block.groups[0]]
@@ -464,7 +437,6 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
             if block.degenerate[s]:
                 degenerate += 1
                 continue
-            block.check(s)
             if not block.groups[s]:
                 no_solution += 1
                 continue
