@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CAMERA, make_projected_scene
@@ -381,15 +381,19 @@ class TestRansacProperties:
         assert scaled.iterations_used == base.iterations_used
 
 
-def block_problem(seed, n, outlier_fraction, collinear_fraction, noise):
+def block_problem(seed, n, outlier_fraction, collinear_fraction, noise, perturbation=0.0):
     """Seeded pixels and model points: a run of collinear model points makes
-    some samples degenerate, outliers land anywhere in the image."""
+    some samples degenerate, outliers land anywhere in the image. A nonzero
+    ``perturbation`` (meters) moves the run's points off the line by that
+    much, so some samples are near-collinear."""
     rng = np.random.default_rng(seed)
     points = rng.uniform(-0.1, 0.1, size=(n, 3))
     collinear = int(collinear_fraction * n)
     if collinear:
         steps = np.linspace(-1.0, 1.0, collinear)[:, None]
         points[:collinear] = points[0] + steps * (points[1] - points[0])
+        if perturbation:
+            points[:collinear] += perturbation * rng.normal(size=(collinear, 3))
     pose = RigidPose(random_rotation(rng), [0.0, 0.0, rng.uniform(0.4, 1.2)])
     pixels = project(pose.transform(points), CAMERA) + rng.normal(0.0, noise, size=(n, 2))
     bad = rng.choice(n, size=int(outlier_fraction * n), replace=False)
@@ -439,6 +443,44 @@ class TestSampleBlockInvariance:
             with mock.patch.object(pnp, "SAMPLE_BLOCK", block):
                 outcomes.append(ransac_outcome(pixels, points, config))
         assert outcomes[1:] == outcomes[:1] * 3
+
+
+def rejection_outcome(pixels, points, config):
+    """What a solve reports of its sampling loop, or the error raised."""
+    try:
+        r = ransac_pnp(pixels, points, CAMERA, config)
+    except ScalePoseError as exc:
+        return type(exc).__name__, str(exc)
+    return r.iterations_used, r.stop_reason, r.rejected_degenerate, r.rejected_no_solution
+
+
+class TestRejectionScaleInvariance:
+    # Scaling the model by a power of two scales every length exactly and
+    # leaves every pixel where it was, so the sampling loop must reject the
+    # same samples at any model size.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        problem=st.builds(
+            block_problem,
+            seed=st.integers(0, 2**32 - 1),
+            n=st.integers(8, 60),
+            outlier_fraction=st.floats(0.0, 0.5),
+            collinear_fraction=st.sampled_from([0.5, 0.8]),
+            noise=st.sampled_from([0.0, 0.5]),
+            perturbation=st.sampled_from([0.0, 1e-12, 1e-11, 1e-10, 1e-9, 1e-6]),
+        ),
+        max_iterations=st.integers(1, 200),
+        k=st.integers(-8, 20),
+        rng_seed=st.integers(0, 2**32 - 1),
+    )
+    # a near-collinear sample rejected only at the larger size by a
+    # collinearity test with an absolute term
+    @example(problem=block_problem(1, 30, 0.0, 0.8, 0.0, 1e-10), max_iterations=200, k=17, rng_seed=1)
+    def test_rejection_counts_ignore_model_scale(self, problem, max_iterations, k, rng_seed):
+        pixels, points = problem
+        config = RansacConfig(2.0, max_iterations, 0.999, rng_seed)
+        scaled = rejection_outcome(pixels, points * 2.0**k, config)
+        assert scaled == rejection_outcome(pixels, points, config)
 
 
 class TestScaleModelPoints:
