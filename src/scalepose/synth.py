@@ -79,7 +79,8 @@ class PoseRanges:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Corruption levels; all zero means clean observations."""
+    """Corruption levels; all zero means clean observations. Every level
+    is finite; a relative scale error must leave the scale positive."""
 
     pixel_noise_sigma: float = 0.0
     outlier_fraction: float = 0.0
@@ -87,10 +88,15 @@ class NoiseSpec:
     depth_rel_noise: float = 0.0
 
     def __post_init__(self):
-        if self.pixel_noise_sigma < 0 or self.depth_rel_noise < 0:
-            raise ValueError("noise sigmas must be >= 0")
-        if not 0 <= self.outlier_fraction < 1:
-            raise ValueError(f"outlier_fraction must be in [0, 1), got {self.outlier_fraction}")
+        for name, valid, rule in (
+            ("pixel_noise_sigma", lambda v: v >= 0, ">= 0"),
+            ("outlier_fraction", lambda v: 0 <= v < 1, "in [0, 1)"),
+            ("scale_rel_error", lambda v: v > -1, "> -1"),
+            ("depth_rel_noise", lambda v: v >= 0, ">= 0"),
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and valid(value)):
+                raise ValueError(f"{name} must be finite and {rule}, got {value}")
 
 
 @dataclass(frozen=True)

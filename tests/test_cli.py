@@ -361,6 +361,7 @@ GROUND_TRUTH = {
     "scale": 0.2,
     "canonical_extents": [0.5, 0.5, 0.5],
 }
+SIMULATE = ["simulate", "--categories", "mug", "--trials", "1", "--points", "32"]
 EVALUATE = ["evaluate", "--predictions", "p.jsonl", "--ground-truth", "g.jsonl", "--output-dir", "out"]
 
 
@@ -407,6 +408,23 @@ EVALUATE = ["evaluate", "--predictions", "p.jsonl", "--ground-truth", "g.jsonl",
         pytest.param(
             {}, ["simulate", "--categories", "mug", "--trials", "1", "--seed", "-1"],
             "error: master_seed must be a non-negative integer", id="simulate-seed-negative",
+        ),
+        *[
+            pytest.param(
+                {}, SIMULATE + [flag, value], f"error: {field} must be finite",
+                id=f"{flag[2:]}-{value}",
+            )
+            for flag, field, value in [
+                ("--pixel-noise", "pixel_noise_sigma", "nan"),
+                ("--depth-noise", "depth_rel_noise", "nan"),
+                ("--depth-noise", "depth_rel_noise", "inf"),
+                ("--scale-error", "scale_rel_error", "-1"),
+                ("--scale-error", "scale_rel_error", "nan"),
+            ]
+        ],
+        pytest.param(
+            {"s.json": {"pixel_noise": [float("nan")]}}, SIMULATE + ["--config", "s.json"],
+            "error: pixel_noise_sigma must be finite", id="config-noise-nan",
         ),
         pytest.param(
             {"p.jsonl": {**GROUND_TRUTH, "confidence": float("nan")}, "g.jsonl": GROUND_TRUTH},

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -320,3 +321,14 @@ class TestDefaults:
             NoiseSpec(pixel_noise_sigma=-1.0)
         with pytest.raises(ValueError):
             NoiseSpec(outlier_fraction=1.0)
+        bad = {
+            "pixel_noise_sigma": (math.nan, math.inf),
+            "outlier_fraction": (math.nan,),
+            "scale_rel_error": (-1.0, -2.0, math.nan, math.inf, -math.inf),
+            "depth_rel_noise": (math.nan, math.inf),
+        }
+        for name, values in bad.items():
+            for value in values:
+                with pytest.raises(ValueError, match=name):
+                    NoiseSpec(**{name: value})
+        NoiseSpec(scale_rel_error=-0.5)
