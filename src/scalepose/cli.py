@@ -209,19 +209,20 @@ def cmd_evaluate(args):
     else:
         rotation_note = "rotation error: raw geodesic for all categories\n"
 
-    out = args.output_dir
-    os.makedirs(out, exist_ok=True)
-    fileio.atomic_write_text(os.path.join(out, "metrics.csv"), table.to_csv())
-    fileio.atomic_write_text(os.path.join(out, "metrics.txt"), table.to_text() + rotation_note)
-
     grids = {
         "iou": args.iou_grid or _DEFAULT_IOU_GRID,
         "rotation_deg": args.rotation_grid or _DEFAULT_ROT_GRID,
         "translation_cm": args.translation_grid or _DEFAULT_TRANS_GRID,
     }
+    # every report is built before the first is written: all or none
+    reports = {"metrics.csv": table.to_csv(), "metrics.txt": table.to_text() + rotation_note}
     for metric, grid in grids.items():
-        curve = ap_curves(metrics, metric, grid)
-        fileio.atomic_write_text(os.path.join(out, f"curve_{metric}.csv"), curve_csv(curve))
+        reports[f"curve_{metric}.csv"] = curve_csv(ap_curves(metrics, metric, grid))
+
+    out = args.output_dir
+    os.makedirs(out, exist_ok=True)
+    for name, text in reports.items():
+        fileio.atomic_write_text(os.path.join(out, name), text)
 
     print(table.to_text(), end="")
     print(f"reports written to {out}")

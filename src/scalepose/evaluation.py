@@ -266,14 +266,15 @@ def ap_curves(metrics: RecordMetrics, metric, thresholds) -> ApCurve:
     """AP per threshold on one metric axis.
 
     ``metric`` is one of 'iou', 'rotation_deg', 'translation_cm'; the
-    threshold grid must be strictly increasing. IoU uses a >= test, the
-    error metrics use <=.
+    threshold grid must be finite and strictly increasing. IoU uses a >=
+    test, the error metrics use <=.
     """
     if metric not in _CURVE_TESTS:
         raise ValueError(f"unknown metric {metric!r}; choose from {sorted(_CURVE_TESTS)}")
     thresholds = [float(t) for t in thresholds]
-    if any(b <= a for a, b in zip(thresholds, thresholds[1:])) or not thresholds:
-        raise ValueError("threshold grid must be non-empty and strictly increasing")
+    if (not thresholds or not np.all(np.isfinite(thresholds))
+            or any(b <= a for a, b in zip(thresholds, thresholds[1:]))):
+        raise ValueError(f"{metric} threshold grid must be non-empty, finite and strictly increasing")
     column, test = _CURVE_TESTS[metric]
     hits = test(getattr(metrics, column)[None, :], np.array(thresholds)[:, None])
     per_cat = np.column_stack(

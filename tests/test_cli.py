@@ -225,6 +225,18 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "teapot" in err and "omitted" in err
 
+    @pytest.mark.parametrize(
+        "flag, grid", [("--rotation-grid", "5,1"), ("--iou-grid", "nan"), ("--translation-grid", "1,inf")]
+    )
+    def test_bad_grid_writes_no_report(self, tmp_path, records, capsys, flag, grid):
+        pred, gt = records
+        out = tmp_path / "report"
+        out.mkdir()
+        args = ["evaluate", "--predictions", str(pred), "--ground-truth", str(gt), "--output-dir", str(out)]
+        assert main(args + [flag, grid]) == 1
+        assert "threshold grid must be" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_idempotent_reports(self, tmp_path, records):
         pred, gt = records
         out = tmp_path / "rep"

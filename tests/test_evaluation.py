@@ -399,3 +399,6 @@ class TestApCurves:
             ap_curves(metrics, "iou", [0.5, 0.5])
         with pytest.raises(ValueError):
             ap_curves(metrics, "volume", [0.5])
+        for grid in ([float("nan")], [0.25, float("nan")], [0.5, float("inf")], [-float("inf"), 0.5], []):
+            with pytest.raises(ValueError, match="finite"):
+                ap_curves(metrics, "iou", grid)
