@@ -58,10 +58,6 @@ def build_parser():
     p_solve.add_argument("--stats", help="category stats JSON (for anchor-based scaling)")
     p_solve.add_argument("--category", help="category to look up in --stats")
     p_solve.add_argument("--delta", type=float, default=None, help="relative scale offset")
-    p_solve.add_argument(
-        "--predictor", choices=["mean"], default=None,
-        help="predictor choice; 'mean' fixes the offset to 0",
-    )
     p_solve.add_argument("--scale", type=float, default=None, help="explicit metric scale override")
     p_solve.add_argument("--model", help="canonical model JSON (used with --matrix)")
     p_solve.add_argument("--matrix", help="correspondence matrix JSON mapping pixels to model points")
@@ -115,8 +111,8 @@ def _resolve_scale(args):
             raise InputError(f"--scale must be positive, got {args.scale}")
         return float(args.scale), None
     if args.stats is None:
-        if args.delta is not None or args.predictor is not None:
-            raise InputError("--delta/--predictor need --stats and --category")
+        if args.delta is not None:
+            raise InputError("--delta needs --stats and --category")
         return 1.0, None
     if args.category is None:
         raise InputError("--stats needs --category to select the anchor")
@@ -124,8 +120,6 @@ def _resolve_scale(args):
     if args.category not in stats_map:
         raise InputError(f"category {args.category!r} not present in {args.stats}")
     stats = stats_map[args.category]
-    if args.predictor == "mean" and args.delta not in (None, 0.0):
-        raise InputError("--predictor mean conflicts with a nonzero --delta")
     delta = 0.0 if args.delta is None else float(args.delta)
     prediction = recover_scale(stats, delta)
     return prediction.scale, delta
