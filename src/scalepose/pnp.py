@@ -81,9 +81,12 @@ class PnPResult:
 
     ``stop_reason`` says why the sampling loop ended: ``"confidence"``
     once the adaptive bound was met, ``"max_iterations"`` at the cap.
-    ``rejected_degenerate`` counts samples with a (near-)collinear model
-    triple, ``rejected_no_solution`` samples whose P3P candidates all
-    failed; neither exceeds ``iterations_used``.
+    ``rejected_degenerate`` counts samples whose model triangle is
+    (near-)collinear by one scale-invariant rule (twice its area at most
+    ``1e-10`` times its longer edge at the first vertex squared), so the
+    count does not change with the model's size; ``rejected_no_solution``
+    counts samples whose P3P candidates all failed. Neither exceeds
+    ``iterations_used``.
     """
 
     pose: RigidPose
