@@ -51,18 +51,12 @@ from .pnp import (
 )
 from .scale import (
     CategoryStats,
-    MeanScalePredictor,
-    NoisyOraclePredictor,
-    ScaleObservation,
-    ScalePrediction,
-    ScalePredictor,
     compute_stats,
     gt_offset,
     recover_scale,
 )
 from .synth import (
     NoiseSpec,
-    PoseRanges,
     SyntheticScene,
     corrupt,
     make_canonical_model,
@@ -82,19 +76,13 @@ __all__ = [
     "DeformationField",
     "DetectionRecord",
     "GroundTruthBox",
-    "MeanScalePredictor",
     "MetricTable",
     "NocsModel",
     "NoiseSpec",
-    "NoisyOraclePredictor",
     "OrientedBox3",
     "PnPResult",
-    "PoseRanges",
     "RansacConfig",
     "RigidPose",
-    "ScaleObservation",
-    "ScalePrediction",
-    "ScalePredictor",
     "ShapePrior",
     "SimilarityTransform",
     "SyntheticScene",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 
@@ -20,7 +21,7 @@ from .evaluation import ap_curves, curve_csv, match_detections, metric_table
 from .nocs import assign
 from .pnp import RansacConfig, ransac_pnp, scale_model_points
 from .scale import compute_stats, recover_scale
-from .synth import CATEGORIES, NoiseSpec, run_grid
+from .synth import CATEGORIES, PREDICTOR_KINDS, NoiseSpec, run_grid
 
 OUTPUT_DIR_ENV = "SCALEPOSE_OUT_DIR"
 
@@ -88,7 +89,7 @@ def build_parser():
     p_sim.add_argument("--seed", type=int, default=0, help="master seed")
     p_sim.add_argument("--points", type=int, default=192, help="model point budget")
     p_sim.add_argument(
-        "--predictor", choices=["oracle", "mean"], default="oracle",
+        "--predictor", choices=PREDICTOR_KINDS, default="oracle",
         help="decoupled-arm scale source: oracle offset (with --scale-error) or bare category mean",
     )
     p_sim.add_argument("--output", default=None, help=f"trials CSV (default under ${OUTPUT_DIR_ENV})")
@@ -107,8 +108,8 @@ def build_parser():
 
 def _resolve_scale(args):
     if args.scale is not None:
-        if not args.scale > 0:
-            raise InputError(f"--scale must be positive, got {args.scale}")
+        if not 0 < args.scale < math.inf:
+            raise InputError(f"--scale must be positive and finite, got {args.scale}")
         return float(args.scale), None
     if args.stats is None:
         if args.delta is not None:
@@ -121,8 +122,7 @@ def _resolve_scale(args):
         raise InputError(f"category {args.category!r} not present in {args.stats}")
     stats = stats_map[args.category]
     delta = 0.0 if args.delta is None else float(args.delta)
-    prediction = recover_scale(stats, delta)
-    return prediction.scale, delta
+    return recover_scale(stats, delta), delta
 
 
 def cmd_solve(args):
@@ -236,7 +236,8 @@ _SIM_CONFIG_TYPES = {
        for key in ("pixel_noise", "outlier_fraction", "scale_error", "depth_noise")},
     **{key: ("an integer", lambda v: type(v) is int) for key in ("trials", "seed", "points")},
     **{key: ("a string or null", lambda v: v is None or isinstance(v, str))
-       for key in ("output", "summary", "predictor")},
+       for key in ("output", "summary")},
+    "predictor": (f"one of {list(PREDICTOR_KINDS)}", lambda v: v in PREDICTOR_KINDS),
 }
 
 

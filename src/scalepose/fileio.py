@@ -15,7 +15,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NonPositiveScale
 from .evaluation import DetectionRecord, GroundTruthBox
 from .geometry import CameraIntrinsics, RigidPose
 from .nocs import CorrespondenceMatrix, NocsModel
@@ -209,15 +209,16 @@ def load_stats(path):
     data = load_json(path, expect=list)
     out = {}
     for i, rec in enumerate(data):
+        where = f"{path}: entry {i}"
         try:
             stats = CategoryStats(
-                category=str(_require(rec, "category", path)),
-                mean_scale=float(_require(rec, "mean_scale", path)),
-                std_dev=float(_require(rec, "std_dev", path)),
-                count=int(_require(rec, "count", path)),
+                category=str(_require(rec, "category", where)),
+                mean_scale=float(_require(rec, "mean_scale", where)),
+                std_dev=float(_require(rec, "std_dev", where)),
+                count=int(_require(rec, "count", where)),
             )
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: entry {i}: {exc}")
+        except (TypeError, ValueError, OverflowError, NonPositiveScale) as exc:
+            raise InputError(f"{where}: {exc}")
         out[stats.category] = stats
     return out
 

@@ -109,8 +109,8 @@ class PnPResult:
 
 def scale_model_points(scale, points):
     """Scale canonical-space model points to metric size (``s * P``)."""
-    if not scale > 0:
-        raise NonPositiveScale(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise NonPositiveScale(f"scale must be positive and finite, got {scale}")
     return np.asarray(points, dtype=np.float64) * float(scale)
 
 

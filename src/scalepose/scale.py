@@ -2,20 +2,20 @@
 
 The metric scale of an object is the tight bounding-box diagonal in meters.
 Instead of regressing it directly, the estimate is anchored to the category
-mean: a predictor produces a relative offset and the recovered scale is
+mean s_r, and a relative offset delta recovers the scale
 
     s_hat = s_r + s_r * delta
 
 which keeps the regression target in a stable range across categories. The
-predictor is an interface; the learned regressor it stands in for is out of
-scope here, but the mean-scale baseline (delta = 0) and oracle variants for
-simulation are provided.
+learned regressor that would predict delta is out of scope: callers pass
+the offset itself, 0 for the mean-scale baseline or :func:`gt_offset` of a
+known scale for an oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -32,42 +32,12 @@ class CategoryStats:
     count: int
 
     def __post_init__(self):
-        if not self.mean_scale > 0:
-            raise NonPositiveScale(f"mean scale must be positive, got {self.mean_scale}")
-        if self.std_dev < 0:
-            raise ValueError(f"std_dev must be >= 0, got {self.std_dev}")
+        if not 0 < self.mean_scale < math.inf:
+            raise NonPositiveScale(f"mean scale must be positive and finite, got {self.mean_scale}")
+        if not 0 <= self.std_dev < math.inf:
+            raise ValueError(f"std_dev must be finite and >= 0, got {self.std_dev}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-
-
-@dataclass(frozen=True)
-class ScalePrediction:
-    """Relative offset plus the metric scale it recovers to."""
-
-    delta: float
-    scale: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise NonPositiveResult(f"recovered scale must be positive, got {self.scale}")
-
-
-@dataclass(frozen=True)
-class ScaleObservation:
-    """Record handed to predictors: the category, and the ground-truth
-    scale that the oracle variants read."""
-
-    category: str
-    gt_scale: float | None = None
-
-
-@runtime_checkable
-class ScalePredictor(Protocol):
-    """Produces a relative scale offset from an observation and category
-    statistics; must be deterministic for fixed inputs and seed."""
-
-    def predict_offset(self, observation: ScaleObservation, stats: CategoryStats) -> float:
-        ...
 
 
 def compute_stats(category, scales):
@@ -89,18 +59,26 @@ def compute_stats(category, scales):
     return CategoryStats(category, mean, sigma, int(arr.size))
 
 
-def recover_scale(stats: CategoryStats, delta) -> ScalePrediction:
+def recover_scale(stats: CategoryStats, delta) -> float:
     """Anchor-plus-offset scale recovery: s_hat = s_r + s_r * delta.
 
     Raises
     ------
+    ValueError
+        If delta is not finite.
     NonPositiveResult
-        If delta <= -1 (the recovered scale would not be positive).
+        If delta <= -1, or the arithmetic leaves no positive finite scale
+        (a subnormal anchor can round s_hat to 0).
     """
     delta = float(delta)
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if delta <= -1.0:
         raise NonPositiveResult(f"delta {delta} recovers a non-positive scale")
-    return ScalePrediction(delta, stats.mean_scale + stats.mean_scale * delta)
+    scale = stats.mean_scale + stats.mean_scale * delta
+    if not 0 < scale < math.inf:
+        raise NonPositiveResult(f"recovered scale must be positive and finite, got {scale}")
+    return scale
 
 
 def gt_offset(gt_scale, stats: CategoryStats) -> float:
@@ -109,47 +87,3 @@ def gt_offset(gt_scale, stats: CategoryStats) -> float:
     if not gt_scale > 0:
         raise NonPositiveScale(f"ground-truth scale must be positive, got {gt_scale}")
     return (gt_scale - stats.mean_scale) / stats.mean_scale
-
-
-@dataclass(frozen=True)
-class MeanScalePredictor:
-    """Baseline that trusts the category mean: delta is always 0."""
-
-    def predict_offset(self, observation, stats):
-        return 0.0
-
-
-@dataclass(frozen=True)
-class OraclePredictor:
-    """Exact offsets from the observation's ground-truth scale, optionally
-    biased by a systematic relative error: s_hat = s_gt * (1 + rel_error)."""
-
-    rel_error: float = 0.0
-
-    def predict_offset(self, observation, stats):
-        if observation.gt_scale is None:
-            raise ValueError("OraclePredictor needs observations with gt_scale")
-        target = observation.gt_scale * (1.0 + self.rel_error)
-        return (target - stats.mean_scale) / stats.mean_scale
-
-
-class NoisyOraclePredictor:
-    """Ground-truth offsets corrupted by Gaussian noise, Normal(0, sigma).
-
-    Draws follow a fixed per-seed stream: a fresh instance with the same
-    seed replays the same noise sequence call for call.
-    """
-
-    def __init__(self, rng_seed, sigma):
-        if sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {sigma}")
-        self.rng_seed = int(rng_seed)
-        self.sigma = float(sigma)
-        self._rng = np.random.default_rng(self.rng_seed)
-
-    def predict_offset(self, observation, stats):
-        if observation.gt_scale is None:
-            raise ValueError("NoisyOraclePredictor needs observations with gt_scale")
-        noise = self._rng.normal(0.0, self.sigma) if self.sigma > 0 else 0.0
-        return gt_offset(observation.gt_scale, stats) + noise
-

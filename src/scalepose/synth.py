@@ -7,7 +7,7 @@ model points, and per-point ground-truth depths. Controlled corruption
 (pixel noise, uniform outliers, systematic scale error, relative depth
 noise) feeds two estimation arms:
 
-* decoupled -- scale from a category anchor plus predicted offset, pose
+* decoupled -- scale from the category anchor plus a relative offset, pose
   from RANSAC-PnP on the scaled model (depth never enters);
 * coupled   -- back-project pixels with (noisy) pseudo-depths and fit a
   similarity transform, so depth error reaches rotation and scale jointly.
@@ -37,13 +37,7 @@ from .geometry import (
 )
 from .nocs import NocsModel, normalize_model
 from .pnp import ransac_pnp, scale_model_points
-from .scale import (
-    CategoryStats,
-    MeanScalePredictor,
-    OraclePredictor,
-    ScaleObservation,
-    recover_scale,
-)
+from .scale import CategoryStats, gt_offset, recover_scale
 
 CATEGORIES = ("bottle", "bowl", "camera", "can", "laptop", "mug")
 
@@ -53,7 +47,8 @@ IMAGE_HEIGHT = 480
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=577.5, fy=577.5, cx=319.5, cy=239.5)
 
 # Simulator-only scale statistics (meters, bbox diagonal); desk-scale
-# plausible values, exposed so callers can substitute measured ones.
+# plausible values. Scenes draw their true scale from these, and the
+# decoupled arm takes its anchor from them.
 DEFAULT_CATEGORY_STATS = {
     "bottle": CategoryStats("bottle", 0.26, 0.045, 100),
     "bowl": CategoryStats("bowl", 0.19, 0.025, 100),
@@ -64,17 +59,12 @@ DEFAULT_CATEGORY_STATS = {
 }
 
 
-@dataclass(frozen=True)
-class PoseRanges:
-    """Placement envelope for scene sampling (camera at origin, +z ahead)."""
-
-    z_min: float = 0.6
-    z_max: float = 2.0
-    margin_px: float = 24.0
-
-    def __post_init__(self):
-        if not 0 < self.z_min < self.z_max:
-            raise ValueError(f"need 0 < z_min < z_max, got {self.z_min}, {self.z_max}")
+# Placement envelope for scene sampling (camera at origin, +z ahead): the
+# object's depth range in meters and the image margin, in pixels, that every
+# projected point keeps.
+Z_MIN = 0.6
+Z_MAX = 2.0
+MARGIN_PX = 24.0
 
 
 @dataclass(frozen=True)
@@ -315,7 +305,6 @@ def _draw_scale(rng, stats: CategoryStats):
 def sample_scene(
     category,
     rng_seed,
-    pose_ranges: PoseRanges | None = None,
     scale_stats: CategoryStats | None = None,
     point_count=256,
 ) -> SyntheticScene:
@@ -327,22 +316,21 @@ def sample_scene(
     100 attempts :class:`PlacementFailed` is raised. The camera is
     :data:`DEFAULT_INTRINSICS`.
     """
-    ranges = pose_ranges or PoseRanges()
     stats = scale_stats or DEFAULT_CATEGORY_STATS[category]
     model, extents = make_canonical_model(category, point_count)
     rng = np.random.default_rng(rng_seed)
-    lo = np.array([ranges.margin_px, ranges.margin_px])
-    hi = np.array([IMAGE_WIDTH - ranges.margin_px, IMAGE_HEIGHT - ranges.margin_px])
+    lo = np.array([MARGIN_PX, MARGIN_PX])
+    hi = np.array([IMAGE_WIDTH - MARGIN_PX, IMAGE_HEIGHT - MARGIN_PX])
 
     for _ in range(100):
         rotation = random_rotation(rng)
         s_gt = _draw_scale(rng, stats)
         # keep the object at a few object-diagonals of standoff so its full
         # extent fits the frame
-        z_lo = max(ranges.z_min, 4.0 * s_gt)
-        if z_lo >= ranges.z_max:
+        z_lo = max(Z_MIN, 4.0 * s_gt)
+        if z_lo >= Z_MAX:
             continue
-        z = rng.uniform(z_lo, ranges.z_max)
+        z = rng.uniform(z_lo, Z_MAX)
         target = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
         translation = backproject(target, z, DEFAULT_INTRINSICS)
         pose = RigidPose(rotation, translation)
@@ -423,19 +411,17 @@ def _result(scene, pipeline, noise, trial, est_pose, est_scale):
 def run_decoupled(
     scene: SyntheticScene,
     corrupted: CorruptedObservations,
-    predictor,
-    stats: CategoryStats | None = None,
+    delta: float,
     noise: NoiseSpec = NoiseSpec(),
     trial: int = 0,
 ) -> ExperimentResult:
-    """Scale from the predictor, pose from RANSAC-PnP on the scaled model."""
-    stats = stats or DEFAULT_CATEGORY_STATS[scene.category]
-    observation = ScaleObservation(scene.category, gt_scale=scene.scale)
-    delta = predictor.predict_offset(observation, stats)
-    prediction = recover_scale(stats, delta)
-    metric_points = scale_model_points(prediction.scale, scene.model.points)
+    """Scale from the category anchor in :data:`DEFAULT_CATEGORY_STATS` plus
+    the relative offset ``delta``, pose from RANSAC-PnP on the model scaled
+    to it."""
+    scale = recover_scale(DEFAULT_CATEGORY_STATS[scene.category], delta)
+    metric_points = scale_model_points(scale, scene.model.points)
     solved = ransac_pnp(corrupted.pixels, metric_points, scene.intrinsics)
-    return _result(scene, "decoupled", noise, trial, solved.pose, prediction.scale)
+    return _result(scene, "decoupled", noise, trial, solved.pose, scale)
 
 
 def run_coupled(
@@ -457,6 +443,9 @@ def run_coupled(
 
 
 # -- factorial grid ----------------------------------------------------------------
+
+# The rules ``run_grid`` knows for the decoupled arm's offset.
+PREDICTOR_KINDS = ("oracle", "mean")
 
 _TRIAL_CSV_HEADER = (
     "category,pipeline,pixel_noise_sigma,outlier_fraction,scale_rel_error,"
@@ -562,58 +551,45 @@ def run_grid(
     noise_specs,
     trials,
     master_seed=0,
-    stats_by_category=None,
     point_count=192,
     predictor_kind="oracle",
 ) -> GridResult:
     """Full factorial (category x noise point x trial) over both pipelines.
 
     Per trial, one scene and one corruption are shared by the two arms so
-    comparisons are paired. The decoupled arm's scale predictor is either
-    the oracle with the noise spec's systematic ``scale_rel_error``
-    (``predictor_kind="oracle"``) or the mean-scale baseline that ignores
-    the instance entirely (``"mean"``, the anchor-only ablation arm). Seeds
-    derive from (master_seed, cell, trial), making the whole grid a pure
-    function of its arguments.
+    comparisons are paired. The decoupled arm's offset from the category
+    anchor is the oracle's, ``gt_offset`` of the trial's true scale times
+    ``1 + scale_rel_error`` (``predictor_kind="oracle"``), or 0, the bare
+    category mean that ignores the instance (``"mean"``, the anchor-only
+    ablation arm). Seeds derive from (master_seed, cell, trial), making the
+    whole grid a pure function of its arguments.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
-    if predictor_kind not in ("oracle", "mean"):
+    if predictor_kind not in PREDICTOR_KINDS:
         raise ValueError(f"predictor_kind must be 'oracle' or 'mean', got {predictor_kind!r}")
     categories = list(categories)
     noise_specs = list(noise_specs)
-    stats_map = dict(DEFAULT_CATEGORY_STATS)
-    if stats_by_category:
-        stats_map.update(stats_by_category)
 
     results = []
     for cell, (category, noise) in enumerate(
         (c, s) for c in categories for s in noise_specs
     ):
-        stats = stats_map[category]
-        if predictor_kind == "mean":
-            predictor = MeanScalePredictor()
-        else:
-            predictor = OraclePredictor(rel_error=noise.scale_rel_error)
         for trial in range(trials):
             scene = sample_scene(
                 category,
                 rng_seed=(master_seed, cell, trial, 0),
-                scale_stats=stats,
                 point_count=point_count,
             )
             observations = corrupt(scene, noise, seed=(master_seed, cell, trial, 1))
-            results.append(
-                run_decoupled(
-                    scene,
-                    observations,
-                    predictor,
-                    stats=stats,
-                    noise=noise,
-                    trial=trial,
+            if predictor_kind == "mean":
+                delta = 0.0
+            else:
+                delta = gt_offset(
+                    scene.scale * (1.0 + noise.scale_rel_error), DEFAULT_CATEGORY_STATS[category]
                 )
-            )
+            results.append(run_decoupled(scene, observations, delta, noise=noise, trial=trial))
             results.append(run_coupled(scene, observations, noise=noise, trial=trial))
     return GridResult(tuple(results))

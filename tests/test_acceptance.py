@@ -25,8 +25,15 @@ from scalepose.pnp import (
     refine_pnp,
     solve_pnp_lsq,
 )
-from scalepose.scale import CategoryStats, OraclePredictor, compute_stats, gt_offset, recover_scale
-from scalepose.synth import NoiseSpec, corrupt, run_coupled, run_decoupled, sample_scene
+from scalepose.scale import CategoryStats, compute_stats, gt_offset, recover_scale
+from scalepose.synth import (
+    DEFAULT_CATEGORY_STATS,
+    NoiseSpec,
+    corrupt,
+    run_coupled,
+    run_decoupled,
+    sample_scene,
+)
 
 DEG = 180.0 / math.pi
 
@@ -149,7 +156,8 @@ def test_c04_decoupling_invariance():
             t_norm = np.linalg.norm(scene.pose.translation)
             rots = []
             for rel in (0.0,) + offsets:
-                result = run_decoupled(scene, observations, OraclePredictor(rel_error=rel))
+                delta = gt_offset(scene.scale * (1 + rel), DEFAULT_CATEGORY_STATS[category])
+                result = run_decoupled(scene, observations, delta)
                 rots.append(result.rotation_error_deg)
                 ratio = np.linalg.norm(result.pose.translation) / t_norm
                 expected = result.estimated_scale / scene.scale
@@ -175,9 +183,8 @@ def test_c05_coupled_degradation():
             scene = sample_scene("camera", rng_seed=50_000 + trial)
             observations = corrupt(scene, NoiseSpec(depth_rel_noise=level), seed=60_000 + trial)
             coupled.append(run_coupled(scene, observations).rotation_error_deg)
-            decoupled.append(
-                run_decoupled(scene, observations, OraclePredictor()).rotation_error_deg
-            )
+            delta = gt_offset(scene.scale, DEFAULT_CATEGORY_STATS["camera"])
+            decoupled.append(run_decoupled(scene, observations, delta).rotation_error_deg)
         coupled_medians[level] = float(np.median(coupled))
         decoupled_medians[level] = float(np.median(decoupled))
 
@@ -254,7 +261,7 @@ def test_c08_scale_algebra():
     worst = 0.0
     for i in range(100_000):
         stats = CategoryStats("x", anchors[i], 0.0, 1)
-        recovered = recover_scale(stats, gt_offset(gt[i], stats)).scale
+        recovered = recover_scale(stats, gt_offset(gt[i], stats))
         worst = max(worst, abs(recovered - gt[i]) / max(1.0, gt[i]))
     assert worst <= 1e-12
 

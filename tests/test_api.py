@@ -10,19 +10,13 @@ PUBLIC_NAMES = [
     "DeformationField",
     "DetectionRecord",
     "GroundTruthBox",
-    "MeanScalePredictor",
     "MetricTable",
     "NocsModel",
     "NoiseSpec",
-    "NoisyOraclePredictor",
     "OrientedBox3",
     "PnPResult",
-    "PoseRanges",
     "RansacConfig",
     "RigidPose",
-    "ScaleObservation",
-    "ScalePrediction",
-    "ScalePredictor",
     "ShapePrior",
     "SimilarityTransform",
     "SyntheticScene",

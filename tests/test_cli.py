@@ -375,6 +375,8 @@ GROUND_TRUTH = {
 }
 SIMULATE = ["simulate", "--categories", "mug", "--trials", "1", "--points", "32"]
 EVALUATE = ["evaluate", "--predictions", "p.jsonl", "--ground-truth", "g.jsonl", "--output-dir", "out"]
+MUG_STATS = {"category": "mug", "mean_scale": 0.14, "std_dev": 0.015, "count": 100}
+SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
 
 
 @pytest.mark.parametrize(
@@ -437,6 +439,37 @@ EVALUATE = ["evaluate", "--predictions", "p.jsonl", "--ground-truth", "g.jsonl",
         pytest.param(
             {"s.json": {"pixel_noise": [float("nan")]}}, SIMULATE + ["--config", "s.json"],
             "error: pixel_noise_sigma must be finite", id="config-noise-nan",
+        ),
+        *[
+            pytest.param(
+                {"s.json": {"predictor": value}}, SIMULATE + ["--config", "s.json"],
+                "error: s.json: predictor", id=f"config-predictor-{value}",
+            )
+            for value in (None, "noisy")
+        ],
+        *[
+            pytest.param(
+                {"c.json": CORRESPONDENCES, "k.json": INTRINSICS, "s.json": [entry]},
+                SOLVE_MUG + extra, f"error: s.json: entry 0: {error}", id=case,
+            )
+            for case, entry, extra, error in [
+                ("stats-mean-infinite", {**MUG_STATS, "mean_scale": float("inf")}, [], "mean scale"),
+                ("stats-mean-infinite-delta", {**MUG_STATS, "mean_scale": float("inf")}, ["--delta", "0.1"],
+                 "mean scale"),
+                ("stats-mean-zero", {**MUG_STATS, "mean_scale": 0}, [], "mean scale"),
+                ("stats-std-nan", {**MUG_STATS, "std_dev": float("nan")}, [], "std_dev"),
+                ("stats-count-infinite", {**MUG_STATS, "count": float("inf")}, [], "cannot convert"),
+                ("stats-count-missing", {k: v for k, v in MUG_STATS.items() if k != "count"}, [],
+                 "missing required field 'count'"),
+            ]
+        ],
+        pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": INTRINSICS}, SOLVE + ["--scale", "inf"],
+            "error: --scale must be positive and finite", id="solve-scale-infinite",
+        ),
+        pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": INTRINSICS, "s.json": [MUG_STATS]},
+            SOLVE_MUG + ["--delta", "nan"], "error: delta must be finite", id="solve-delta-nan",
         ),
         pytest.param(
             {"p.jsonl": {**GROUND_TRUTH, "confidence": float("nan")}, "g.jsonl": GROUND_TRUTH},

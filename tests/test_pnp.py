@@ -495,6 +495,11 @@ class TestScaleModelPoints:
         with pytest.raises(NonPositiveScale):
             scale_model_points(0.0, np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_rejects_non_finite(self, scale):
+        with pytest.raises(NonPositiveScale, match="finite"):
+            scale_model_points(scale, np.zeros((1, 3)))
+
 
 class TestConfigAndRecords:
     def test_config_validation(self):

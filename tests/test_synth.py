@@ -10,12 +10,11 @@ from scalepose.evaluation import RecordMetrics, metric_table
 from scalepose.geometry import rotation_about_axis, rotation_error_symmetric_deg
 from scalepose.nocs import bbox_diagonal
 from scalepose.pnp import RansacConfig, ransac_pnp, scale_model_points
-from scalepose.scale import CategoryStats, MeanScalePredictor, OraclePredictor
+from scalepose.scale import CategoryStats, gt_offset
 from scalepose.synth import (
     CATEGORIES,
     DEFAULT_CATEGORY_STATS,
     NoiseSpec,
-    PoseRanges,
     SyntheticScene,
     corrupt,
     make_canonical_model,
@@ -27,6 +26,12 @@ from scalepose.synth import (
 from test_evaluation import reference_ap
 
 IMAGE_BOUNDS = np.array([640.0, 480.0])
+
+
+def oracle_offset(scene, rel=0.0):
+    """The grid's oracle offset: the scene's true scale times ``1 + rel``,
+    relative to the category anchor."""
+    return gt_offset(scene.scale * (1.0 + rel), DEFAULT_CATEGORY_STATS[scene.category])
 
 
 def decoupled_metrics(grid):
@@ -116,10 +121,10 @@ class TestSampleScene:
         assert min(lows) > max(1e-6, 0.2 - 3 * 0.08)
 
     def test_placement_failure_when_invalid(self):
-        ranges = PoseRanges(z_min=0.1, z_max=0.15, margin_px=5.0)
-        stats = CategoryStats("laptop", 3.0, 0.0, 1)  # object larger than the window allows
+        # 4 * 3.0 m of standoff lies beyond Z_MAX, so no depth is valid
+        stats = CategoryStats("laptop", 3.0, 0.0, 1)
         with pytest.raises(PlacementFailed):
-            sample_scene("laptop", 0, pose_ranges=ranges, scale_stats=stats)
+            sample_scene("laptop", 0, scale_stats=stats)
 
 
 def _hand_scene(n=1000, seed=0):
@@ -196,18 +201,17 @@ class TestCorrupt:
 class TestPipelines:
     def test_decoupled_exact_with_oracle(self):
         scene = sample_scene("can", 21)
-        out = run_decoupled(scene, corrupt(scene, NoiseSpec(), 0), OraclePredictor())
+        out = run_decoupled(scene, corrupt(scene, NoiseSpec(), 0), oracle_offset(scene))
         assert out.rotation_error_deg < 0.01
         assert out.translation_error_cm < 0.01
         assert out.iou > 0.999
 
     def test_decoupled_rotation_immune_to_scale_offset(self):
-        # mean-scale predictor with a far-off anchor: rotation unaffected
+        # a scale far from the truth leaves rotation unaffected
         scene = sample_scene("bottle", 22)
         obs = corrupt(scene, NoiseSpec(), 0)
-        for anchor in (0.6 * scene.scale, scene.scale, 1.7 * scene.scale):
-            stats = CategoryStats("bottle", anchor, 0.0, 1)
-            out = run_decoupled(scene, obs, MeanScalePredictor(), stats=stats)
+        for factor in (0.6, 1.0, 1.7):
+            out = run_decoupled(scene, obs, oracle_offset(scene, factor - 1.0))
             assert out.rotation_error_deg < 0.01
 
     def test_decoupled_translation_proportional_to_scale_error(self):
@@ -215,7 +219,7 @@ class TestPipelines:
         obs = corrupt(scene, NoiseSpec(), 0)
         t_norm = np.linalg.norm(scene.pose.translation)
         for rel in (-0.2, -0.1, 0.1, 0.2):
-            out = run_decoupled(scene, obs, OraclePredictor(rel_error=rel))
+            out = run_decoupled(scene, obs, oracle_offset(scene, rel))
             expected = abs(rel) * t_norm * 100.0
             assert out.translation_error_cm == pytest.approx(expected, rel=0.1)
 
@@ -233,7 +237,7 @@ class TestPipelines:
             obs = corrupt(scene, NoiseSpec(depth_rel_noise=0.05), seed=seed)
             rot_coupled.append(run_coupled(scene, obs).rotation_error_deg)
             rot_decoupled.append(
-                run_decoupled(scene, obs, OraclePredictor()).rotation_error_deg
+                run_decoupled(scene, obs, oracle_offset(scene)).rotation_error_deg
             )
         assert np.median(rot_coupled) > 0.1
         assert np.median(rot_decoupled) < 0.01
@@ -295,8 +299,7 @@ class TestGrid:
         # metrics tie while the offset arm wins the size-sensitive columns
         from scalepose.evaluation import TABLE_COLUMNS
 
-        stats = {"mug": CategoryStats("mug", 0.14, 0.028, 100)}  # wide scale spread
-        kwargs = dict(trials=12, master_seed=11, stats_by_category=stats)
+        kwargs = dict(trials=12, master_seed=11)
         tables = {}
         for kind in ("mean", "oracle"):
             grid = run_grid(["mug"], [NoiseSpec()], predictor_kind=kind, **kwargs)
