@@ -309,8 +309,10 @@ def reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy):
     """Gauss-Newton normal equations for the reprojection cost.
 
     The local parameterization is (omega, dt): the camera-frame point is
-    exp(omega) @ (R x) + t + dt, so the Jacobian blocks per point are
-    d(pi)/dX @ [-skew(R x) | I]. Points at non-positive depth are excluded.
+    exp(omega) @ (R x) + t + dt. With (x, y, z) that point, the pixel
+    gradients are a_u = fx/z (1, 0, -x/z) and a_v = fy/z (0, 1, -y/z), and
+    each pixel coordinate adds the Jacobian row [(R x) cross a, a], so
+    JtJ = Ju^T Ju + Jv^T Jv. Points at non-positive depth are excluded.
 
     Returns (JtJ, Jtr, cost, n_valid).
     """
@@ -326,43 +328,28 @@ def reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy):
     if n_valid == 0:
         return np.zeros((6, 6)), np.zeros(6), 0.0, 0
 
-    rx = rx[ok]
+    r1, r2, r3 = rx[ok].T
     pc = pc[ok]
     px = pixels[ok]
-    x, y, z = pc[:, 0], pc[:, 1], pc[:, 2]
-    invz = 1.0 / z
+    invz = 1.0 / pc[:, 2]
+    xn = pc[:, 0] * invz  # normalized image coordinates x/z, y/z
+    yn = pc[:, 1] * invz
+    ru = fx * xn + cx - px[:, 0]
+    rv = fy * yn + cy - px[:, 1]
 
-    ru = fx * x * invz + cx - px[:, 0]
-    rv = fy * y * invz + cy - px[:, 1]
+    # the rows of Ju and Jv as columns, (R x) cross a written out
+    ju = np.empty((6, n_valid))
+    ju[0], ju[1], ju[2] = -r2 * xn, r3 + r1 * xn, -r2
+    ju[3], ju[4], ju[5] = 1.0, 0.0, -xn
+    ju *= fx * invz
+    jv = np.empty((6, n_valid))
+    jv[0], jv[1], jv[2] = -r2 * yn - r3, r1 * yn, r1
+    jv[3], jv[4], jv[5] = 0.0, 1.0, -yn
+    jv *= fy * invz
 
-    # d(pi)/dX rows stacked per point: (k, 2, 3)
-    k = n_valid
-    dpi = np.zeros((k, 2, 3))
-    dpi[:, 0, 0] = fx * invz
-    dpi[:, 0, 2] = -fx * x * invz * invz
-    dpi[:, 1, 1] = fy * invz
-    dpi[:, 1, 2] = -fy * y * invz * invz
-
-    dx = np.zeros((k, 3, 6))
-    # -skew(rx): column j is d(exp(w) rx)/dw_j at w = 0
-    dx[:, 0, 1] = rx[:, 2]
-    dx[:, 0, 2] = -rx[:, 1]
-    dx[:, 1, 0] = -rx[:, 2]
-    dx[:, 1, 2] = rx[:, 0]
-    dx[:, 2, 0] = rx[:, 1]
-    dx[:, 2, 1] = -rx[:, 0]
-    dx[:, 0, 3] = 1.0
-    dx[:, 1, 4] = 1.0
-    dx[:, 2, 5] = 1.0
-
-    jac = np.einsum("kij,kjl->kil", dpi, dx).reshape(2 * k, 6)
-    res = np.empty(2 * k)
-    res[0::2] = ru
-    res[1::2] = rv
-
-    jtj = jac.T @ jac
-    jtr = jac.T @ res
-    cost = float(res @ res)
+    jtj = ju @ ju.T + jv @ jv.T
+    jtr = ju @ ru + jv @ rv
+    cost = float(ru @ ru + rv @ rv)
     return jtj, jtr, cost, n_valid
 
 

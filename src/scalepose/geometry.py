@@ -157,27 +157,31 @@ def backproject(pixels, depths, intrinsics):
 # -- rotation helpers ---------------------------------------------------------
 
 def rotation_about_axis(axis, angle_deg):
-    """Rotation matrix for ``angle_deg`` degrees about ``axis`` (Rodrigues)."""
+    """Rotation matrix for ``angle_deg`` degrees about ``axis``."""
     axis = _as_array(axis, (3,), "axis")
     n = np.linalg.norm(axis)
     if n == 0:
         raise ValueError("axis must be nonzero")
-    k = axis / n
-    theta = math.radians(angle_deg)
-    kx = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + math.sin(theta) * kx + (1 - math.cos(theta)) * (kx @ kx)
+    return rotation_from_rotvec(axis * (math.radians(angle_deg) / n))
 
 
 def rotation_from_rotvec(rvec):
-    """Exponential map: rotation vector (axis * radians) to matrix."""
+    """Exponential map: rotation vector (axis * radians) to matrix.
+
+    Rodrigues' formula I + sin(theta)/theta K + (1 - cos(theta))/theta^2 K^2
+    with K = skew(rvec), the second factor as 2 sin^2(theta/2)/theta^2 so
+    that small angles lose no digits; below theta = 1e-12 the factors are
+    their limits 1 and 1/2, exact in double precision there.
+    """
     rvec = _as_array(rvec, (3,), "rotvec")
     theta = np.linalg.norm(rvec)
     if theta < 1e-12:
-        kx = np.array(
-            [[0, -rvec[2], rvec[1]], [rvec[2], 0, -rvec[0]], [-rvec[1], rvec[0], 0]]
-        )
-        return nearest_rotation(np.eye(3) + kx + 0.5 * (kx @ kx))
-    return rotation_about_axis(rvec / theta, math.degrees(theta))
+        a, b = 1.0, 0.5
+    else:
+        half = math.sin(0.5 * theta) / theta
+        a, b = math.sin(theta) / theta, 2.0 * half * half
+    kx = np.array([[0, -rvec[2], rvec[1]], [rvec[2], 0, -rvec[0]], [-rvec[1], rvec[0], 0]])
+    return np.eye(3) + a * kx + b * (kx @ kx)
 
 
 def nearest_rotation(m):
