@@ -13,10 +13,12 @@ columnar metrics pass replaced it:
   (the categories whose rotation error has no symmetry rule).
 
 Regenerate them only for a deliberate change of output format or of the
-RANSAC sample stream; ``simulate/`` is the output of ``scalepose`` run with
-``SIMULATE_ARGS`` plus ``--output``/``--summary`` into it.
+RANSAC sample stream. ``simulate/`` is the output of ``scalepose`` run with
+``SIMULATE_ARGS`` plus ``--output``/``--summary`` into it, which
+``PYTHONPATH=src python tests/test_golden.py`` rewrites.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +65,8 @@ def test_simulate_matches_golden(tmp_path):
     assert main(SIMULATE_ARGS + ["--output", str(trials), "--summary", str(summary)]) == 0
     assert trials.read_bytes() == (GOLDEN / "simulate" / "trials.csv").read_bytes()
     assert summary.read_bytes() == (GOLDEN / "simulate" / "summary.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    out = GOLDEN / "simulate"
+    sys.exit(main(SIMULATE_ARGS + ["--output", str(out / "trials.csv"), "--summary", str(out / "summary.csv")]))
