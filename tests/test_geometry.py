@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalepose.errors import DegenerateConfiguration, NonPositiveDepth, NonUnitAxis
 from scalepose.geometry import (
@@ -18,6 +20,7 @@ from scalepose.geometry import (
     rotation_error_deg,
     rotation_error_symmetric_deg,
     rotation_from_quaternion,
+    rotation_from_rotvec,
     translation_error_cm,
     umeyama_align,
 )
@@ -196,6 +199,28 @@ class TestUmeyama:
         dst[:, 0] = -dst[:, 0]
         sim = umeyama_align(src, dst)
         assert np.linalg.det(sim.rotation) > 0
+
+
+directions = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+rotvec_norms = st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(1e-12, math.pi))
+
+
+class TestRotationFromRotvec:
+    # Gauss-Newton composes these matrices without projecting them back
+    # onto SO(3), so the exponential map itself must be exact to rounding.
+    @settings(max_examples=300, deadline=None)
+    @given(direction=directions, norm=rotvec_norms)
+    @example(direction=(0.0, 0.0, 1.0), norm=0.0)
+    @example(direction=(0.3, -0.5, 0.8), norm=5e-324)
+    @example(direction=(0.3, -0.5, 0.8), norm=1e-12)
+    @example(direction=(0.3, -0.5, 0.8), norm=math.pi)
+    def test_is_a_rotation_equal_to_the_quaternion_one(self, direction, norm):
+        axis = np.array(direction) / math.hypot(*direction)
+        r = rotation_from_rotvec(norm * axis)
+        assert np.abs(r.T @ r - np.eye(3)).max() <= 1e-14
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-14
+        q = np.concatenate([[math.cos(0.5 * norm)], math.sin(0.5 * norm) * axis])
+        assert np.abs(r - rotation_from_quaternion(q)).max() <= 1e-14
 
 
 class TestValueTypes:
