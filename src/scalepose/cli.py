@@ -106,32 +106,42 @@ def build_parser():
 
 # -- solve ---------------------------------------------------------------------------
 
-def _resolve_scale(args):
+def _check_solve_flags(args):
+    """Reject, before any file is read, flags that the others would leave
+    unused or incomplete."""
     if args.scale is not None:
+        unused = [f"--{name}" for name in ("stats", "category", "delta") if getattr(args, name) is not None]
+        if unused:
+            raise InputError(f"--scale cannot be combined with {', '.join(unused)}")
         if not 0 < args.scale < math.inf:
             raise InputError(f"--scale must be positive and finite, got {args.scale}")
+    elif args.stats is None:
+        if args.category is not None or args.delta is not None:
+            raise InputError("--category and --delta need --stats")
+    elif args.category is None:
+        raise InputError("--stats needs --category to select the anchor")
+    if (args.model is None) != (args.matrix is None):
+        raise InputError("--model and --matrix must be given together")
+
+
+def _resolve_scale(args):
+    if args.scale is not None:
         return float(args.scale), None
     if args.stats is None:
-        if args.delta is not None:
-            raise InputError("--delta needs --stats and --category")
         return 1.0, None
-    if args.category is None:
-        raise InputError("--stats needs --category to select the anchor")
     stats_map = fileio.load_stats(args.stats)
     if args.category not in stats_map:
         raise InputError(f"category {args.category!r} not present in {args.stats}")
-    stats = stats_map[args.category]
     delta = 0.0 if args.delta is None else float(args.delta)
-    return recover_scale(stats, delta), delta
+    return recover_scale(stats_map[args.category], delta), delta
 
 
 def cmd_solve(args):
+    _check_solve_flags(args)
     image_pts, model_pts = fileio.load_correspondences(args.correspondences)
     intrinsics = fileio.load_intrinsics(args.intrinsics)
 
     if args.matrix is not None:
-        if args.model is None:
-            raise InputError("--matrix needs --model for the canonical points")
         matrix = fileio.load_correspondence_matrix(args.matrix)
         model = fileio.load_nocs_model(args.model)
         if matrix.shape[0] != image_pts.shape[0]:
@@ -314,8 +324,8 @@ def cmd_stats(args):
             scale = float(rec["scale"])
         except (TypeError, ValueError):
             raise InputError(f"{args.input}:{lineno}: scale is not a number")
-        if not scale > 0:
-            raise InputError(f"{args.input}:{lineno}: non-positive scale {scale}")
+        if not 0 < scale < math.inf:
+            raise InputError(f"{args.input}:{lineno}: scale must be positive and finite, got {scale}")
         by_category.setdefault(str(rec["category"]), []).append(scale)
     if not by_category:
         raise InputError(f"{args.input}: no records")

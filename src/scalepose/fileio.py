@@ -152,8 +152,6 @@ def load_correspondences(path):
             model.append(rec["model"])
         else:
             have_model = False
-    if have_model and len(model) != len(image):
-        have_model = False
     image_arr = np.asarray(image, dtype=np.float64)
     model_arr = np.asarray(model, dtype=np.float64) if have_model else None
     return image_arr, model_arr
@@ -211,15 +209,20 @@ def load_stats(path):
     for i, rec in enumerate(data):
         where = f"{path}: entry {i}"
         try:
-            stats = CategoryStats(
-                category=str(_require(rec, "category", where)),
+            category = str(_require(rec, "category", where))
+            if category in out:
+                raise ValueError(f"category {category!r} repeats an earlier entry")
+            count = _require(rec, "count", where)
+            if int(count) != float(count):
+                raise ValueError(f"count must be a whole number, got {count!r}")
+            out[category] = CategoryStats(
+                category=category,
                 mean_scale=float(_require(rec, "mean_scale", where)),
                 std_dev=float(_require(rec, "std_dev", where)),
-                count=int(_require(rec, "count", where)),
+                count=int(count),
             )
         except (TypeError, ValueError, OverflowError, NonPositiveScale) as exc:
             raise InputError(f"{where}: {exc}")
-        out[stats.category] = stats
     return out
 
 

@@ -471,6 +471,36 @@ SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
             {"c.json": CORRESPONDENCES, "k.json": INTRINSICS, "s.json": [MUG_STATS]},
             SOLVE_MUG + ["--delta", "nan"], "error: delta must be finite", id="solve-delta-nan",
         ),
+        *[
+            pytest.param(
+                {"c.json": CORRESPONDENCES, "k.json": INTRINSICS, "s.json": entries},
+                SOLVE_MUG, f"error: s.json: entry {error}", id=case,
+            )
+            for case, entries, error in [
+                ("stats-category-repeated", [MUG_STATS, {**MUG_STATS, "mean_scale": 0.5}],
+                 "1: category 'mug' repeats"),
+                ("stats-count-fractional", [{**MUG_STATS, "count": 1.7}], "0: count must be a whole number"),
+            ]
+        ],
+        pytest.param(
+            {"in.jsonl": {"category": "mug", "scale": float("inf")}},
+            ["stats", "--input", "in.jsonl", "--output", "o.json"],
+            "error: in.jsonl:1: scale must be positive and finite", id="stats-scale-infinite",
+        ),
+        # no file exists: these flags must be rejected before any is read
+        *[
+            pytest.param({}, SOLVE + extra, f"error: {error}", id=case)
+            for case, extra, error in [
+                ("solve-scale-with-stats", ["--scale", "0.3", "--stats", "s.json"],
+                 "--scale cannot be combined with --stats"),
+                ("solve-scale-with-category", ["--scale", "0.3", "--category", "mug"],
+                 "--scale cannot be combined with --category"),
+                ("solve-scale-with-delta", ["--scale", "0.3", "--delta", "0.1"],
+                 "--scale cannot be combined with --delta"),
+                ("solve-category-without-stats", ["--category", "mug"], "--category and --delta need --stats"),
+                ("solve-model-without-matrix", ["--model", "m.json"], "--model and --matrix must be given together"),
+            ]
+        ],
         pytest.param(
             {"p.jsonl": {**GROUND_TRUTH, "confidence": float("nan")}, "g.jsonl": GROUND_TRUTH},
             EVALUATE, "error: p.jsonl:1: ", id="confidence-nan",
