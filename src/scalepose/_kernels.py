@@ -329,22 +329,18 @@ def reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy):
         return np.zeros((6, 6)), np.zeros(6), 0.0, 0
 
     r1, r2, r3 = rx[ok].T
-    pc = pc[ok]
-    px = pixels[ok]
-    invz = 1.0 / pc[:, 2]
-    xn = pc[:, 0] * invz  # normalized image coordinates x/z, y/z
-    yn = pc[:, 1] * invz
-    ru = fx * xn + cx - px[:, 0]
-    rv = fy * yn + cy - px[:, 1]
+    x, y, z = pc[ok].T
+    invz = 1.0 / z
+    xn, yn = x * invz, y * invz  # normalized image coordinates
+    ru = fx * xn + cx - pixels[ok, 0]
+    rv = fy * yn + cy - pixels[ok, 1]
 
-    # the rows of Ju and Jv as columns, (R x) cross a written out
+    # Ju and Jv transposed, with (R x) cross a written out
     ju = np.empty((6, n_valid))
-    ju[0], ju[1], ju[2] = -r2 * xn, r3 + r1 * xn, -r2
-    ju[3], ju[4], ju[5] = 1.0, 0.0, -xn
+    ju[0], ju[1], ju[2], ju[3], ju[4], ju[5] = -r2 * xn, r3 + r1 * xn, -r2, 1.0, 0.0, -xn
     ju *= fx * invz
     jv = np.empty((6, n_valid))
-    jv[0], jv[1], jv[2] = -r2 * yn - r3, r1 * yn, r1
-    jv[3], jv[4], jv[5] = 0.0, 1.0, -yn
+    jv[0], jv[1], jv[2], jv[3], jv[4], jv[5] = -r2 * yn - r3, r1 * yn, r1, 0.0, 1.0, -yn
     jv *= fy * invz
 
     jtj = ju @ ju.T + jv @ jv.T

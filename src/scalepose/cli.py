@@ -125,10 +125,8 @@ def _check_solve_flags(args):
 
 
 def _resolve_scale(args):
-    if args.scale is not None:
-        return float(args.scale), None
     if args.stats is None:
-        return 1.0, None
+        return (1.0 if args.scale is None else float(args.scale)), None
     stats_map = fileio.load_stats(args.stats)
     if args.category not in stats_map:
         raise InputError(f"category {args.category!r} not present in {args.stats}")

@@ -166,13 +166,10 @@ def rotation_about_axis(axis, angle_deg):
 
 
 def rotation_from_rotvec(rvec):
-    """Exponential map: rotation vector (axis * radians) to matrix.
-
-    Rodrigues' formula I + sin(theta)/theta K + (1 - cos(theta))/theta^2 K^2
-    with K = skew(rvec), the second factor as 2 sin^2(theta/2)/theta^2 so
-    that small angles lose no digits; below theta = 1e-12 the factors are
-    their limits 1 and 1/2, exact in double precision there.
-    """
+    """Exponential map: rotation vector (axis * radians) to matrix, by
+    Rodrigues' formula I + sin(theta)/theta K + 2 sin^2(theta/2)/theta^2 K^2
+    with K = skew(rvec); below theta = 1e-12 the factors are their limits
+    1 and 1/2, exact in double precision there."""
     rvec = _as_array(rvec, (3,), "rotvec")
     theta = np.linalg.norm(rvec)
     if theta < 1e-12:

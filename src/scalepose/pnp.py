@@ -301,18 +301,16 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
     """Gauss-Newton minimization of the total squared reprojection error.
 
     The rotation is updated through axis-angle increments on the tangent
-    space: the candidate is ``rotation_from_rotvec(omega) @ R``, a product
-    of rotations, so it is not projected back onto SO(3); its drift of
-    about 1e-16 per step stays far inside :class:`RigidPose`'s 1e-9 check
-    over at most 50 steps. Steps that would increase the cost are halved
-    up to 10 times before giving up, so the returned cost never exceeds
-    the initial cost. Terminates on step norm < 1e-10, cost decrease
-    < 1e-12, or 50 iterations.
+    space, ``rotation_from_rotvec(omega) @ R``: a product of rotations,
+    not projected back onto SO(3), that drifts by about 1e-16 per step.
+    Steps that would increase the cost are halved up to 10 times before
+    giving up, so the returned cost never exceeds the initial cost.
+    Terminates on step norm < 1e-10, cost decrease < 1e-12, or 50
+    iterations.
 
     With ``full_output=True`` returns ``(pose, info)`` where info carries
     ``cost_history`` (cost after the initial evaluation and each accepted
-    step), ``iterations`` and ``final_cost`` (the last entry of the
-    history, the cost of the returned pose).
+    step), ``iterations`` and ``final_cost`` (the returned pose's cost).
 
     Raises
     ------
