@@ -259,8 +259,8 @@ def solve_pnp_minimal(image_points, model_points, intrinsics):
 
 def solve_pnp_lsq(image_points, model_points, intrinsics):
     """Least-squares PnP: DLT over normalized coordinates, nearest-SO(3)
-    projection of the linear rotation (the translation divided by the mean
-    of its singular values), then Gauss-Newton refinement.
+    projection of the linear rotation, whose mean singular value scales
+    the translation, then Gauss-Newton refinement.
 
     Requires >= 6 correspondences in a non-degenerate configuration.
 
