@@ -292,8 +292,11 @@ def solve_pnp_lsq(image_points, model_points, intrinsics):
     m = vt[-1].reshape(3, 4)
     if np.linalg.det(m[:, :3]) < 0:
         m = -m
-    lam = np.linalg.svd(m[:, :3], compute_uv=False).mean()
-    initial = RigidPose(nearest_rotation(m[:, :3]), m[:, 3] / lam)
+    rot = nearest_rotation(m[:, :3])
+    # with m = U S V^T and rot = U V^T, rot^T m = V S V^T: its trace is the
+    # sum of the singular values
+    lam = np.trace(rot.T @ m[:, :3]) / 3.0
+    initial = RigidPose(rot, m[:, 3] / lam)
     return refine_pnp(initial, image, model, intrinsics)
 
 
