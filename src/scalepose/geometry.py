@@ -182,22 +182,14 @@ def rotation_from_rotvec(rvec):
 
 
 def nearest_rotation(m):
-    """Project a 3x3 matrix onto SO(3) (closest in Frobenius norm)."""
-    return nearest_rotations(_as_array(m, (3, 3), "matrix")[None])[0]
-
-
-def nearest_rotations(m):
-    """Project each of a stack of finite matrices (M, 3, 3) onto SO(3);
-    the results pass :class:`RigidPose`'s checks. The only projection:
-    :func:`nearest_rotation` is its one-matrix case."""
-    u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    d[d == 0] = 1.0
-    flip = np.zeros_like(m)
-    flip[:, 0, 0] = 1.0
-    flip[:, 1, 1] = 1.0
-    flip[:, 2, 2] = d
-    return u @ flip @ vt
+    """Project a 3x3 matrix onto SO(3) (closest in Frobenius norm); the
+    result passes :class:`RigidPose`'s checks. Least-squares PnP projects
+    its linear rotation here; P3P candidates are rotations by construction
+    and need no projection."""
+    u, _, vt = np.linalg.svd(_as_array(m, (3, 3), "matrix"))
+    if np.linalg.det(u @ vt) < 0:
+        u[:, 2] = -u[:, 2]
+    return u @ vt
 
 
 def random_rotation(rng):

@@ -39,7 +39,6 @@ from .geometry import (
     CameraIntrinsics,
     RigidPose,
     nearest_rotation,
-    nearest_rotations,
     rotation_from_rotvec,
 )
 
@@ -145,17 +144,22 @@ def _norms(v):
 
 
 def _triad_frames(p):
-    """Orthonormal frames of a stack of triangles ``p`` (M, 3, 3): columns
-    are the first edge, the in-plane normal to it and the plane normal.
-    Returns the frames and a mask of the non-degenerate triangles, whose
-    twice-area exceeds ``1e-10`` times the longer edge at the first vertex
-    squared: a scale-invariant rule, the only collinearity test."""
+    """Frames of a stack of triangles ``p`` (M, 3, 3), orthonormal to
+    rounding: columns are the first edge, the in-plane normal to it and the
+    plane normal. The cross product's rounding leaves the plane normal a
+    component along the first edge (up to 1e-7 near the mask edge); it is
+    removed before normalising, so ``dst @ src.T`` of two frames is a
+    rotation with no projection. Returns the frames and a mask of the
+    non-degenerate triangles, whose twice-area exceeds ``1e-10`` times the
+    longer edge at the first vertex squared: a scale-invariant rule, the
+    only collinearity test."""
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     n1 = _norms(e1)
     with np.errstate(divide="ignore", invalid="ignore"):
         e1 = e1 / n1[:, None]
         w = np.cross(e1, e2)
+        w -= np.vecdot(w, e1)[:, None] * e1
         nw = _norms(w)
         w = w / nw[:, None]
         ok = n1 * nw > 1e-10 * np.square(np.maximum(n1, _norms(e2)))
@@ -168,6 +172,7 @@ class _Block(NamedTuple):
     degenerate: np.ndarray  # (S,) bool: (near-)collinear model triple
     rotations: np.ndarray  # (H, 3, 3)
     translations: np.ndarray  # (H, 3)
+    errors: np.ndarray  # (H, N) pixel error of every point, inf behind the camera
     groups: list  # per sample, its candidates' indices in fourth-point order
 
 
@@ -179,12 +184,13 @@ def _p3p_block(image, model, rays, samples, k):
     sides and bearing cosines are computed once, as Python floats; each
     non-degenerate sample passes its six to ``kernels.p3p_distance_sets``
     (Grunert, scalar, one call per sample). Each distance set places the
-    triangle in the camera frame, and the frames of model and camera
-    triangle give the rigid candidate. Camera frames, the nearest-rotation
-    projection, cheirality on all four points and the fourth point's
-    reprojection error run over the whole block. Candidates with a bad
-    camera frame or a point at non-positive depth are dropped; the rest
-    are grouped by sample and ordered by the fourth point's error (stable).
+    triangle in the camera frame. Both frames are orthonormal to rounding,
+    so the camera frame times the model frame's transpose is the
+    candidate's rotation, with no SVD. Every candidate is projected once,
+    all N points in one ``kernels.pixel_errors`` call; candidates with a
+    bad camera frame or a sample point at non-positive depth are dropped,
+    the rest are grouped by sample and ordered by the fourth point's error
+    (stable), and their error rows are returned for scoring.
     """
     tri = model[samples[:, :3]]
     src, ok = _triad_frames(tri)
@@ -205,25 +211,24 @@ def _p3p_block(image, model, rays, samples, k):
 
     cam = dists[:, :, None] * bear[owner]
     dst, framed = _triad_frames(cam)
-    raw = dst @ src[owner].transpose(0, 2, 1)
-    framed &= np.isfinite(raw).all(axis=(1, 2))
-    owner, cam, raw = owner[framed], cam[framed], raw[framed]
-    t = cam.mean(axis=1) - (raw @ tri[owner].mean(axis=1)[:, :, None])[:, :, 0]
-    rot = nearest_rotations(raw)
+    rot = dst @ src[owner].transpose(0, 2, 1)
+    framed &= np.isfinite(rot).all(axis=(1, 2))
+    owner, cam, rot = owner[framed], cam[framed], rot[framed]
+    t = cam.mean(axis=1) - (rot @ tri[owner].mean(axis=1)[:, :, None])[:, :, 0]
 
-    quad = model[samples[owner]]
-    depths = (quad @ rot[:, 2, :, None])[:, :, 0] + t[:, 2, None]
-    kept = ~np.any(depths <= 0, axis=1)
-    rot, t, owner, quad = rot[kept], t[kept], owner[kept], quad[kept]
-    fourth = quad[:, 3:4] @ rot.transpose(0, 2, 1) + t[:, None]
-    err4 = kernels.pixel_errors(fourth[:, 0], image[samples[owner, 3]], k.fx, k.fy, k.cx, k.cy)
-    err4 = err4.tolist()
+    points = model @ rot.transpose(0, 2, 1)
+    points += t[:, None]
+    errors = kernels.pixel_errors(points, image, k.fx, k.fy, k.cx, k.cy)
+    rows = np.arange(len(owner))[:, None]
+    kept = ~np.any(points[rows, samples[owner], 2] <= 0, axis=1)
+    rot, t, owner, errors = rot[kept], t[kept], owner[kept], errors[kept]
+    err4 = errors[np.arange(len(owner)), samples[owner, 3]].tolist()
     groups = [[] for _ in samples]
     for j, s in enumerate(owner.tolist()):
         groups[s].append(j)
     for group in groups:
         group.sort(key=err4.__getitem__)
-    return _Block(degenerate, rot, t, groups)
+    return _Block(degenerate, rot, t, errors, groups)
 
 
 def solve_pnp_minimal(image_points, model_points, intrinsics):
@@ -429,9 +434,7 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
         end = min(iteration + SAMPLE_BLOCK, cfg.max_iterations, needed)
         samples = rng.random((end - iteration, n)).argsort(axis=1)[:, :MINIMAL_SAMPLE_SIZE]
         block = _p3p_block(image, model, rays, samples, k)
-        cam = model @ block.rotations.transpose(0, 2, 1)
-        cam += block.translations[:, None]
-        errors = kernels.pixel_errors(cam, image, k.fx, k.fy, k.cx, k.cy)
+        errors = block.errors
         inliers = errors < cfg.reprojection_threshold
         counts = np.count_nonzero(inliers, axis=1)
         for s in range(len(samples)):

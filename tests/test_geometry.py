@@ -13,7 +13,6 @@ from scalepose.geometry import (
     backproject,
     ensure_rotation,
     nearest_rotation,
-    nearest_rotations,
     project,
     random_rotation,
     rotation_about_axis,
@@ -254,16 +253,6 @@ class TestValueTypes:
         m = random_rotation(rng) + 1e-3 * rng.normal(size=(3, 3))
         r = nearest_rotation(m)
         ensure_rotation(r)
-
-    def test_stacked_projection_matches_one_matrix_bits(self):
-        # RANSAC projects a block of candidates at once and Gauss-Newton one
-        # matrix per step; both must give the same bits.
-        rng = np.random.default_rng(17)
-        m = rng.normal(size=(500, 3, 3))
-        m[::7] = np.stack([random_rotation(rng) for _ in range(len(m[::7]))])
-        stacked = nearest_rotations(m)
-        for mi, ri in zip(m, stacked):
-            assert nearest_rotation(mi).tobytes() == ri.tobytes()
 
     def test_poses_are_immutable(self):
         pose = RigidPose(np.eye(3), np.zeros(3))
