@@ -302,22 +302,18 @@ def _draw_scale(rng, stats: CategoryStats):
     return stats.mean_scale
 
 
-def sample_scene(
-    category,
-    rng_seed,
-    scale_stats: CategoryStats | None = None,
-    point_count=256,
-) -> SyntheticScene:
+def sample_scene(category, rng_seed, point_count=256) -> SyntheticScene:
     """Place one object fully inside the frame and record its projections.
 
-    The ground-truth scale is drawn from Normal(mean, sigma) truncated to
+    The ground-truth scale is drawn from the category's
+    :data:`DEFAULT_CATEGORY_STATS` entry, Normal(mean, sigma) truncated to
     stay positive and above mean - 3 sigma. Placement rejection-samples the
     pose until every projected point lies inside the image margins; after
     100 attempts :class:`PlacementFailed` is raised. The camera is
     :data:`DEFAULT_INTRINSICS`.
     """
-    stats = scale_stats or DEFAULT_CATEGORY_STATS[category]
     model, extents = make_canonical_model(category, point_count)
+    stats = DEFAULT_CATEGORY_STATS[category]
     rng = np.random.default_rng(rng_seed)
     lo = np.array([MARGIN_PX, MARGIN_PX])
     hi = np.array([IMAGE_WIDTH - MARGIN_PX, IMAGE_HEIGHT - MARGIN_PX])
@@ -572,6 +568,9 @@ def run_grid(
         raise ValueError(f"predictor_kind must be 'oracle' or 'mean', got {predictor_kind!r}")
     categories = list(categories)
     noise_specs = list(noise_specs)
+    unknown = [c for c in categories if c not in CATEGORIES]
+    if unknown:
+        raise UnknownCategory(f"unknown categories {unknown}; supported: {CATEGORIES}")
 
     results = []
     for cell, (category, noise) in enumerate(

@@ -79,8 +79,15 @@ class TestCanonicalModels:
         assert nn.max() < 2.0 * spacing
 
     def test_unknown_category(self):
-        with pytest.raises(UnknownCategory):
-            make_canonical_model("teapot", 64)
+        calls = [
+            lambda: make_canonical_model("teapot", 64),
+            lambda: sample_scene("teapot", 0),
+            # rejected before the first trial
+            lambda: run_grid(["mug", "teapot"], [NoiseSpec()], 1),
+        ]
+        for call in calls:
+            with pytest.raises(UnknownCategory):
+                call()
 
     def test_minimum_point_count(self):
         with pytest.raises(ValueError):
@@ -112,19 +119,19 @@ class TestSampleScene:
         assert rotation_error_deg(result.pose.rotation, scene.pose.rotation) < 1e-6
         assert np.linalg.norm(result.pose.translation - scene.pose.translation) < 1e-6
 
-    def test_scale_draw_respects_truncation(self):
-        stats = CategoryStats("mug", 0.2, 0.08, 10)
+    def test_scale_draw_respects_truncation(self, monkeypatch):
+        monkeypatch.setitem(DEFAULT_CATEGORY_STATS, "mug", CategoryStats("mug", 0.2, 0.08, 10))
         lows = []
         for seed in range(60):
-            scene = sample_scene("mug", seed, scale_stats=stats)
+            scene = sample_scene("mug", seed)
             lows.append(scene.scale)
         assert min(lows) > max(1e-6, 0.2 - 3 * 0.08)
 
-    def test_placement_failure_when_invalid(self):
+    def test_placement_failure_when_invalid(self, monkeypatch):
         # 4 * 3.0 m of standoff lies beyond Z_MAX, so no depth is valid
-        stats = CategoryStats("laptop", 3.0, 0.0, 1)
+        monkeypatch.setitem(DEFAULT_CATEGORY_STATS, "laptop", CategoryStats("laptop", 3.0, 0.0, 1))
         with pytest.raises(PlacementFailed):
-            sample_scene("laptop", 0, scale_stats=stats)
+            sample_scene("laptop", 0)
 
 
 def _hand_scene(n=1000, seed=0):
