@@ -21,6 +21,7 @@ from scalepose.errors import (
 )
 from scalepose.geometry import (
     RigidPose,
+    ensure_rotation,
     project,
     random_rotation,
     rotation_about_axis,
@@ -481,6 +482,50 @@ class TestRejectionScaleInvariance:
         config = RansacConfig(2.0, max_iterations, 0.999, rng_seed)
         scaled = rejection_outcome(pixels, points * 2.0**k, config)
         assert scaled == rejection_outcome(pixels, points, config)
+
+
+def thin_problem(seed, size_exp, height_exp, along):
+    """Four model points seen noise-free from a random pose. The first three
+    form a triangle whose first edge is ``10**size_exp`` m long and whose
+    third vertex lies ``along`` edges along it and ``10**height_exp`` edges
+    off it, so its twice-area is at least ``10**height_exp / 2`` times its
+    longer first-vertex edge squared."""
+    rng = np.random.default_rng(seed)
+    size = 10.0**size_exp
+    u, v = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+    p0 = rng.uniform(-size, size, size=3)
+    model = np.stack(
+        [p0, p0 + size * u, p0 + size * (along * u + 10.0**height_exp * v), rng.uniform(-size, size, size=3)]
+    )
+    pose = RigidPose(random_rotation(rng), [0.0, 0.0, 6.0 * size])
+    return project(pose.transform(model), CAMERA), model
+
+
+class TestExactFrames:
+    # P3P rotations are products of two triangle frames with no projection
+    # onto SO(3), so the frames must be orthonormal to rounding from just
+    # above the collinearity mask to well-conditioned triangles.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size_exp=st.floats(-3.0, 3.0),
+        height_exp=st.floats(-9.5, 0.0),
+        along=st.floats(-1.0, 1.0),
+    )
+    # an unorthogonalised plane normal leaves this frame off by 1.0e-7
+    @example(seed=1059, size_exp=-3.0, height_exp=-9.5, along=0.5)
+    def test_frames_and_candidates_are_rotations(self, seed, size_exp, height_exp, along):
+        pixels, model = thin_problem(seed, size_exp, height_exp, along)
+        frames, ok = pnp._triad_frames(model[None, :3])
+        assert ok[0]
+        assert np.abs(frames[0].T @ frames[0] - np.eye(3)).max() <= 1e-14
+        assert abs(np.linalg.det(frames[0]) - 1.0) <= 1e-14
+        try:
+            poses = solve_pnp_minimal(pixels, model, CAMERA)
+        except NoRealSolution:
+            poses = []
+        for pose in poses:
+            ensure_rotation(pose.rotation, 1e-12)
 
 
 class TestScaleModelPoints:
