@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from scalepose import synth
 from scalepose.errors import PlacementFailed, UnknownCategory
 from scalepose.evaluation import RecordMetrics, metric_table
 from scalepose.geometry import rotation_about_axis, rotation_error_symmetric_deg
@@ -78,16 +79,14 @@ class TestCanonicalModels:
         nn = np.sqrt(np.min(np.sum((spun[:, None, :] - pts[None, :, :]) ** 2, axis=2), axis=1))
         assert nn.max() < 2.0 * spacing
 
-    def test_unknown_category(self):
-        calls = [
-            lambda: make_canonical_model("teapot", 64),
-            lambda: sample_scene("teapot", 0),
-            # rejected before the first trial
-            lambda: run_grid(["mug", "teapot"], [NoiseSpec()], 1),
-        ]
-        for call in calls:
+    def test_unknown_category(self, monkeypatch):
+        for call in (lambda: make_canonical_model("teapot", 64), lambda: sample_scene("teapot", 0)):
             with pytest.raises(UnknownCategory):
                 call()
+        # the grid rejects the name before it samples a first scene
+        monkeypatch.setattr(synth, "sample_scene", None)
+        with pytest.raises(UnknownCategory):
+            run_grid(["mug", "teapot"], [NoiseSpec()], 1)
 
     def test_minimum_point_count(self):
         with pytest.raises(ValueError):
