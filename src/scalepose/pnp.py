@@ -146,13 +146,11 @@ def _norms(v):
 def _triad_frames(p):
     """Frames of a stack of triangles ``p`` (M, 3, 3), orthonormal to
     rounding: columns are the first edge, the in-plane normal to it and the
-    plane normal. The cross product's rounding leaves the plane normal a
-    component along the first edge (up to 1e-7 near the mask edge); it is
-    removed before normalising, so ``dst @ src.T`` of two frames is a
-    rotation with no projection. Returns the frames and a mask of the
-    non-degenerate triangles, whose twice-area exceeds ``1e-10`` times the
-    longer edge at the first vertex squared: a scale-invariant rule, the
-    only collinearity test."""
+    plane normal, whose rounding component along the first edge (up to 1e-7
+    near the mask edge) is removed before it is normalised. Returns the
+    frames and a mask of the non-degenerate triangles, whose twice-area
+    exceeds ``1e-10`` times the longer edge at the first vertex squared: a
+    scale-invariant rule, the only collinearity test."""
     e1 = p[:, 1] - p[:, 0]
     e2 = p[:, 2] - p[:, 0]
     n1 = _norms(e1)
