@@ -4,8 +4,14 @@
 ``solve_pnp_minimal`` on the first four correspondences and with
 ``solve_pnp_lsq`` on the noise-free, outlier-free pixels, and writes every
 result of the checkout it imports to JSON (floats round-trip exactly).
-``compare`` reads two such files, lists every exact-field mismatch and
-reports the largest pose moves between them.
+Each RANSAC pose also records its final cost and the condition number of
+JᵀJ on its inliers, from ``kernels.reprojection_normal_eqs``, and each
+minimal problem the largest law-of-cosines residual of its P3P distance
+sets, relative to the sum of the squared sides. ``compare`` reads two
+such files, lists every exact-field mismatch, reports the largest pose
+moves between them and lists every RANSAC pose that moves beyond the
+noise floor with both final costs, split at cond(JᵀJ) 1e12, and every
+minimal pose that moves by more than 1e-9 with both residuals.
 
 Problems: model size log-uniform in 1e-4 to 1e4 m, 4 to 200 points, 30%
 with an exact collinear run of 3 to all points at the start, 20% with such
@@ -28,9 +34,10 @@ import sys
 
 import numpy as np
 
+from scalepose import _kernels as kernels
 from scalepose.errors import ScalePoseError
 from scalepose.geometry import CameraIntrinsics, RigidPose, project, random_rotation
-from scalepose.pnp import RansacConfig, ransac_pnp, solve_pnp_lsq, solve_pnp_minimal
+from scalepose.pnp import RansacConfig, _bearings, ransac_pnp, solve_pnp_lsq, solve_pnp_minimal
 
 CAMERA = CameraIntrinsics(fx=577.5, fy=577.5, cx=319.5, cy=239.5)
 IMAGE = (640.0, 480.0)
@@ -72,6 +79,34 @@ def _error(exc):
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
+def _final_cost(pose, pixels, points, mask):
+    """Reprojection cost and cond(JᵀJ) of ``pose`` on the inliers."""
+    k = CAMERA
+    jtj, _, cost, _ = kernels.reprojection_normal_eqs(
+        pose.rotation, pose.translation, points[mask], pixels[mask], k.fx, k.fy, k.cx, k.cy
+    )
+    return {"cost": cost, "cond": float(np.linalg.cond(jtj))}
+
+
+def _set_residual(pixels, points):
+    """Largest law-of-cosines residual of the P3P distance sets of the
+    first three correspondences, relative to the sum of the squared sides;
+    the kernel's inputs are computed as the block solver computes them."""
+    tri = points[:3]
+    bear = _bearings(pixels[:3], CAMERA)
+    a2, b2, c2 = np.square(tri[[1, 0, 0]] - tri[[2, 2, 1]]).sum(axis=1).tolist()
+    ca, cb, cg = np.vecdot(bear[[1, 0, 0]], bear[[2, 2, 1]]).tolist()
+    worst = 0.0
+    for s1, s2, s3 in kernels.p3p_distance_sets(a2, b2, c2, ca, cb, cg):
+        worst = max(
+            worst,
+            abs(s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2),
+            abs(s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2),
+            abs(s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2),
+        )
+    return worst / (a2 + b2 + c2)
+
+
 def solve(seed):
     """Every result of problem ``seed``, as JSON-ready values."""
     pixels, clean, points, size, max_iterations = make_problem(seed)
@@ -86,11 +121,15 @@ def solve(seed):
             "stop_reason": r.stop_reason,
             "rejected_degenerate": r.rejected_degenerate,
             "rejected_no_solution": r.rejected_no_solution,
+            **_final_cost(r.pose, pixels, points, r.inlier_mask),
         }
     except (ScalePoseError, ValueError) as exc:
         out["ransac"] = _error(exc)
     try:
-        out["minimal"] = {"poses": [_pose(p) for p in solve_pnp_minimal(pixels[:4], points[:4], CAMERA)]}
+        out["minimal"] = {
+            "poses": [_pose(p) for p in solve_pnp_minimal(pixels[:4], points[:4], CAMERA)],
+            "set_residual": _set_residual(pixels, points),
+        }
     except (ScalePoseError, ValueError) as exc:
         out["minimal"] = _error(exc)
     try:
@@ -121,11 +160,21 @@ def _move(a, b, key):
 
 RANSAC_EXACT = ("error", "message", "mask", "iterations", "stop_reason", "rejected_degenerate", "rejected_no_solution")
 
+# the parent against itself with only the refined points' order reversed
+# moves RANSAC poses by up to these (rotation, mean error in px): the
+# Gauss-Newton noise floor
+NOISE_FLOOR = {"rotation": 6.9e-7, "mean_error": 2.2e-6}
+# above this cond(JᵀJ) the final pose lies in a flat valley of the cost
+FLAT_COND = 1e12
+# minimal-solver poses that move by more than this are listed
+MINIMAL_LIST_ABOVE = 1e-9
+
 
 def compare(parent, change):
-    """Exact-field mismatches and pose moves of ``change`` against
+    """Exact-field mismatches, pose moves, RANSAC poses beyond the noise
+    floor and moved minimal-solver problems of ``change`` against
     ``parent`` (lists of :func:`solve` results)."""
-    mismatches = []
+    mismatches, beyond, minimal_moved = [], [], []
     moves = {"ransac_rotation": [], "ransac_translation": [], "ransac_mean_error": [],
              "minimal_rotation": [], "minimal_translation": [], "lsq_rotation": [], "lsq_translation": []}
     for p, c in zip(parent, change, strict=True):
@@ -138,6 +187,9 @@ def compare(parent, change):
             moves["ransac_rotation"].append((_move(pr, cr, "rotation"), seed))
             moves["ransac_translation"].append((_move(pr, cr, "translation") / scale, seed))
             moves["ransac_mean_error"].append((abs(pr["mean_error"] - cr["mean_error"]), seed))
+            rotation, mean_error = moves["ransac_rotation"][-1][0], moves["ransac_mean_error"][-1][0]
+            if rotation > NOISE_FLOOR["rotation"] or mean_error > NOISE_FLOOR["mean_error"]:
+                beyond.append((seed, rotation, mean_error, pr, cr))
 
         pm, cm = p["minimal"], c["minimal"]
         for key in ("error", "message"):
@@ -147,6 +199,7 @@ def compare(parent, change):
         if len(pposes) != len(cposes):
             mismatches.append(f"{seed} minimal candidates: {len(pposes)} != {len(cposes)}")
         else:
+            worst = 0.0
             for i, cpose in enumerate(cposes):
                 # the candidate at position i must be the parent's i-th, not
                 # another of its candidates
@@ -155,6 +208,9 @@ def compare(parent, change):
                     mismatches.append(f"{seed} minimal order: candidate {i} is the parent's {nearest}")
                 moves["minimal_rotation"].append((_move(pposes[i], cpose, "rotation"), seed))
                 moves["minimal_translation"].append((_move(pposes[i], cpose, "translation") / scale, seed))
+                worst = max(worst, moves["minimal_rotation"][-1][0], moves["minimal_translation"][-1][0])
+            if worst > MINIMAL_LIST_ABOVE:
+                minimal_moved.append((seed, worst, pm["set_residual"], cm["set_residual"]))
 
         pl, cl = p["lsq"], c["lsq"]
         for key in ("error", "message"):
@@ -163,7 +219,7 @@ def compare(parent, change):
         if "error" not in pl and "error" not in cl:
             moves["lsq_rotation"].append((_move(pl, cl, "rotation"), seed))
             moves["lsq_translation"].append((_move(pl, cl, "translation") / scale, seed))
-    return mismatches, moves
+    return mismatches, moves, beyond, minimal_moved
 
 
 # pose moves above these are counted (translations relative to max(1 m, size))
@@ -194,7 +250,7 @@ def main(argv=None):
         change = json.load(f)
     print("parent", json.dumps(outcome_counts(parent)))
     print("change", json.dumps(outcome_counts(change)))
-    mismatches, moves = compare(parent, change)
+    mismatches, moves, beyond, minimal_moved = compare(parent, change)
     for line in mismatches:
         print("MISMATCH", line)
     print(f"{len(mismatches)} exact-field mismatch(es)")
@@ -203,6 +259,17 @@ def main(argv=None):
         worst, seed = max(values, default=(0.0, None))
         above = sum(v > bound for v, _ in values)
         print(f"{name}: {above} of {len(values)} above {bound:g}, worst {worst:.3g} (problem {seed})")
+    for flat in (False, True):
+        rows = [b for b in beyond if (max(b[3]["cond"], b[4]["cond"]) > FLAT_COND) == flat]
+        print(f"RANSAC poses beyond the noise floor {NOISE_FLOOR} with cond(JᵀJ) "
+              f"{'>' if flat else '<='} {FLAT_COND:g}: {len(rows)}")
+        for seed, rotation, mean_error, pr, cr in rows:
+            print(f"  problem {seed}: rotation {rotation:.3g}, mean error {mean_error:.3g} px, "
+                  f"cond {pr['cond']:.3g} -> {cr['cond']:.3g}, final cost {pr['cost']!r} -> {cr['cost']!r}")
+    print(f"minimal-solver problems whose poses move by more than {MINIMAL_LIST_ABOVE:g}: {len(minimal_moved)}")
+    for seed, worst, p_res, c_res in minimal_moved:
+        print(f"  problem {seed}: move {worst:.3g}, largest set residual / sum of squared sides "
+              f"{p_res:.3g} -> {c_res:.3g}")
     return 1 if mismatches else 0
 
 
