@@ -17,7 +17,10 @@ reprojection_normal_eqs(R, t, obj, pix, fx, fy, cx, cy)
 
 Grunert's P3P and the Ferrari quartic are scalar code on Python floats,
 called once per RANSAC sample, and make no NumPy call: at a block of
-eight samples that beats array code. A vectorised Grunert with companion
+eight samples that beats array code. The quartic's roots come from
+Ferrari's factorisation unpolished; each distance triple built from them
+is Newton-polished once, on the three law-of-cosines constraints, and
+that is the only refinement in the chain. A vectorised Grunert with companion
 eigenvalues and an array Newton polish took 1.11 ms per block, about what
 eight scalar calls took while they still made NumPy calls, and a call now
 takes about 30 us. The reprojection kernels are NumPy.
@@ -52,15 +55,7 @@ def _cubic_max_real_root(a, b, c):
         theta = math.acos(min(1.0, max(-1.0, -0.5 * q / rho)))
         mag = 2.0 * math.sqrt(-p / 3.0)
         t = max(mag * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3))
-    m = t - a / 3.0
-    # two Newton steps sharpen the Cardano/trig result
-    for _ in range(2):
-        f = ((m + a) * m + b) * m + c
-        df = (3.0 * m + 2.0 * a) * m + b
-        if df == 0.0:
-            break
-        m -= f / df
-    return m
+    return t - a / 3.0
 
 
 def _quadratic_real_roots(b, c, out):
@@ -78,9 +73,10 @@ def _quadratic_real_roots(b, c, out):
 def quartic_roots(c4, c3, c2, c1, c0):
     """Real roots of c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0, ascending.
 
-    Ferrari resolvent-cubic factorization followed by Newton polishing on
-    the original quartic; near-coincident roots are merged. Degenerate
-    leading coefficients fall through to the cubic/quadratic/linear case.
+    Ferrari resolvent-cubic factorization, unpolished (P3P polishes the
+    distance triple built from each root instead); near-coincident roots
+    are merged. Degenerate leading coefficients fall through to the
+    cubic/quadratic/linear case.
     """
     coeffs = (c4, c3, c2, c1, c0)
     scale = max(abs(c) for c in coeffs)
@@ -125,29 +121,9 @@ def quartic_roots(c4, c3, c2, c1, c0):
                 _quadratic_real_roots(s2m, half - 0.5 * q / s2m, ys)
         roots = [y + shift for y in ys]
 
-    # polish on the full-precision original polynomial; a step that
-    # raises |f| is refused, as Newton on the real part of a near-double
-    # complex pair would throw the root far off
-    polished = []
-    for x in roots:
-        f = (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-        for _ in range(3):
-            df = ((4.0 * c4 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
-            if df == 0.0:
-                break
-            step = f / df
-            x_next = x - step
-            f_next = (((c4 * x_next + c3) * x_next + c2) * x_next + c1) * x_next + c0
-            if abs(f_next) > abs(f):
-                break
-            x, f = x_next, f_next
-            if abs(step) <= 1e-14 * (1.0 + abs(x)):
-                break
-        polished.append(x)
-
-    polished.sort()
+    roots.sort()
     unique = []
-    for x in polished:
+    for x in roots:
         if not unique or abs(x - unique[-1]) > _DEDUP_RTOL * (1.0 + abs(x)):
             unique.append(x)
     return unique
@@ -164,8 +140,10 @@ def p3p_distance_sets(a2, b2, c2, ca, cb, cg):
     Returns
     -------
     list of (s1, s2, s3) float tuples, at most four
-        Positive distance triples, Newton-polished on the three
-        law-of-cosines constraints, deduplicated and sorted by s1.
+        Distance triples, Newton-polished on the three law-of-cosines
+        constraints, deduplicated and sorted by s1. A triple whose
+        smallest distance is not above ``_DEDUP_RTOL`` times its largest
+        (the camera at a vertex, by rounding) is dropped.
     """
     if min(a2, b2, c2) <= 0.0:
         return []
@@ -250,7 +228,8 @@ def p3p_distance_sets(a2, b2, c2, ca, cb, cg):
 def _polish_distances(s1, s2, s3, a2, b2, c2, ca, cb, cg):
     """Newton-polish (s1, s2, s3) on the three distance constraints.
 
-    The Jacobian has a zero diagonal, so each step is solved by Cramer's
+    Returns None unless the polished triple meets them and its smallest
+    distance exceeds ``_DEDUP_RTOL`` times its largest. The Jacobian has a zero diagonal, so each step is solved by Cramer's
     rule on its six off-diagonal entries.
     """
     scale = a2 + b2 + c2
@@ -272,7 +251,7 @@ def _polish_distances(s1, s2, s3, a2, b2, c2, ca, cb, cg):
     r0 = s2 * s2 + s3 * s3 - 2.0 * s2 * s3 * ca - a2
     r1 = s1 * s1 + s3 * s3 - 2.0 * s1 * s3 * cb - b2
     r2 = s1 * s1 + s2 * s2 - 2.0 * s1 * s2 * cg - c2
-    if abs(r0) + abs(r1) + abs(r2) <= 1e-6 * scale and min(s1, s2, s3) > 0:
+    if abs(r0) + abs(r1) + abs(r2) <= 1e-6 * scale and min(s1, s2, s3) > _DEDUP_RTOL * max(s1, s2, s3):
         return s1, s2, s3
     return None
 

@@ -108,6 +108,18 @@ class TestP3PDistances:
                 assert max(map(abs, _residuals(s, *args))) < 1e-8 * scale
                 assert min(s) > 0
 
+    def test_no_set_puts_the_camera_at_a_vertex(self):
+        # a gridded triangle whose quartic has a root that, at the parent
+        # commit, polished to a set with a smallest distance of 2.1e-15:
+        # rounding noise, at which the block solver placed a sample point
+        # in front of the camera
+        pts = np.array([[-0.75, -0.75, 1.5], [-0.25, -0.75, 1.75], [-0.5, 1.0, 2.25]])
+        dist = np.linalg.norm(pts, axis=1)
+        sets = kernels.p3p_distance_sets(*_p3p_args(pts, pts / dist[:, None]))
+        for s in sets:
+            assert min(s) > 1e-8 * max(s)
+        assert min(np.max(np.abs(np.array(s) - dist)) for s in sets) <= 1e-8 * dist.max()
+
     def test_degenerate_triangle_returns_empty(self):
         pts = np.array([[0.0, 0, 1], [0.0, 0, 1], [1.0, 0, 2]])
         bearings = pts / np.linalg.norm(pts, axis=1, keepdims=True)
