@@ -266,12 +266,6 @@ def _apply_sim_config(args):
 
 def cmd_simulate(args):
     args = _apply_sim_config(args)
-    if args.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {args.trials}")
-    unknown = [c for c in args.categories if c not in CATEGORIES]
-    if unknown:
-        raise InputError(f"unknown categories {unknown}; supported: {list(CATEGORIES)}")
-
     output = args.output
     if output is None:
         base = os.environ.get(OUTPUT_DIR_ENV, ".")
