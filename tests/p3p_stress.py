@@ -49,11 +49,11 @@ def make_problems(seed, draws):
     return problems
 
 
-def kernel_args(pts):
-    """Squared sides and bearing cosines, computed as the block solver
-    computes them, as Python floats."""
-    bear = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-    sides = np.square(pts[[1, 0, 0]] - pts[[2, 2, 1]]).sum(axis=1).tolist()
+def kernel_args(tri, bear):
+    """The kernel's inputs for triangle ``tri`` (3, 3) and unit bearings
+    ``bear`` (3, 3): squared sides and bearing cosines, computed as the
+    block solver computes them, as Python floats."""
+    sides = np.square(tri[[1, 0, 0]] - tri[[2, 2, 1]]).sum(axis=1).tolist()
     cosines = np.vecdot(bear[[1, 0, 0]], bear[[2, 2, 1]]).tolist()
     return [*sides, *cosines]
 
@@ -61,7 +61,7 @@ def kernel_args(pts):
 def run(seed, draws):
     """Counts, the lost problems' indices and the time per kernel call."""
     problems = make_problems(seed, draws)
-    args = [kernel_args(pts) for _, pts in problems]
+    args = [kernel_args(pts, pts / np.linalg.norm(pts, axis=1, keepdims=True)) for _, pts in problems]
     start = time.perf_counter()
     results = [kernels.p3p_distance_sets(*a) for a in args]
     elapsed = time.perf_counter() - start

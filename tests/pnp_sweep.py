@@ -34,6 +34,7 @@ import sys
 
 import numpy as np
 
+from p3p_stress import kernel_args
 from scalepose import _kernels as kernels
 from scalepose.errors import ScalePoseError
 from scalepose.geometry import CameraIntrinsics, RigidPose, project, random_rotation
@@ -90,12 +91,9 @@ def _final_cost(pose, pixels, points, mask):
 
 def _set_residual(pixels, points):
     """Largest law-of-cosines residual of the P3P distance sets of the
-    first three correspondences, relative to the sum of the squared sides;
-    the kernel's inputs are computed as the block solver computes them."""
-    tri = points[:3]
-    bear = _bearings(pixels[:3], CAMERA)
-    a2, b2, c2 = np.square(tri[[1, 0, 0]] - tri[[2, 2, 1]]).sum(axis=1).tolist()
-    ca, cb, cg = np.vecdot(bear[[1, 0, 0]], bear[[2, 2, 1]]).tolist()
+    first three correspondences, relative to the sum of the squared
+    sides."""
+    a2, b2, c2, ca, cb, cg = kernel_args(points[:3], _bearings(pixels[:3], CAMERA))
     worst = 0.0
     for s1, s2, s3 in kernels.p3p_distance_sets(a2, b2, c2, ca, cb, cg):
         worst = max(
