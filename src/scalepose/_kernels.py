@@ -20,10 +20,10 @@ called once per RANSAC sample, and make no NumPy call: at a block of
 eight samples that beats array code. The quartic's roots come from
 Ferrari's factorisation unpolished; each distance triple built from them
 is Newton-polished once, on the three law-of-cosines constraints, and
-that is the only refinement in the chain. A vectorised Grunert with companion
-eigenvalues and an array Newton polish took 1.11 ms per block, about what
-eight scalar calls took while they still made NumPy calls, and a call now
-takes about 30 us. The reprojection kernels are NumPy.
+that is the only refinement in the chain. A vectorised Grunert with
+companion eigenvalues and an array Newton polish took 1.11 ms per block,
+about what eight scalar calls took while they still made NumPy calls,
+and a call now takes about 25 us. The reprojection kernels are NumPy.
 """
 
 import math
@@ -228,9 +228,10 @@ def p3p_distance_sets(a2, b2, c2, ca, cb, cg):
 def _polish_distances(s1, s2, s3, a2, b2, c2, ca, cb, cg):
     """Newton-polish (s1, s2, s3) on the three distance constraints.
 
-    Returns None unless the polished triple meets them and its smallest
-    distance exceeds ``_DEDUP_RTOL`` times its largest. The Jacobian has a zero diagonal, so each step is solved by Cramer's
-    rule on its six off-diagonal entries.
+    The Jacobian has a zero diagonal, so each step is solved by Cramer's
+    rule on its six off-diagonal entries. Returns None unless the polished
+    triple meets the constraints and its smallest distance exceeds
+    ``_DEDUP_RTOL`` times its largest.
     """
     scale = a2 + b2 + c2
     for _ in range(5):
