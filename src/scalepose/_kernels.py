@@ -30,7 +30,9 @@ import math
 
 import numpy as np
 
-# Relative tolerance for merging duplicate polynomial roots / distance sets.
+# Relative tolerance for merging duplicate polynomial roots / distance sets;
+# also the fraction of a set's largest distance that its smallest must
+# exceed (below it the camera sits at a vertex by rounding).
 _DEDUP_RTOL = 1e-8
 # Below this |2 (cos_g - v cos_a)| / (1 + v), the quartic root v is taken as
 # shared by two P3P solutions.
@@ -55,7 +57,17 @@ def _cubic_max_real_root(a, b, c):
         theta = math.acos(min(1.0, max(-1.0, -0.5 * q / rho)))
         mag = 2.0 * math.sqrt(-p / 3.0)
         t = max(mag * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3))
-    return t - a / 3.0
+    m = t - a / 3.0
+    # t - a/3 is off by about eps |a|, which swamps a root near zero (a
+    # nearly biquadratic quartic, whose factorisation then loses its real
+    # roots); two Newton steps restore its relative accuracy
+    for _ in range(2):
+        f = ((m + a) * m + b) * m + c
+        df = (3.0 * m + 2.0 * a) * m + b
+        if df == 0.0:
+            break
+        m -= f / df
+    return m
 
 
 def _quadratic_real_roots(b, c, out):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import reprojection_residuals_jacobian
+from p3p_stress import kernel_args
 from scalepose import _kernels as kernels
 from scalepose.geometry import RigidPose, random_rotation
 
@@ -60,14 +61,17 @@ class TestQuarticRoots:
         assert np.allclose(kernels.quartic_roots(0, 0, 0, 2, -4), [2], atol=1e-12)
         assert kernels.quartic_roots(0, 0, 0, 0, 0) == []
 
-
-def _p3p_args(pts, bearings):
-    """The kernel's inputs for camera-frame points ``pts`` (3, 3): squared
-    sides |P2-P3|^2, |P1-P3|^2, |P1-P2|^2, then the bearing cosines of
-    rays 2-3, 1-3 and 1-2, as Python floats."""
-    sides = pts[[1, 0, 0]] - pts[[2, 2, 1]]
-    cosines = np.vecdot(bearings[[1, 0, 0]], bearings[[2, 2, 1]])
-    return [*np.vecdot(sides, sides).tolist(), *cosines.tolist()]
+    def test_nearly_biquadratic(self):
+        # a small odd coefficient makes the resolvent cubic's largest root
+        # about q^2 / (8 (p^2/4 - r)), far below the rounding of its
+        # Cardano form; taken from there, the factor quadratics have no
+        # real roots and every real root of the quartic is lost
+        for eps in (1e-12, 1e-10, 1e-8, -1e-9):
+            for coeffs in ((1, 0, 1, eps, -1), (1, 0, -3, eps, 1)):
+                mine = kernels.quartic_roots(*coeffs)
+                oracle = _roots_oracle(coeffs)
+                assert len(mine) == len(oracle)
+                assert np.max(np.abs(np.array(mine) - oracle)) < 1e-7
 
 
 def _residuals(s, a2, b2, c2, ca, cb, cg):
@@ -93,7 +97,7 @@ class TestP3PDistances:
     def test_recovers_true_distances(self):
         for seed in range(300):
             pts, bearings, dist = _p3p_instance(seed)
-            sets = kernels.p3p_distance_sets(*_p3p_args(pts, bearings))
+            sets = kernels.p3p_distance_sets(*kernel_args(pts, bearings))
             assert len(sets) >= 1
             best = min(np.max(np.abs(np.array(s) - dist)) for s in sets)
             assert best < 1e-8
@@ -101,7 +105,7 @@ class TestP3PDistances:
     def test_all_solutions_satisfy_constraints(self):
         for seed in range(50):
             pts, bearings, _ = _p3p_instance(seed)
-            args = _p3p_args(pts, bearings)
+            args = kernel_args(pts, bearings)
             scale = sum(args[:3])
             for s in kernels.p3p_distance_sets(*args):
                 assert type(s) is tuple and all(type(v) is float for v in s)
@@ -109,21 +113,36 @@ class TestP3PDistances:
                 assert min(s) > 0
 
     def test_no_set_puts_the_camera_at_a_vertex(self):
-        # a gridded triangle whose quartic has a root that, at the parent
-        # commit, polished to a set with a smallest distance of 2.1e-15:
-        # rounding noise, at which the block solver placed a sample point
-        # in front of the camera
+        # a gridded triangle whose quartic has a root that polishes to a
+        # set with a smallest distance of 2.1e-15 (rounding noise) unless
+        # such sets are rejected; the block solver would place a sample
+        # point at that depth, in front of the camera
         pts = np.array([[-0.75, -0.75, 1.5], [-0.25, -0.75, 1.75], [-0.5, 1.0, 2.25]])
         dist = np.linalg.norm(pts, axis=1)
-        sets = kernels.p3p_distance_sets(*_p3p_args(pts, pts / dist[:, None]))
+        sets = kernels.p3p_distance_sets(*kernel_args(pts, pts / dist[:, None]))
         for s in sets:
             assert min(s) > 1e-8 * max(s)
         assert min(np.max(np.abs(np.array(s) - dist)) for s in sets) <= 1e-8 * dist.max()
 
+    def test_nearly_biquadratic_quartic_keeps_the_true_set(self):
+        # a camera placed where the quartic's depressed odd coefficient is
+        # 2.5e-12 of its even one: the true set needs the resolvent cubic's
+        # small root to full relative accuracy
+        pts = np.array(
+            [
+                [0.485319556862743, -0.9593785642971955, 3.1284076748208567],
+                [-0.18784892316782945, 0.3516646355481537, 2.581526468569633],
+                [-0.5695147384422293, 0.6800736892219748, 3.0869927575236478],
+            ]
+        )
+        dist = np.linalg.norm(pts, axis=1)
+        sets = kernels.p3p_distance_sets(*kernel_args(pts, pts / dist[:, None]))
+        assert min((np.max(np.abs(np.array(s) - dist)) for s in sets), default=np.inf) <= 1e-8 * dist.max()
+
     def test_degenerate_triangle_returns_empty(self):
         pts = np.array([[0.0, 0, 1], [0.0, 0, 1], [1.0, 0, 2]])
         bearings = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        assert kernels.p3p_distance_sets(*_p3p_args(pts, bearings)) == []
+        assert kernels.p3p_distance_sets(*kernel_args(pts, bearings)) == []
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -141,7 +160,7 @@ class TestP3PDistances:
         pts = np.array(pts)
         dist = np.linalg.norm(pts, axis=1)
         bearings = pts / dist[:, None]
-        args = _p3p_args(pts, bearings)
+        args = kernel_args(pts, bearings)
         a2, b2, c2, ca, cb, cg = args
         side = np.sqrt(args[:3])
         assume(side.min() > 0.1)
