@@ -18,12 +18,14 @@ reprojection_normal_eqs(R, t, obj, pix, fx, fy, cx, cy)
 Grunert's P3P and the Ferrari quartic are scalar code on Python floats,
 called once per RANSAC sample, and make no NumPy call: at a block of
 eight samples that beats array code. The quartic's roots come from
-Ferrari's factorisation unpolished; each distance triple built from them
-is Newton-polished once, on the three law-of-cosines constraints, and
-that is the only refinement in the chain. A vectorised Grunert with
-companion eigenvalues and an array Newton polish took 1.11 ms per block,
-about what eight scalar calls took while they still made NumPy calls,
-and a call now takes about 25 us. The reprojection kernels are NumPy.
+Ferrari's factorisation with no polish on the quartic; only the resolvent
+cubic's root takes two Newton steps, which a nearly biquadratic quartic
+needs to keep its real roots. Each distance triple built from a root is
+Newton-polished once, on the three law-of-cosines constraints. A
+vectorised Grunert with companion eigenvalues and an array Newton polish
+took 1.11 ms per block, about what eight scalar calls took while they
+still made NumPy calls, and a call now takes about 30 us. The
+reprojection kernels are NumPy.
 """
 
 import math
@@ -85,10 +87,10 @@ def _quadratic_real_roots(b, c, out):
 def quartic_roots(c4, c3, c2, c1, c0):
     """Real roots of c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0, ascending.
 
-    Ferrari resolvent-cubic factorization, unpolished (P3P polishes the
-    distance triple built from each root instead); near-coincident roots
-    are merged. Degenerate leading coefficients fall through to the
-    cubic/quadratic/linear case.
+    Ferrari resolvent-cubic factorization; the roots are not polished on
+    the quartic (P3P polishes the distance triple built from each root
+    instead), and near-coincident roots are merged. Degenerate leading
+    coefficients fall through to the cubic/quadratic/linear case.
     """
     coeffs = (c4, c3, c2, c1, c0)
     scale = max(abs(c) for c in coeffs)
