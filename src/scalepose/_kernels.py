@@ -17,15 +17,11 @@ reprojection_normal_eqs(R, t, obj, pix, fx, fy, cx, cy)
 
 Grunert's P3P and the Ferrari quartic are scalar code on Python floats,
 called once per RANSAC sample, and make no NumPy call: at a block of
-eight samples that beats array code. The quartic's roots come from
-Ferrari's factorisation with no polish on the quartic; only the resolvent
-cubic's root takes two Newton steps, which a nearly biquadratic quartic
-needs to keep its real roots. Each distance triple built from a root is
-Newton-polished once, on the three law-of-cosines constraints. A
-vectorised Grunert with companion eigenvalues and an array Newton polish
-took 1.11 ms per block, about what eight scalar calls took while they
-still made NumPy calls, and a call now takes about 30 us. The
-reprojection kernels are NumPy.
+eight samples that beats array code. The quartic's roots are not
+polished; each distance triple is, once. A vectorised Grunert with companion
+eigenvalues and an array Newton polish took 1.11 ms per block, about what
+eight scalar calls took while they still made NumPy calls, and a call now
+takes about 30 us. The reprojection kernels are NumPy.
 """
 
 import math
@@ -60,9 +56,8 @@ def _cubic_max_real_root(a, b, c):
         mag = 2.0 * math.sqrt(-p / 3.0)
         t = max(mag * math.cos((theta - 2.0 * math.pi * k) / 3.0) for k in range(3))
     m = t - a / 3.0
-    # t - a/3 is off by about eps |a|, which swamps a root near zero (a
-    # nearly biquadratic quartic, whose factorisation then loses its real
-    # roots); two Newton steps restore its relative accuracy
+    # t - a/3 is off by about eps |a|: two Newton steps keep a root near
+    # zero (a nearly biquadratic quartic's) accurate relative to itself
     for _ in range(2):
         f = ((m + a) * m + b) * m + c
         df = (3.0 * m + 2.0 * a) * m + b
