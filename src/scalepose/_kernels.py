@@ -35,6 +35,9 @@ _DEDUP_RTOL = 1e-8
 # Below this |2 (cos_g - v cos_a)| / (1 + v), the quartic root v is taken as
 # shared by two P3P solutions.
 _SHARED_ROOT_TOL = 1e-4
+# A few ulps: a sum whose magnitude is below this times the sum of its
+# terms' magnitudes is zero up to rounding.
+_ROUNDING = 4.0 * 2.0 ** -52
 # Polynomial coefficients below this times the largest are taken as zero;
 # P3P's leading coefficient can cancel to about 1e-15 instead of to 0.
 _NEGLIGIBLE = 1e-12
@@ -214,10 +217,13 @@ def p3p_distance_sets(a2, b2, c2, ca, cb, cg):
             # two solutions share this v, a double root that rounding can
             # split by 1e-6 or make complex, and the linear equation for u
             # degenerates: try both roots of the quadratic one and let the
-            # polish decide
+            # polish decide; a discriminant that is negative only within
+            # the rounding of its terms is taken as 0
             disc = cg * cg - 1.0 + cc * den_s1
             if disc < 0:
-                continue
+                if disc < -_ROUNDING * (cg * cg + 1.0 + cc * (1.0 + v * v + 2.0 * v * abs(cb))):
+                    continue
+                disc = 0.0
             us = (cg + math.sqrt(disc), cg - math.sqrt(disc))
         s1 = math.sqrt(b2 / den_s1)
         for u in us:

@@ -139,6 +139,15 @@ class TestP3PDistances:
         sets = kernels.p3p_distance_sets(*kernel_args(pts, pts / dist[:, None]))
         assert min((np.max(np.abs(np.array(s) - dist)) for s in sets), default=np.inf) <= 1e-8 * dist.max()
 
+    def test_shared_root_keeps_the_true_set(self):
+        # the quartic's true root is a double root shared by two solutions,
+        # and the discriminant of their quadratic in u, 0 in real
+        # arithmetic, rounds to -5.6e-17
+        pts = np.array([[1.0, -0.75, 1.5], [0.0, 0.0, 1.5], [-0.5, 0.75, 1.5]])
+        dist = np.linalg.norm(pts, axis=1)
+        sets = kernels.p3p_distance_sets(*kernel_args(pts, pts / dist[:, None]))
+        assert min((np.max(np.abs(np.array(s) - dist)) for s in sets), default=np.inf) <= 1e-8 * dist.max()
+
     def test_degenerate_triangle_returns_empty(self):
         pts = np.array([[0.0, 0, 1], [0.0, 0, 1], [1.0, 0, 2]])
         bearings = pts / np.linalg.norm(pts, axis=1, keepdims=True)
