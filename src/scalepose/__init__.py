@@ -64,6 +64,7 @@ from .synth import (
     run_decoupled,
     run_grid,
     sample_scene,
+    solve_canonical,
 )
 
 __version__ = "0.1.0"
@@ -112,6 +113,7 @@ __all__ = [
     "run_grid",
     "sample_scene",
     "scale_model_points",
+    "solve_canonical",
     "solve_pnp_lsq",
     "solve_pnp_minimal",
     "translation_error_cm",

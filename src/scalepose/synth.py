@@ -8,7 +8,8 @@ model points, and per-point ground-truth depths. Controlled corruption
 noise) feeds two estimation arms:
 
 * decoupled -- scale from the category anchor plus a relative offset, pose
-  from RANSAC-PnP on the scaled model (depth never enters);
+  from RANSAC-PnP on the unit-diagonal model with its translation scaled
+  by that scale (depth never enters);
 * coupled   -- back-project pixels with (noisy) pseudo-depths and fit a
   similarity transform, so depth error reaches rotation and scale jointly.
 
@@ -18,6 +19,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,7 +38,7 @@ from .geometry import (
     umeyama_align,
 )
 from .nocs import NocsModel, normalize_model
-from .pnp import ransac_pnp, scale_model_points
+from .pnp import PnPResult, ransac_pnp
 from .scale import CategoryStats, gt_offset, recover_scale
 
 CATEGORIES = ("bottle", "bowl", "camera", "can", "laptop", "mug")
@@ -274,6 +276,7 @@ def _raw_category_points(category, n):
     raise UnknownCategory(f"unknown category {category!r}; supported: {CATEGORIES}")
 
 
+@functools.lru_cache(maxsize=None)
 def make_canonical_model(category, point_count=256):
     """Deterministic canonical point model for a category.
 
@@ -281,13 +284,15 @@ def make_canonical_model(category, point_count=256):
     hemisphere, boxes, hinged slabs, a cylinder with handle) and normalized
     to the canonical convention (centered, unit bbox diagonal). The actual
     count lands near ``point_count`` (complete rings/grids are never
-    truncated). Returns ``(model, canonical_extents)``.
+    truncated). Returns ``(model, canonical_extents)``, both read-only and
+    built once per ``(category, point_count)`` for the process.
     """
     if point_count < 32:
         raise ValueError(f"point_count must be >= 32, got {point_count}")
     raw = _raw_category_points(category, int(point_count))
     pts, _ = normalize_model(raw)
     extents = pts.max(axis=0) - pts.min(axis=0)
+    extents.flags.writeable = False
     return NocsModel(pts), extents
 
 
@@ -404,20 +409,31 @@ def _result(scene, pipeline, noise, trial, est_pose, est_scale):
     )
 
 
+def solve_canonical(scene: SyntheticScene, corrupted: CorruptedObservations) -> PnPResult:
+    """RANSAC-PnP of the corrupted pixels on the scene's unit-diagonal
+    model: the decoupled arm's pose up to the scale of its translation."""
+    return ransac_pnp(corrupted.pixels, scene.model.points, scene.intrinsics)
+
+
 def run_decoupled(
     scene: SyntheticScene,
-    corrupted: CorruptedObservations,
+    canonical: PnPResult,
     delta: float,
     noise: NoiseSpec = NoiseSpec(),
     trial: int = 0,
 ) -> ExperimentResult:
     """Scale from the category anchor in :data:`DEFAULT_CATEGORY_STATS` plus
-    the relative offset ``delta``, pose from RANSAC-PnP on the model scaled
-    to it."""
+    the relative offset ``delta``; pose ``(R, scale t)`` from the
+    :func:`solve_canonical` result ``(R, t)``.
+
+    PnP on the model scaled by s is the unit-model solve with its
+    translation times s: the pixels, hence the samples, inlier masks and
+    iteration counts, do not depend on s, and the poses agree to rounding.
+    So one solve serves every scale of a scene.
+    """
     scale = recover_scale(DEFAULT_CATEGORY_STATS[scene.category], delta)
-    metric_points = scale_model_points(scale, scene.model.points)
-    solved = ransac_pnp(corrupted.pixels, metric_points, scene.intrinsics)
-    return _result(scene, "decoupled", noise, trial, solved.pose, scale)
+    pose = RigidPose(canonical.pose.rotation, scale * canonical.pose.translation)
+    return _result(scene, "decoupled", noise, trial, pose, scale)
 
 
 def run_coupled(
@@ -552,13 +568,26 @@ def run_grid(
 ) -> GridResult:
     """Full factorial (category x noise point x trial) over both pipelines.
 
-    Per trial, one scene and one corruption are shared by the two arms so
-    comparisons are paired. The decoupled arm's offset from the category
-    anchor is the oracle's, ``gt_offset`` of the trial's true scale times
-    ``1 + scale_rel_error`` (``predictor_kind="oracle"``), or 0, the bare
-    category mean that ignores the instance (``"mean"``, the anchor-only
-    ablation arm). Seeds derive from (master_seed, cell, trial), making the
-    whole grid a pure function of its arguments.
+    Every axis is paired. Trial ``trial`` of a category samples its scene
+    from seed ``(master_seed, CATEGORIES.index(category), trial, 0)`` and
+    corrupts it from ``(..., trial, 1)``, so every cell of the category
+    shares that scene, and each noise channel draws the same variates,
+    scaled by the cell's level. The two arms share the corruption. The
+    grid is a pure function of its arguments, and a category's rows do
+    not depend on the other categories or noise points beside it.
+
+    Each fact is computed once: a scene per (category, trial), and a
+    :func:`solve_canonical` per (category, trial, pixel noise, outlier
+    fraction), since only those levels move the pixels; every cell
+    sharing them rescales that solve. The decoupled arm's offset from the
+    category anchor is the oracle's, ``gt_offset`` of the trial's true
+    scale times ``1 + scale_rel_error`` (``predictor_kind="oracle"``), or
+    0, the bare category mean that ignores the instance (``"mean"``, the
+    anchor-only ablation arm).
+
+    A repeated category or noise point raises ``ValueError``: its cells
+    would be copies that the summary merges into one cell counting each
+    trial twice.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -571,24 +600,33 @@ def run_grid(
     unknown = [c for c in categories if c not in CATEGORIES]
     if unknown:
         raise UnknownCategory(f"unknown categories {unknown}; supported: {CATEGORIES}")
+    for name, values in (("categories", categories), ("noise specs", noise_specs)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{name} must not repeat, got {repeated[0]!r} twice")
 
     results = []
-    for cell, (category, noise) in enumerate(
-        (c, s) for c in categories for s in noise_specs
-    ):
-        for trial in range(trials):
-            scene = sample_scene(
-                category,
-                rng_seed=(master_seed, cell, trial, 0),
-                point_count=point_count,
-            )
-            observations = corrupt(scene, noise, seed=(master_seed, cell, trial, 1))
-            if predictor_kind == "mean":
-                delta = 0.0
-            else:
-                delta = gt_offset(
-                    scene.scale * (1.0 + noise.scale_rel_error), DEFAULT_CATEGORY_STATS[category]
+    for category in categories:
+        key = CATEGORIES.index(category)
+        scenes = [
+            sample_scene(category, rng_seed=(master_seed, key, trial, 0), point_count=point_count)
+            for trial in range(trials)
+        ]
+        solved = {}
+        for noise in noise_specs:
+            for trial, scene in enumerate(scenes):
+                observations = corrupt(scene, noise, seed=(master_seed, key, trial, 1))
+                pixels_key = (trial, noise.pixel_noise_sigma, noise.outlier_fraction)
+                if pixels_key not in solved:
+                    solved[pixels_key] = solve_canonical(scene, observations)
+                if predictor_kind == "mean":
+                    delta = 0.0
+                else:
+                    delta = gt_offset(
+                        scene.scale * (1.0 + noise.scale_rel_error), DEFAULT_CATEGORY_STATS[category]
+                    )
+                results.append(
+                    run_decoupled(scene, solved[pixels_key], delta, noise=noise, trial=trial)
                 )
-            results.append(run_decoupled(scene, observations, delta, noise=noise, trial=trial))
-            results.append(run_coupled(scene, observations, noise=noise, trial=trial))
+                results.append(run_coupled(scene, observations, noise=noise, trial=trial))
     return GridResult(tuple(results))

@@ -33,6 +33,7 @@ from scalepose.synth import (
     run_coupled,
     run_decoupled,
     sample_scene,
+    solve_canonical,
 )
 
 DEG = 180.0 / math.pi
@@ -153,11 +154,12 @@ def test_c04_decoupling_invariance():
         for trial in range(3):
             scene = sample_scene(category, rng_seed=40_000 + 10 * i + trial)
             observations = corrupt(scene, NoiseSpec(), seed=0)
+            canonical = solve_canonical(scene, observations)
             t_norm = np.linalg.norm(scene.pose.translation)
             rots = []
             for rel in (0.0,) + offsets:
                 delta = gt_offset(scene.scale * (1 + rel), DEFAULT_CATEGORY_STATS[category])
-                result = run_decoupled(scene, observations, delta)
+                result = run_decoupled(scene, canonical, delta)
                 rots.append(result.rotation_error_deg)
                 ratio = np.linalg.norm(result.pose.translation) / t_norm
                 expected = result.estimated_scale / scene.scale
@@ -184,7 +186,7 @@ def test_c05_coupled_degradation():
             observations = corrupt(scene, NoiseSpec(depth_rel_noise=level), seed=60_000 + trial)
             coupled.append(run_coupled(scene, observations).rotation_error_deg)
             delta = gt_offset(scene.scale, DEFAULT_CATEGORY_STATS["camera"])
-            decoupled.append(run_decoupled(scene, observations, delta).rotation_error_deg)
+            decoupled.append(run_decoupled(scene, solve_canonical(scene, observations), delta).rotation_error_deg)
         coupled_medians[level] = float(np.median(coupled))
         decoupled_medians[level] = float(np.median(decoupled))
 

@@ -47,6 +47,7 @@ PUBLIC_NAMES = [
     "run_grid",
     "sample_scene",
     "scale_model_points",
+    "solve_canonical",
     "solve_pnp_lsq",
     "solve_pnp_minimal",
     "translation_error_cm",

@@ -423,6 +423,14 @@ SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
             {}, ["simulate", "--categories", "mug", "--trials", "1", "--seed", "-1"],
             "error: master_seed must be a non-negative integer", id="simulate-seed-negative",
         ),
+        pytest.param(
+            {}, ["simulate", "--categories", "mug", "mug", "--trials", "1", "--points", "32"],
+            "error: categories must not repeat", id="simulate-category-repeated",
+        ),
+        pytest.param(
+            {}, SIMULATE + ["--depth-noise", "0,0"], "error: noise specs must not repeat",
+            id="simulate-noise-repeated",
+        ),
         *[
             pytest.param(
                 {}, SIMULATE + [flag, value], f"error: {field} must be finite",

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalepose import synth
-from scalepose.errors import PlacementFailed, UnknownCategory
+from scalepose.errors import ConsensusNotFound, PlacementFailed, UnknownCategory
 from scalepose.evaluation import RecordMetrics, metric_table
-from scalepose.geometry import rotation_about_axis, rotation_error_symmetric_deg
+from scalepose.geometry import rotation_about_axis, rotation_error_deg, rotation_error_symmetric_deg
 from scalepose.nocs import bbox_diagonal
 from scalepose.pnp import RansacConfig, ransac_pnp, scale_model_points
-from scalepose.scale import CategoryStats, gt_offset
+from scalepose.scale import CategoryStats, gt_offset, recover_scale
 from scalepose.synth import (
     CATEGORIES,
     DEFAULT_CATEGORY_STATS,
+    CorruptedObservations,
     NoiseSpec,
     SyntheticScene,
     corrupt,
@@ -23,6 +26,7 @@ from scalepose.synth import (
     run_decoupled,
     run_grid,
     sample_scene,
+    solve_canonical,
 )
 from test_evaluation import reference_ap
 
@@ -91,6 +95,14 @@ class TestCanonicalModels:
     def test_minimum_point_count(self):
         with pytest.raises(ValueError):
             make_canonical_model("mug", 16)
+
+    def test_built_once_and_read_only(self):
+        model, extents = make_canonical_model("bowl", 96)
+        again, again_extents = make_canonical_model("bowl", 96)
+        assert again is model and again_extents is extents
+        for arr in (model.points, extents):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestSampleScene:
@@ -207,7 +219,7 @@ class TestCorrupt:
 class TestPipelines:
     def test_decoupled_exact_with_oracle(self):
         scene = sample_scene("can", 21)
-        out = run_decoupled(scene, corrupt(scene, NoiseSpec(), 0), oracle_offset(scene))
+        out = run_decoupled(scene, solve_canonical(scene, corrupt(scene, NoiseSpec(), 0)), oracle_offset(scene))
         assert out.rotation_error_deg < 0.01
         assert out.translation_error_cm < 0.01
         assert out.iou > 0.999
@@ -215,17 +227,17 @@ class TestPipelines:
     def test_decoupled_rotation_immune_to_scale_offset(self):
         # a scale far from the truth leaves rotation unaffected
         scene = sample_scene("bottle", 22)
-        obs = corrupt(scene, NoiseSpec(), 0)
+        solved = solve_canonical(scene, corrupt(scene, NoiseSpec(), 0))
         for factor in (0.6, 1.0, 1.7):
-            out = run_decoupled(scene, obs, oracle_offset(scene, factor - 1.0))
+            out = run_decoupled(scene, solved, oracle_offset(scene, factor - 1.0))
             assert out.rotation_error_deg < 0.01
 
     def test_decoupled_translation_proportional_to_scale_error(self):
         scene = sample_scene("mug", 23)
-        obs = corrupt(scene, NoiseSpec(), 0)
+        solved = solve_canonical(scene, corrupt(scene, NoiseSpec(), 0))
         t_norm = np.linalg.norm(scene.pose.translation)
         for rel in (-0.2, -0.1, 0.1, 0.2):
-            out = run_decoupled(scene, obs, oracle_offset(scene, rel))
+            out = run_decoupled(scene, solved, oracle_offset(scene, rel))
             expected = abs(rel) * t_norm * 100.0
             assert out.translation_error_cm == pytest.approx(expected, rel=0.1)
 
@@ -243,13 +255,112 @@ class TestPipelines:
             obs = corrupt(scene, NoiseSpec(depth_rel_noise=0.05), seed=seed)
             rot_coupled.append(run_coupled(scene, obs).rotation_error_deg)
             rot_decoupled.append(
-                run_decoupled(scene, obs, oracle_offset(scene)).rotation_error_deg
+                run_decoupled(scene, solve_canonical(scene, obs), oracle_offset(scene)).rotation_error_deg
             )
         assert np.median(rot_coupled) > 0.1
         assert np.median(rot_decoupled) < 0.01
 
 
+class TestCanonicalSolve:
+    """The decoupled arm rescales one RANSAC solve of the unit-diagonal
+    model instead of solving the model scaled to its recovered size."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        category=st.sampled_from(CATEGORIES),
+        seed=st.integers(0, 2**32 - 1),
+        pixel_noise=st.floats(0.3, 1.0),
+        outliers=st.floats(0.0, 0.5),
+        rel=st.floats(-0.3, 0.5),
+    )
+    def test_rescaled_solve_matches_a_solve_of_the_scaled_model(self, category, seed, pixel_noise, outliers, rel):
+        scene = sample_scene(category, seed, point_count=96)
+        obs = corrupt(scene, NoiseSpec(pixel_noise, outliers), seed)
+        delta = oracle_offset(scene, rel)
+        scale = recover_scale(DEFAULT_CATEGORY_STATS[category], delta)
+        metric = scale_model_points(scale, scene.model.points)
+        try:
+            canonical = solve_canonical(scene, obs)
+        except ConsensusNotFound:
+            with pytest.raises(ConsensusNotFound):
+                ransac_pnp(obs.pixels, metric, scene.intrinsics)
+            return
+        fresh = ransac_pnp(obs.pixels, metric, scene.intrinsics)
+        assert np.array_equal(canonical.inlier_mask, fresh.inlier_mask)
+        assert canonical.iterations_used == fresh.iterations_used
+
+        out = run_decoupled(scene, canonical, delta)
+        assert out.estimated_scale == scale
+        assert rotation_error_deg(out.pose.rotation, fresh.pose.rotation) <= 1e-5
+        t = fresh.pose.translation
+        assert np.linalg.norm(out.pose.translation - t) <= 1e-7 * np.linalg.norm(t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        category=st.sampled_from(CATEGORIES),
+        seed=st.integers(0, 2**32 - 1),
+        outliers=st.floats(0.0, 0.5),
+        depth_noise=st.floats(0.0, 0.1),
+        factor=st.floats(0.5, 2.0),
+    )
+    def test_coupled_rotation_ignores_a_global_depth_scale(self, category, seed, outliers, depth_noise, factor):
+        # a global depth factor is a similarity, which Umeyama absorbs: a
+        # scale error that only rescales the pseudo-depths tests nothing
+        scene = sample_scene(category, seed, point_count=96)
+        obs = corrupt(scene, NoiseSpec(0.5, outliers, 0.0, depth_noise), seed)
+        scaled = CorruptedObservations(obs.pixels, factor * obs.pseudo_depths, obs.outlier_mask)
+        a = run_coupled(scene, obs).pose.rotation
+        b = run_coupled(scene, scaled).pose.rotation
+        assert rotation_error_deg(a, b) <= 1e-9
+
+
 class TestGrid:
+    def test_category_rows_ignore_the_rest_of_the_grid(self):
+        spec = NoiseSpec(0.5, 0.2, 0.1, 0.05)
+        alone = run_grid(["mug"], [spec], trials=2, master_seed=6, point_count=64)
+        shared = run_grid(
+            ["camera", "mug"],
+            [NoiseSpec(), spec, NoiseSpec(1.0, 0.0, -0.1, 0.0)],
+            trials=2,
+            master_seed=6,
+            point_count=64,
+        )
+        key = ["mug"] + [repr(v) for v in (0.5, 0.2, 0.1, 0.05)]
+
+        def rows(text):
+            return [line for line in text.splitlines() if [line.split(",")[0]] + line.split(",")[2:6] == key]
+
+        assert len(rows(alone.trials_csv())) == 4
+        assert rows(alone.trials_csv()) == rows(shared.trials_csv())
+        assert len(rows(alone.summary_csv())) == 2
+        assert rows(alone.summary_csv()) == rows(shared.summary_csv())
+
+    def test_cells_share_each_trial_scene(self):
+        specs = [NoiseSpec(), NoiseSpec(1.0, 0.2, 0.3, 0.1), NoiseSpec(0.0, 0.0, -0.2, 0.0)]
+        grid = run_grid(["camera", "mug"], specs, trials=3, master_seed=2, point_count=64)
+        scenes = {}
+        for r in grid.trials:
+            scenes.setdefault((r.category, r.trial), set()).add(
+                (r.gt_scale, r.gt_pose.rotation.tobytes(), r.gt_pose.translation.tobytes())
+            )
+        assert len(scenes) == 6
+        assert all(len(seen) == 1 for seen in scenes.values())
+
+    @pytest.mark.parametrize(
+        "categories, specs",
+        [
+            (["mug", "camera", "mug"], [NoiseSpec()]),
+            (["mug"], [NoiseSpec(0.5), NoiseSpec(), NoiseSpec(0.5)]),
+        ],
+        ids=["category", "noise-spec"],
+    )
+    def test_rejects_repeated_cells(self, monkeypatch, categories, specs):
+        # repeated cells would be identical copies that the summary merges
+        # into one cell counting each trial twice
+        monkeypatch.setattr(synth, "sample_scene", None)
+        with pytest.raises(ValueError, match="must not repeat"):
+            run_grid(categories, specs, trials=1)
+
     def test_deterministic_csv(self):
         specs = [NoiseSpec(), NoiseSpec(depth_rel_noise=0.05)]
         a = run_grid(["mug"], specs, trials=2, master_seed=0)
