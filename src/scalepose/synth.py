@@ -426,10 +426,9 @@ def run_decoupled(
     the relative offset ``delta``; pose ``(R, scale t)`` from the
     :func:`solve_canonical` result ``(R, t)``.
 
-    PnP on the model scaled by s is the unit-model solve with its
-    translation times s: the pixels, hence the samples, inlier masks and
-    iteration counts, do not depend on s, and the poses agree to rounding.
-    So one solve serves every scale of a scene.
+    RANSAC-PnP on the model scaled by s is, to rounding, the unit-model
+    solve with its translation times s, with the same inlier mask and
+    iteration count, so one solve serves every scale of a scene.
     """
     scale = recover_scale(DEFAULT_CATEGORY_STATS[scene.category], delta)
     pose = RigidPose(canonical.pose.rotation, scale * canonical.pose.translation)
