@@ -220,11 +220,10 @@ def p3p_distance_sets(a2, b2, c2, ca, cb, cg):
             # polish decide; a discriminant that is negative only within
             # the rounding of its terms is taken as 0
             disc = cg * cg - 1.0 + cc * den_s1
-            if disc < 0:
-                if disc < -_ROUNDING * (cg * cg + 1.0 + cc * (1.0 + v * v + 2.0 * v * abs(cb))):
-                    continue
-                disc = 0.0
-            us = (cg + math.sqrt(disc), cg - math.sqrt(disc))
+            if disc < -_ROUNDING * (cg * cg + 1.0 + cc * (1.0 + v * v + 2.0 * v * abs(cb))):
+                continue
+            sq = math.sqrt(max(disc, 0.0))
+            us = (cg + sq, cg - sq)
         s1 = math.sqrt(b2 / den_s1)
         for u in us:
             if u > 0:
