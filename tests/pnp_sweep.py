@@ -4,14 +4,20 @@
 ``solve_pnp_minimal`` on the first four correspondences and with
 ``solve_pnp_lsq`` on the noise-free, outlier-free pixels, and writes every
 result of the checkout it imports to JSON (floats round-trip exactly).
-Each RANSAC pose also records its final cost and the condition number of
-JᵀJ on its inliers, from ``kernels.reprojection_normal_eqs``, and each
-minimal problem the largest law-of-cosines residual of its P3P distance
-sets, relative to the sum of the squared sides. ``compare`` reads two
-such files, lists every exact-field mismatch, reports the largest pose
-moves between them and lists every RANSAC pose that moves beyond the
-noise floor with both final costs, split at cond(JᵀJ) 1e12, and every
-minimal pose that moves by more than 1e-9 with both residuals.
+Each RANSAC solve also records its refine on the consensus set it
+refined: the start and final cost, the accepted steps, the number of
+``kernels.reprojection_normal_eqs`` evaluations and cond(JᵀJ) at the
+refined pose. Each minimal problem records the largest law-of-cosines
+residual of its P3P distance sets, relative to the sum of the squared
+sides. ``compare`` reads two such files, lists every exact-field
+mismatch, reports the largest pose moves between them, judges the
+refines on their own consensus sets (evaluation totals, refines that end
+higher by more than 1e-12 or lower by more than 1%), lists every RANSAC
+pose that moves beyond the noise floor with both refine costs, split at
+cond(JᵀJ) 1e12, and every minimal pose that moves by more than 1e-9 with
+both residuals. Masks are recomputed after the refine, so a cost over
+the final mask would mix the refine's move with the inliers it gains or
+loses.
 
 Problems: model size log-uniform in 1e-4 to 1e4 m, 4 to 200 points, 30%
 with an exact collinear run of 3 to all points at the start, 20% with such
@@ -31,6 +37,7 @@ poses, 138 ``RankDeficient`` and 44 ``InsufficientCorrespondences``.
 import argparse
 import json
 import sys
+from unittest import mock
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from p3p_stress import kernel_args
 from scalepose import _kernels as kernels
 from scalepose.errors import ScalePoseError
 from scalepose.geometry import CameraIntrinsics, RigidPose, project, random_rotation
+from scalepose import pnp
 from scalepose.pnp import RansacConfig, _bearings, ransac_pnp, solve_pnp_lsq, solve_pnp_minimal
 
 CAMERA = CameraIntrinsics(fx=577.5, fy=577.5, cx=319.5, cy=239.5)
@@ -80,13 +88,30 @@ def _error(exc):
     return {"error": type(exc).__name__, "message": str(exc)}
 
 
-def _final_cost(pose, pixels, points, mask):
-    """Reprojection cost and cond(JᵀJ) of ``pose`` on the inliers."""
-    k = CAMERA
-    jtj, _, cost, _ = kernels.reprojection_normal_eqs(
-        pose.rotation, pose.translation, points[mask], pixels[mask], k.fx, k.fy, k.cx, k.cy
-    )
-    return {"cost": cost, "cond": float(np.linalg.cond(jtj))}
+def _recorded_ransac(pixels, points, config):
+    """``ransac_pnp`` and a record of its refine on the consensus set it
+    refined: start and final cost, accepted steps, normal-equation
+    evaluations and cond(JᵀJ) at the refined pose."""
+    normal_eqs, refine = kernels.reprojection_normal_eqs, pnp.refine_pnp
+    record = {}
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return normal_eqs(*args)
+
+    def recording(initial, image, model, k):
+        pose, info = refine(initial, image, model, k, full_output=True)
+        jtj = normal_eqs(pose.rotation, pose.translation, model, image, k.fx, k.fy, k.cx, k.cy)[0]
+        record.update(start_cost=info["cost_history"][0], cost=info["final_cost"],
+                      steps=info["iterations"], evaluations=calls, cond=float(np.linalg.cond(jtj)))
+        return pose
+
+    with mock.patch.object(kernels, "reprojection_normal_eqs", counting), \
+            mock.patch.object(pnp, "refine_pnp", recording):
+        result = ransac_pnp(pixels, points, CAMERA, config)
+    return result, record
 
 
 def _set_residual(pixels, points):
@@ -110,7 +135,7 @@ def solve(seed):
     pixels, clean, points, size, max_iterations = make_problem(seed)
     out = {"seed": seed, "size": size}
     try:
-        r = ransac_pnp(pixels, points, CAMERA, RansacConfig(2.0, max_iterations, 0.999, seed))
+        r, refine = _recorded_ransac(pixels, points, RansacConfig(2.0, max_iterations, 0.999, seed))
         out["ransac"] = {
             **_pose(r.pose),
             "mask": "".join("1" if v else "0" for v in r.inlier_mask),
@@ -119,7 +144,7 @@ def solve(seed):
             "stop_reason": r.stop_reason,
             "rejected_degenerate": r.rejected_degenerate,
             "rejected_no_solution": r.rejected_no_solution,
-            **_final_cost(r.pose, pixels, points, r.inlier_mask),
+            **refine,
         }
     except (ScalePoseError, ValueError) as exc:
         out["ransac"] = _error(exc)
@@ -160,8 +185,13 @@ RANSAC_EXACT = ("error", "message", "mask", "iterations", "stop_reason", "reject
 
 # the parent against itself with only the refined points' order reversed
 # moves RANSAC poses by up to these (rotation, mean error in px): the
-# Gauss-Newton noise floor
+# refine's noise floor
 NOISE_FLOOR = {"rotation": 6.9e-7, "mean_error": 2.2e-6}
+# refines that end higher than the parent's by more than this absolute cost
+# (the refine's cost tolerance), or lower by more than this fraction, on
+# their own consensus sets, are listed
+COST_RISE = 1e-12
+COST_FALL = 0.01
 # above this cond(JᵀJ) the final pose lies in a flat valley of the cost
 FLAT_COND = 1e12
 # minimal-solver poses that move by more than this are listed
@@ -169,10 +199,11 @@ MINIMAL_LIST_ABOVE = 1e-9
 
 
 def compare(parent, change):
-    """Exact-field mismatches, pose moves, RANSAC poses beyond the noise
-    floor and moved minimal-solver problems of ``change`` against
-    ``parent`` (lists of :func:`solve` results)."""
+    """Exact-field mismatches, pose moves, refine judgements, RANSAC poses
+    beyond the noise floor and moved minimal-solver problems of ``change``
+    against ``parent`` (lists of :func:`solve` results)."""
     mismatches, beyond, minimal_moved = [], [], []
+    refines = {"evaluations": ([], []), "rises": [], "rose": [], "fell": []}
     moves = {"ransac_rotation": [], "ransac_translation": [], "ransac_mean_error": [],
              "minimal_rotation": [], "minimal_translation": [], "lsq_rotation": [], "lsq_translation": []}
     for p, c in zip(parent, change, strict=True):
@@ -185,6 +216,14 @@ def compare(parent, change):
             moves["ransac_rotation"].append((_move(pr, cr, "rotation"), seed))
             moves["ransac_translation"].append((_move(pr, cr, "translation") / scale, seed))
             moves["ransac_mean_error"].append((abs(pr["mean_error"] - cr["mean_error"]), seed))
+            for side, r in zip(refines["evaluations"], (pr, cr)):
+                side.append((r["evaluations"], seed))
+            if cr["cost"] > pr["cost"]:
+                refines["rises"].append((cr["cost"] - pr["cost"], seed))
+            if cr["cost"] > pr["cost"] + COST_RISE:
+                refines["rose"].append((seed, pr, cr))
+            elif cr["cost"] < (1.0 - COST_FALL) * pr["cost"]:
+                refines["fell"].append((seed, pr, cr))
             rotation, mean_error = moves["ransac_rotation"][-1][0], moves["ransac_mean_error"][-1][0]
             if rotation > NOISE_FLOOR["rotation"] or mean_error > NOISE_FLOOR["mean_error"]:
                 beyond.append((seed, rotation, mean_error, pr, cr))
@@ -217,7 +256,7 @@ def compare(parent, change):
         if "error" not in pl and "error" not in cl:
             moves["lsq_rotation"].append((_move(pl, cl, "rotation"), seed))
             moves["lsq_translation"].append((_move(pl, cl, "translation") / scale, seed))
-    return mismatches, moves, beyond, minimal_moved
+    return mismatches, moves, refines, beyond, minimal_moved
 
 
 # pose moves above these are counted (translations relative to max(1 m, size))
@@ -248,7 +287,7 @@ def main(argv=None):
         change = json.load(f)
     print("parent", json.dumps(outcome_counts(parent)))
     print("change", json.dumps(outcome_counts(change)))
-    mismatches, moves, beyond, minimal_moved = compare(parent, change)
+    mismatches, moves, refines, beyond, minimal_moved = compare(parent, change)
     for line in mismatches:
         print("MISMATCH", line)
     print(f"{len(mismatches)} exact-field mismatch(es)")
@@ -257,13 +296,25 @@ def main(argv=None):
         worst, seed = max(values, default=(0.0, None))
         above = sum(v > bound for v, _ in values)
         print(f"{name}: {above} of {len(values)} above {bound:g}, worst {worst:.3g} (problem {seed})")
+    for name, side in zip(("parent", "change"), refines["evaluations"]):
+        most, seed = max(side, default=(0, None))
+        print(f"{name} refines: {sum(v for v, _ in side)} evaluations over {len(side)}, "
+              f"at most {most} (problem {seed})")
+    worst, seed = max(refines["rises"], default=(0.0, None))
+    print(f"refines that end higher on their consensus set: {len(refines['rises'])}, "
+          f"worst by {worst:.3g} (problem {seed})")
+    for key, what in (("rose", f"higher by more than {COST_RISE:g}"), ("fell", f"lower by more than {COST_FALL:.0%}")):
+        print(f"refines that end {what} on their consensus set: {len(refines[key])}")
+        for seed, pr, cr in refines[key]:
+            print(f"  problem {seed}: cost {pr['start_cost']:.6g} -> {pr['cost']!r} in {pr['evaluations']} "
+                  f"evaluations, now {cr['cost']!r} in {cr['evaluations']}, cond {cr['cond']:.3g}")
     for flat in (False, True):
         rows = [b for b in beyond if (max(b[3]["cond"], b[4]["cond"]) > FLAT_COND) == flat]
         print(f"RANSAC poses beyond the noise floor {NOISE_FLOOR} with cond(JᵀJ) "
               f"{'>' if flat else '<='} {FLAT_COND:g}: {len(rows)}")
         for seed, rotation, mean_error, pr, cr in rows:
             print(f"  problem {seed}: rotation {rotation:.3g}, mean error {mean_error:.3g} px, "
-                  f"cond {pr['cond']:.3g} -> {cr['cond']:.3g}, final cost {pr['cost']!r} -> {cr['cost']!r}")
+                  f"cond {pr['cond']:.3g} -> {cr['cond']:.3g}, refine cost {pr['cost']!r} -> {cr['cost']!r}")
     print(f"minimal-solver problems whose poses move by more than {MINIMAL_LIST_ABOVE:g}: {len(minimal_moved)}")
     for seed, worst, p_res, c_res in minimal_moved:
         print(f"  problem {seed}: move {worst:.3g}, largest set residual / sum of squared sides "
