@@ -10,9 +10,9 @@ Solvers:
 
 * :func:`solve_pnp_minimal` -- P3P on three points plus a disambiguation
   point: one sample of the block solver inside RANSAC;
-* :func:`solve_pnp_lsq`     -- DLT initialization + Gauss-Newton refinement
-  for 6+ correspondences;
-* :func:`refine_pnp`        -- Gauss-Newton reprojection refinement;
+* :func:`solve_pnp_lsq`     -- DLT initialization + Levenberg-Marquardt
+  refinement for 6+ correspondences;
+* :func:`refine_pnp`        -- Levenberg-Marquardt reprojection refinement;
 * :func:`ransac_pnp`        -- robust loop with adaptive termination that
   solves and scores its samples in blocks, then replays them in order.
 """
@@ -49,10 +49,12 @@ MINIMAL_SAMPLE_SIZE = 4
 # work past the stop point and raise peak memory for little gain.
 SAMPLE_BLOCK = 8
 
-# Gauss-Newton termination (step norm, cost decrease, iteration cap).
-GN_STEP_TOL = 1e-10
-GN_COST_TOL = 1e-12
-GN_MAX_ITERATIONS = 50
+# Levenberg-Marquardt termination (step norm, predicted cost decrease,
+# accepted-step cap) and initial damping, relative to diag(JtJ).
+LM_STEP_TOL = 1e-10
+LM_COST_TOL = 1e-12
+LM_MAX_ITERATIONS = 50
+LM_INITIAL_DAMPING = 1e-3
 
 
 @dataclass(frozen=True)
@@ -263,7 +265,7 @@ def solve_pnp_minimal(image_points, model_points, intrinsics):
 def solve_pnp_lsq(image_points, model_points, intrinsics):
     """Least-squares PnP: DLT over normalized coordinates, nearest-SO(3)
     projection of the linear rotation, whose mean singular value scales
-    the translation, then Gauss-Newton refinement.
+    the translation, then Levenberg-Marquardt refinement (:func:`refine_pnp`).
 
     Requires >= 6 correspondences in a non-degenerate configuration.
 
@@ -304,19 +306,30 @@ def solve_pnp_lsq(image_points, model_points, intrinsics):
 
 
 def refine_pnp(initial, image_points, model_points, intrinsics, full_output=False):
-    """Gauss-Newton minimization of the total squared reprojection error.
+    """Levenberg-Marquardt minimization of the total squared reprojection
+    error, with Nielsen's damping update (Madsen, Nielsen & Tingleff,
+    "Methods for Non-Linear Least Squares Problems", 2004, section 3.2).
 
-    The rotation is updated through axis-angle increments on the tangent
-    space, ``rotation_from_rotvec(omega) @ R``: a product of rotations,
-    not projected back onto SO(3), that drifts by about 1e-16 per step.
-    Steps that would increase the cost are halved up to 10 times before
-    giving up, so the returned cost never exceeds the initial cost.
-    Terminates on step norm < 1e-10, cost decrease < 1e-12, or 50
-    iterations.
+    Each step solves ``(JtJ + lam * diag(JtJ)) delta = -Jtr`` once, from
+    one ``kernels.reprojection_normal_eqs`` evaluation. Marquardt's
+    diagonal scaling makes the damping invariant to the model's size, and
+    the damped matrix is positive definite wherever every parameter moves
+    some residual, so no fallback solve is needed. The rotation is updated
+    through axis-angle increments on the tangent space,
+    ``rotation_from_rotvec(omega) @ R``: a product of rotations, not
+    projected back onto SO(3), that drifts by about 1e-16 per step. A step
+    is accepted when it loses no point to depth and strictly lowers the
+    cost, so the returned cost never exceeds the initial cost; ``lam``
+    then falls by the gain ratio of the actual to the predicted decrease,
+    and a rejected step raises it. Terminates after evaluating a step whose
+    norm is below ``LM_STEP_TOL`` (1e-10) or whose predicted decrease is
+    below ``LM_COST_TOL`` (1e-12), or after ``LM_MAX_ITERATIONS`` (50)
+    accepted steps.
 
     With ``full_output=True`` returns ``(pose, info)`` where info carries
     ``cost_history`` (cost after the initial evaluation and each accepted
-    step), ``iterations`` and ``final_cost`` (the returned pose's cost).
+    step), ``iterations`` (accepted steps) and ``final_cost`` (the returned
+    pose's cost).
 
     Raises
     ------
@@ -337,35 +350,31 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
         )
     history = [cost]
     iterations = 0
-    for _ in range(GN_MAX_ITERATIONS):
-        try:
-            step = -np.linalg.solve(jtj, jtr)
-        except np.linalg.LinAlgError:
-            ridge = 1e-12 * max(np.trace(jtj), 1.0)
-            step = -np.linalg.solve(jtj + ridge * np.eye(6), jtr)
-
-        accepted = False
-        alpha = 1.0
-        for _ in range(10):
-            delta = alpha * step
-            cand_rot = rotation_from_rotvec(delta[:3]) @ rot
-            cand_t = t + delta[3:]
-            cand = kernels.reprojection_normal_eqs(
-                cand_rot, cand_t, model, image, k.fx, k.fy, k.cx, k.cy
-            )
-            if cand[3] >= n_valid and cand[2] < cost:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-
-        iterations += 1
-        decrease = cost - cand[2]
-        rot, t = cand_rot, cand_t
-        jtj, jtr, cost, n_valid = cand
-        history.append(cost)
-        if np.linalg.norm(delta) < GN_STEP_TOL or decrease < GN_COST_TOL:
+    lam, nu = LM_INITIAL_DAMPING, 2.0
+    while iterations < LM_MAX_ITERATIONS:
+        scale = lam * np.diag(jtj)
+        delta = -np.linalg.solve(jtj + np.diag(scale), jtr)
+        predicted = delta @ (scale * delta - jtr)
+        cand_rot = rotation_from_rotvec(delta[:3]) @ rot
+        cand_t = t + delta[3:]
+        cand = kernels.reprojection_normal_eqs(
+            cand_rot, cand_t, model, image, k.fx, k.fy, k.cx, k.cy
+        )
+        if cand[3] >= n_valid and cand[2] < cost:
+            # Nielsen's update: a gain ratio of 1 or more divides lam by 3.
+            # A predicted decrease below LM_COST_TOL ends the loop below, so
+            # the floor only keeps the ratio finite on that last step.
+            gain = min((cost - cand[2]) / max(predicted, LM_COST_TOL), 1.0)
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            nu = 2.0
+            iterations += 1
+            rot, t = cand_rot, cand_t
+            jtj, jtr, cost, n_valid = cand
+            history.append(cost)
+        else:
+            lam *= nu
+            nu *= 2.0
+        if np.linalg.norm(delta) < LM_STEP_TOL or predicted < LM_COST_TOL:
             break
 
     pose = RigidPose(rot, t)
@@ -385,7 +394,7 @@ def _adaptive_iteration_bound(inlier_ratio, confidence):
 
 
 def ransac_pnp(image_points, model_points, intrinsics, config=None):
-    """RANSAC over minimal P3P samples with Gauss-Newton polish.
+    """RANSAC over minimal P3P samples with Levenberg-Marquardt polish.
 
     All samples come from one generator seeded with ``rng_seed``: sample
     ``i`` is the first four indices of the argsort of row ``i`` of its
@@ -402,8 +411,9 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
     order, so the result is that of the one-sample-at-a-time loop, for
     any block size; work past the stop point is thrown away.
 
-    The final pose is refined on the best consensus set and the inlier mask
-    is recomputed against the refined pose.
+    The final pose is refined on the best consensus set by
+    :func:`refine_pnp` and the inlier mask is recomputed against the
+    refined pose.
 
     Raises
     ------

@@ -202,6 +202,54 @@ class TestRefinement:
             history = info["cost_history"]
             assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
+    def test_converged_refine_stops_after_one_trial_step(self, camera, monkeypatch):
+        # restarted from its own converged pose, a refine evaluates that pose
+        # and one trial step, then stops
+        normal_eqs, calls = pnp.kernels.reprojection_normal_eqs, []
+
+        def counting(*args):
+            calls.append(args)
+            return normal_eqs(*args)
+
+        monkeypatch.setattr(pnp.kernels, "reprojection_normal_eqs", counting)
+        rng = np.random.default_rng(32)
+        for seed in range(30):
+            pose, pts, pix = make_projected_scene(25, seed=550 + seed)
+            noisy = pix + rng.normal(0, 1.0, pix.shape)
+            start = RigidPose(
+                rotation_about_axis(rng.normal(size=3), 4.0) @ pose.rotation,
+                pose.translation + 0.03 * rng.normal(size=3),
+            )
+            converged = refine_pnp(start, noisy, pts, camera)
+            calls.clear()
+            refine_pnp(converged, noisy, pts, camera)
+            assert len(calls) <= 2, seed
+
+    @pytest.mark.parametrize("problem", [1615, 4748])
+    def test_flat_valley_reaches_the_minimum(self, problem):
+        # sweep problems whose refined pose lies in a flat valley of the cost
+        # (cond(JtJ) above 1e12): from the pose RANSAC hands to the refine,
+        # it ends within 5% of scipy's Levenberg-Marquardt
+        from scipy.optimize import least_squares
+
+        from pnp_sweep import make_problem
+        from scalepose.geometry import rotation_from_rotvec
+
+        pixels, _, points, _, max_iterations = make_problem(problem)
+        starts = []
+        with mock.patch.object(pnp, "refine_pnp", lambda *args: starts.append(args) or args[0]):
+            ransac_pnp(pixels, points, CAMERA, RansacConfig(2.0, max_iterations, 0.999, problem))
+        start, image, model, k = starts[0]
+
+        def residuals(x):
+            cam = model @ (rotation_from_rotvec(x[:3]) @ start.rotation).T + start.translation + x[3:]
+            return np.concatenate([k.fx * cam[:, 0] / cam[:, 2] + k.cx - image[:, 0],
+                                   k.fy * cam[:, 1] / cam[:, 2] + k.cy - image[:, 1]])
+
+        reference = 2.0 * least_squares(residuals, np.zeros(6), method="lm").cost
+        _, info = refine_pnp(start, image, model, k, full_output=True)
+        assert info["final_cost"] <= 1.05 * reference
+
     def test_all_points_behind_camera(self, camera):
         pose, pts, pix = make_projected_scene(10, seed=30)
         flipped = RigidPose(pose.rotation, [0.0, 0.0, -3.0])
