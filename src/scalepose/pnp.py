@@ -166,6 +166,29 @@ def _triad_frames(p):
     return np.stack([e1, np.cross(w, e1), w], axis=2), ok
 
 
+def _collinear(model):
+    """Whether one rank-one test of the centred model points shows that the
+    rule of :func:`_triad_frames` rejects every triangle of ``model``.
+
+    Take ``h``, the points' largest distance from their principal line, and
+    ``m``, the longer of a triangle's two edges from its first vertex
+    measured along that line. Twice the triangle's area is at most
+    ``4 h m + 4 h^2``, and ``m`` is at least the smallest, over consecutive
+    gaps between the points' sorted positions along the line, of the larger
+    of two neighbouring gaps. So ``h <= 2e-11 m`` holds twice every area
+    below ``1e-10 m^2``, which the rule rejects; ``h`` and the gaps carry a
+    rounding allowance of 16 ulps of the points' largest radius. Needs at
+    least 3 points.
+    """
+    centred = model - model.mean(axis=0)
+    axis = np.linalg.svd(centred, full_matrices=False)[2][0]
+    along = centred @ axis
+    gaps = np.diff(np.sort(along))
+    span = np.maximum(gaps[1:], gaps[:-1]).min()
+    slack = 16.0 * np.finfo(np.float64).eps * _norms(centred).max()
+    return _norms(centred - along[:, None] * axis).max() + slack <= 2e-11 * (span - slack)
+
+
 class _Block(NamedTuple):
     """P3P candidates of a block of samples (see :func:`_p3p_block`)."""
 
@@ -420,7 +443,8 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
     InsufficientCorrespondences
         Fewer than 4 correspondences.
     ConsensusNotFound
-        No hypothesis reached 4 inliers.
+        No hypothesis reached 4 inliers, or the model points are collinear
+        (checked before the first sample: see :func:`_collinear`).
     """
     image, model = _validate_inputs(image_points, model_points)
     cfg = config or RansacConfig()
@@ -429,6 +453,8 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
         raise InsufficientCorrespondences(
             f"RANSAC needs >= {MINIMAL_SAMPLE_SIZE} correspondences, got {n}"
         )
+    if _collinear(model):
+        raise ConsensusNotFound("model points are collinear: every sample is degenerate")
     k = intrinsics
     rays = _bearings(image, k)
     rng = np.random.default_rng(cfg.rng_seed)

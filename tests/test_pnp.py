@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -574,6 +575,53 @@ class TestExactFrames:
             poses = []
         for pose in poses:
             ensure_rotation(pose.rotation, 1e-12)
+
+
+def line_model(seed, n, size_exp, height_exp, pinch_exp):
+    """``n`` model points at uniform positions along a line through a random
+    offset, each moved off it by ``10**height_exp`` of the size (``None``:
+    on the line to rounding), with the second point moved to within
+    ``10**pinch_exp`` of the size of the first (``None``: left alone)."""
+    rng = np.random.default_rng(seed)
+    size = 10.0**size_exp
+    direction = rng.normal(size=3)
+    model = rng.uniform(-size, size, size=3) + size * rng.uniform(-1.0, 1.0, size=(n, 1)) * direction / np.linalg.norm(direction)
+    if height_exp is not None:
+        model += 10.0**height_exp * size * rng.normal(size=(n, 3))
+    if pinch_exp is not None:
+        model[1] = model[0] + 10.0**pinch_exp * size * rng.normal(size=3)
+    return model
+
+
+class TestCollinearModel:
+    # the rank test before sampling may reject a model only where the
+    # triad rule already rejects every ordered triple of its points
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 9),
+        size_exp=st.floats(-4.0, 4.0),
+        height_exp=st.none() | st.floats(-17.0, -8.0),
+        pinch_exp=st.none() | st.floats(-16.0, -6.0),
+    )
+    def test_rejected_model_has_no_valid_triangle(self, seed, n, size_exp, height_exp, pinch_exp):
+        model = line_model(seed, n, size_exp, height_exp, pinch_exp)
+        if pnp._collinear(model):
+            triples = np.array(list(itertools.permutations(range(n), 3)))
+            assert not pnp._triad_frames(model[triples])[1].any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_points_on_a_line_are_collinear(self, seed):
+        assert pnp._collinear(line_model(seed, 12, 0.0, None, None))
+        assert not pnp._collinear(line_model(seed, 12, 0.0, -6.0, None))
+
+    def test_rejected_before_the_first_sample(self, camera):
+        pose = RigidPose(random_rotation(np.random.default_rng(37)), [0.0, 0.0, 1.5])
+        model = line_model(37, 40, -1.0, None, None)
+        pixels = project(pose.transform(model), camera)
+        with mock.patch.object(pnp, "_p3p_block", side_effect=AssertionError("sampled")):
+            with pytest.raises(ConsensusNotFound, match="collinear"):
+                ransac_pnp(pixels, model, camera, RansacConfig(rng_seed=0))
 
 
 class TestScaleModelPoints:
