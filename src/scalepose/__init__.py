@@ -32,12 +32,8 @@ from .geometry import (
 )
 from .nocs import (
     CorrespondenceMatrix,
-    DeformationField,
     NocsModel,
-    ShapePrior,
-    apply_deformation,
     assign,
-    harden,
     normalize_model,
 )
 from .pnp import (
@@ -74,7 +70,6 @@ __all__ = [
     "CameraIntrinsics",
     "CategoryStats",
     "CorrespondenceMatrix",
-    "DeformationField",
     "DetectionRecord",
     "GroundTruthBox",
     "MetricTable",
@@ -84,11 +79,9 @@ __all__ = [
     "PnPResult",
     "RansacConfig",
     "RigidPose",
-    "ShapePrior",
     "SimilarityTransform",
     "SyntheticScene",
     "ap_curves",
-    "apply_deformation",
     "assign",
     "average_precision",
     "backproject",
@@ -96,7 +89,6 @@ __all__ = [
     "compute_stats",
     "corrupt",
     "gt_offset",
-    "harden",
     "iou3d",
     "make_canonical_model",
     "match_detections",

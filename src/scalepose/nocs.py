@@ -1,5 +1,5 @@
-"""Canonical (NOCS) shape space: priors, deformation fields, and soft
-correspondence matrices.
+"""Canonical (NOCS) shape space: instance models, soft correspondence
+matrices and model normalization.
 
 Normalization convention: canonical models are origin-centered with a tight
 bounding-box diagonal of exactly 1, so a model scaled by the metric diagonal
@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import DegenerateExtent, DimensionMismatch, EmptyList, RowNotStochastic
 
-_DIAG_TOL = 1e-6
-_CENTROID_TOL = 1e-6
 _ROW_SUM_TOL = 1e-6
 _ROW_SUM_RENORM_LIMIT = 1e-3
 
@@ -40,46 +38,9 @@ def bbox_diagonal(points):
 
 
 @dataclass(frozen=True)
-class ShapePrior:
-    """Category mean shape, N x 3 canonical units (unit diagonal, centered)."""
-
-    points: np.ndarray
-    category: str
-
-    def __post_init__(self):
-        pts = _points_array(self.points, "prior points").copy()
-        diag = bbox_diagonal(pts)
-        if abs(diag - 1.0) > _DIAG_TOL:
-            raise ValueError(f"prior bbox diagonal must be 1, got {diag:.8f}")
-        centroid = np.abs(pts.mean(axis=0)).max()
-        if centroid > _CENTROID_TOL:
-            raise ValueError(f"prior centroid must be at the origin, offset {centroid:.2e}")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self):
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class DeformationField:
-    """Per-point canonical-space offsets added to a prior."""
-
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        off = _points_array(self.offsets, "offsets").copy()
-        off.flags.writeable = False
-        object.__setattr__(self, "offsets", off)
-
-    def __len__(self):
-        return self.offsets.shape[0]
-
-
-@dataclass(frozen=True)
 class NocsModel:
-    """Instance-specific canonical model (prior + deformation); finite
-    points only, extent deliberately unconstrained."""
+    """Instance-specific canonical model; finite points only, extent
+    deliberately unconstrained."""
 
     points: np.ndarray
 
@@ -127,15 +88,6 @@ class CorrespondenceMatrix:
         return self.entries.shape
 
 
-def apply_deformation(prior: ShapePrior, field: DeformationField) -> NocsModel:
-    """Reconstruct the instance model as prior points plus offsets."""
-    if len(prior) != len(field):
-        raise DimensionMismatch(
-            f"prior has {len(prior)} points but deformation field has {len(field)}"
-        )
-    return NocsModel(prior.points + field.offsets)
-
-
 def assign(matrix: CorrespondenceMatrix, model: NocsModel) -> np.ndarray:
     """Soft-assigned canonical points, one convex combination per matrix row.
 
@@ -147,11 +99,6 @@ def assign(matrix: CorrespondenceMatrix, model: NocsModel) -> np.ndarray:
             f"matrix has {matrix.shape[1]} columns but model has {len(model)} points"
         )
     return matrix.entries @ model.points
-
-
-def harden(matrix: CorrespondenceMatrix) -> np.ndarray:
-    """Per-row argmax indices; ties resolve to the lowest column index."""
-    return np.argmax(matrix.entries, axis=1)
 
 
 def normalize_model(points):

@@ -7,7 +7,6 @@ PUBLIC_NAMES = [
     "CameraIntrinsics",
     "CategoryStats",
     "CorrespondenceMatrix",
-    "DeformationField",
     "DetectionRecord",
     "GroundTruthBox",
     "MetricTable",
@@ -17,12 +16,10 @@ PUBLIC_NAMES = [
     "PnPResult",
     "RansacConfig",
     "RigidPose",
-    "ShapePrior",
     "SimilarityTransform",
     "SyntheticScene",
     "__version__",
     "ap_curves",
-    "apply_deformation",
     "assign",
     "average_precision",
     "backproject",
@@ -30,7 +27,6 @@ PUBLIC_NAMES = [
     "compute_stats",
     "corrupt",
     "gt_offset",
-    "harden",
     "iou3d",
     "make_canonical_model",
     "match_detections",

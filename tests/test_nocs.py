@@ -9,21 +9,11 @@ from scalepose.errors import (
 )
 from scalepose.nocs import (
     CorrespondenceMatrix,
-    DeformationField,
     NocsModel,
-    ShapePrior,
-    apply_deformation,
     assign,
     bbox_diagonal,
-    harden,
     normalize_model,
 )
-
-
-def random_prior(seed, n=32, category="mug"):
-    rng = np.random.default_rng(seed)
-    pts, _ = normalize_model(rng.normal(size=(n, 3)))
-    return ShapePrior(pts, category)
 
 
 def random_stochastic(seed, m, n):
@@ -32,44 +22,11 @@ def random_stochastic(seed, m, n):
     return CorrespondenceMatrix(raw / raw.sum(axis=1, keepdims=True))
 
 
-class TestApplyDeformation:
-    def test_zero_field_is_identity(self):
-        prior = random_prior(1)
-        model = apply_deformation(prior, DeformationField(np.zeros((len(prior), 3))))
-        assert np.array_equal(model.points, prior.points)
-
+class TestNocsModel:
     def test_single_point_offset(self):
-        prior_pts = np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
-        pts, _ = normalize_model(prior_pts)
         # construct directly to keep the hand-checkable numbers
         model = NocsModel(np.array([[0.1, 0.0, 0.0]])).points + np.array([[0.0, 0.05, 0.0]])
         assert np.allclose(model, [[0.1, 0.05, 0.0]])
-
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(2)
-        prior = random_prior(3, n=64)
-        offsets = rng.normal(scale=0.05, size=(64, 3))
-        model = apply_deformation(prior, DeformationField(offsets))
-        expected = np.array(
-            [[p[k] + o[k] for k in range(3)] for p, o in zip(prior.points, offsets)]
-        )
-        assert np.max(np.abs(model.points - expected)) < 1e-15
-
-    def test_dimension_mismatch(self):
-        prior = random_prior(4, n=16)
-        with pytest.raises(DimensionMismatch):
-            apply_deformation(prior, DeformationField(np.zeros((8, 3))))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(5)
-        prior = random_prior(6, n=24)
-        d1 = rng.normal(scale=0.02, size=(24, 3))
-        d2 = rng.normal(scale=0.02, size=(24, 3))
-        combined = apply_deformation(prior, DeformationField(d1 + d2))
-        chained = NocsModel(
-            apply_deformation(prior, DeformationField(d1)).points + d2
-        )
-        assert np.max(np.abs(combined.points - chained.points)) < 1e-12
 
 
 class TestAssign:
@@ -106,27 +63,6 @@ class TestAssign:
         model = NocsModel(np.zeros((5, 3)) + np.eye(5, 3))
         with pytest.raises(DimensionMismatch):
             assign(random_stochastic(12, m=4, n=6), model)
-
-
-class TestHarden:
-    def test_one_hot(self):
-        c = np.zeros((3, 4))
-        c[0, 1] = c[1, 3] = c[2, 0] = 1.0
-        assert harden(CorrespondenceMatrix(c)).tolist() == [1, 3, 0]
-
-    def test_tie_breaks_to_lowest_index(self):
-        assert harden(CorrespondenceMatrix(np.array([[0.5, 0.5]]))).tolist() == [0]
-
-    def test_matches_row_scan_oracle(self):
-        cm = random_stochastic(13, m=40, n=9)
-        expected = []
-        for row in cm.entries:
-            best, best_v = 0, row[0]
-            for j, v in enumerate(row):
-                if v > best_v:
-                    best, best_v = j, v
-            expected.append(best)
-        assert harden(cm).tolist() == expected
 
 
 class TestCorrespondenceMatrix:
@@ -177,11 +113,3 @@ class TestNormalizeModel:
     def test_degenerate_extent(self):
         with pytest.raises(DegenerateExtent):
             normalize_model(np.zeros((5, 3)))
-
-    def test_prior_accepts_normalized_output(self):
-        pts, _ = normalize_model(np.random.default_rng(16).normal(size=(20, 3)))
-        ShapePrior(pts, "bottle")
-
-    def test_prior_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            ShapePrior(np.random.default_rng(17).normal(size=(20, 3)), "bottle")
