@@ -335,9 +335,11 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
 
     Each step solves ``(JtJ + lam * diag(JtJ)) delta = -Jtr`` once, from
     one ``kernels.reprojection_normal_eqs`` evaluation. Marquardt's
-    diagonal scaling makes the damping invariant to the model's size, and
-    the damped matrix is positive definite wherever every parameter moves
-    some residual, so no fallback solve is needed. The rotation is updated
+    diagonal scaling makes the damping invariant to the model's size and
+    keeps the damped matrix positive definite; the damping's floor at the
+    smallest normal float does so even where a parameter moves no residual
+    (a model on one line through its origin, along the camera's x axis),
+    so no fallback solve is needed. The rotation is updated
     through axis-angle increments on the tangent space,
     ``rotation_from_rotvec(omega) @ R``: a product of rotations, not
     projected back onto SO(3), that drifts by about 1e-16 per step. A step
@@ -375,7 +377,7 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
     iterations = 0
     lam, nu = LM_INITIAL_DAMPING, 2.0
     while iterations < LM_MAX_ITERATIONS:
-        scale = lam * np.diag(jtj)
+        scale = np.maximum(lam * np.diag(jtj), np.finfo(np.float64).tiny)
         delta = -np.linalg.solve(jtj + np.diag(scale), jtr)
         predicted = delta @ (scale * delta - jtr)
         cand_rot = rotation_from_rotvec(delta[:3]) @ rot

@@ -251,6 +251,16 @@ class TestRefinement:
         _, info = refine_pnp(start, image, model, k, full_output=True)
         assert info["final_cost"] <= 1.05 * reference
 
+    def test_parameter_that_moves_no_residual(self, camera):
+        # model points on the camera's x axis through the model origin: a
+        # rotation about that axis moves no residual, so a column of J is zero
+        model = np.array([[x, 0.0, 0.0] for x in (-0.2, -0.1, 0.05, 0.1, 0.3)])
+        pose = RigidPose(np.eye(3), [0.0, 0.0, 2.0])
+        noisy = project(pose.transform(model), camera) + np.random.default_rng(0).normal(0, 0.5, (5, 2))
+        _, info = refine_pnp(pose, noisy, model, camera, full_output=True)
+        assert info["iterations"] > 0
+        assert info["final_cost"] < info["cost_history"][0]
+
     def test_all_points_behind_camera(self, camera):
         pose, pts, pix = make_projected_scene(10, seed=30)
         flipped = RigidPose(pose.rotation, [0.0, 0.0, -3.0])
