@@ -339,17 +339,17 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
     keeps the damped matrix positive definite; the damping's floor at the
     smallest normal float does so even where a parameter moves no residual
     (a model on one line through its origin, along the camera's x axis),
-    so no fallback solve is needed. The rotation is updated
-    through axis-angle increments on the tangent space,
+    so no fallback solve is needed. The rotation is updated through
+    axis-angle increments on the tangent space,
     ``rotation_from_rotvec(omega) @ R``: a product of rotations, not
     projected back onto SO(3), that drifts by about 1e-16 per step. A step
     is accepted when it loses no point to depth and strictly lowers the
     cost, so the returned cost never exceeds the initial cost; ``lam``
     then falls by the gain ratio of the actual to the predicted decrease,
-    and a rejected step raises it. Terminates after evaluating a step whose
-    norm is below ``LM_STEP_TOL`` (1e-10) or whose predicted decrease is
-    below ``LM_COST_TOL`` (1e-12), or after ``LM_MAX_ITERATIONS`` (50)
-    accepted steps.
+    and a rejected step raises it. Terminates after evaluating a step
+    whose norm is below ``LM_STEP_TOL`` (1e-10) or whose predicted
+    decrease is below ``LM_COST_TOL`` (1e-12), or after
+    ``LM_MAX_ITERATIONS`` (50) accepted steps.
 
     With ``full_output=True`` returns ``(pose, info)`` where info carries
     ``cost_history`` (cost after the initial evaluation and each accepted
@@ -388,7 +388,7 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
         if cand[3] >= n_valid and cand[2] < cost:
             # Nielsen's update: a gain ratio of 1 or more divides lam by 3.
             # A predicted decrease below LM_COST_TOL ends the loop below, so
-            # the floor only keeps the ratio finite on that last step.
+            # bounding it there only keeps the ratio finite on that step.
             gain = min((cost - cand[2]) / max(predicted, LM_COST_TOL), 1.0)
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
             nu = 2.0

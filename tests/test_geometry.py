@@ -205,7 +205,7 @@ rotvec_norms = st.one_of(st.just(0.0), st.floats(0.0, 1e-12), st.floats(1e-12, m
 
 
 class TestRotationFromRotvec:
-    # Gauss-Newton composes these matrices without projecting them back
+    # refine_pnp composes these matrices without projecting them back
     # onto SO(3), so the exponential map itself must be exact to rounding.
     @settings(max_examples=300, deadline=None)
     @given(direction=directions, norm=rotvec_norms)
