@@ -43,9 +43,9 @@ import numpy as np
 
 from p3p_stress import kernel_args
 from scalepose import _kernels as kernels
+from scalepose import pnp
 from scalepose.errors import ScalePoseError
 from scalepose.geometry import CameraIntrinsics, RigidPose, project, random_rotation
-from scalepose import pnp
 from scalepose.pnp import RansacConfig, _bearings, ransac_pnp, solve_pnp_lsq, solve_pnp_minimal
 
 CAMERA = CameraIntrinsics(fx=577.5, fy=577.5, cx=319.5, cy=239.5)
