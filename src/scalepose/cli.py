@@ -17,7 +17,7 @@ import numpy as np
 
 from . import fileio
 from .errors import InputError, ScalePoseError, SolverError
-from .evaluation import ap_curves, curve_csv, match_detections, metric_table
+from .evaluation import ap_curves, csv_text, curve_csv, match_detections, metric_table
 from .nocs import assign
 from .pnp import RansacConfig, ransac_pnp, scale_model_points
 from .scale import compute_stats, recover_scale
@@ -325,9 +325,8 @@ def cmd_stats(args):
     stats_list = [compute_stats(cat, scales) for cat, scales in sorted(by_category.items())]
     fileio.save_stats(stats_list, args.output)
     if args.csv:
-        lines = ["category,std_dev"]
-        lines += [f"{s.category},{s.std_dev!r}" for s in stats_list]
-        fileio.atomic_write_text(args.csv, "\n".join(lines) + "\n")
+        rows = [[s.category, s.std_dev] for s in stats_list]
+        fileio.atomic_write_text(args.csv, csv_text(("category", "std_dev"), rows))
     for s in stats_list:
         print(f"{s.category:10s} mean {s.mean_scale:.6f} m  std {s.std_dev:.6f} m  n={s.count}")
     print(f"stats -> {args.output}")

@@ -35,6 +35,16 @@ SYMMETRY_AXIS = np.array([0.0, 1.0, 0.0])
 TABLE_COLUMNS = ("IoU50", "IoU75", "10cm", "10°", "10°10cm")
 
 
+def csv_text(header, rows):
+    """CSV text: the ``header`` names, then one line per row, each line
+    ending in a newline. A ``str`` cell is written as it is; any other cell as its
+    Python float's ``repr``, the shortest digits that read back bit for bit
+    (NumPy scalars too). Integer columns pass ``str(...)`` cells."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else repr(float(c)) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class GroundTruthBox:
     """One annotated object: pose, metric scale, unit-diagonal extents."""
@@ -236,11 +246,8 @@ class MetricTable:
         return "\n".join(lines) + "\n"
 
     def to_csv(self):
-        lines = ["category," + ",".join(TABLE_COLUMNS)]
-        for cat, row in zip(self.categories, self.values):
-            lines.append(cat + "," + ",".join(repr(float(v)) for v in row))
-        lines.append("mean," + ",".join(repr(float(v)) for v in self.mean))
-        return "\n".join(lines) + "\n"
+        rows = [[cat, *row] for cat, row in zip(self.categories, self.values)]
+        return csv_text(("category", *TABLE_COLUMNS), rows + [["mean", *self.mean]])
 
 
 def metric_table(metrics: RecordMetrics) -> MetricTable:
@@ -285,10 +292,8 @@ def ap_curves(metrics: RecordMetrics, metric, thresholds) -> ApCurve:
 
 def curve_csv(curve: ApCurve):
     """CSV rows: threshold, one column per category, then the mean."""
-    lines = ["threshold," + ",".join(curve.categories) + ",mean"]
-    for ti, thr in enumerate(curve.thresholds):
-        cells = [repr(float(thr))]
-        cells += [repr(float(v)) for v in curve.per_category[ti]]
-        cells.append(repr(float(curve.mean[ti])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = [
+        [thr, *per_cat, mean]
+        for thr, per_cat, mean in zip(curve.thresholds, curve.per_category, curve.mean)
+    ]
+    return csv_text(("threshold", *curve.categories, "mean"), rows)

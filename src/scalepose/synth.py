@@ -27,7 +27,7 @@ import numpy as np
 
 from .boxes import box_from_estimate, iou3d
 from .errors import PlacementFailed, UnknownCategory
-from .evaluation import category_rotation_error_deg, table_ap
+from .evaluation import category_rotation_error_deg, csv_text, table_ap
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
@@ -458,18 +458,22 @@ def run_coupled(
 # The rules ``run_grid`` knows for the decoupled arm's offset.
 PREDICTOR_KINDS = ("oracle", "mean")
 
+_NOISE_COLUMNS = ("pixel_noise_sigma", "outlier_fraction", "scale_rel_error", "depth_rel_noise")
+
 _TRIAL_CSV_HEADER = (
-    "category,pipeline,pixel_noise_sigma,outlier_fraction,scale_rel_error,"
-    "depth_rel_noise,trial,rotation_error_deg,translation_error_cm,iou,"
-    "estimated_scale,gt_scale"
+    "category", "pipeline", *_NOISE_COLUMNS, "trial", "rotation_error_deg",
+    "translation_error_cm", "iou", "estimated_scale", "gt_scale",
 )
 
 _SUMMARY_CSV_HEADER = (
-    "category,pipeline,pixel_noise_sigma,outlier_fraction,scale_rel_error,"
-    "depth_rel_noise,trials,median_rotation_error_deg,mean_rotation_error_deg,"
-    "median_translation_error_cm,mean_translation_error_cm,mean_iou,"
-    "IoU50,IoU75,10cm,10deg,10deg10cm"
+    "category", "pipeline", *_NOISE_COLUMNS, "trials", "median_rotation_error_deg",
+    "mean_rotation_error_deg", "median_translation_error_cm", "mean_translation_error_cm",
+    "mean_iou", "IoU50", "IoU75", "10cm", "10deg", "10deg10cm",
 )
+
+
+def _noise_cells(noise):
+    return [getattr(noise, column) for column in _NOISE_COLUMNS]
 
 
 @dataclass(frozen=True)
@@ -477,30 +481,14 @@ class GridResult:
     trials: tuple[ExperimentResult, ...]
 
     def trials_csv(self):
-        lines = [_TRIAL_CSV_HEADER]
-        for r in self.trials:
-            ns = r.noise
-            lines.append(
-                ",".join(
-                    [r.category, r.pipeline]
-                    + [repr(float(v)) for v in (ns.pixel_noise_sigma, ns.outlier_fraction,
-                                                ns.scale_rel_error, ns.depth_rel_noise)]
-                    + [str(r.trial)]
-                    + [
-                        repr(float(v))
-                        for v in (
-                            r.rotation_error_deg,
-                            r.translation_error_cm,
-                            r.iou,
-                            r.estimated_scale,
-                            r.gt_scale,
-                        )
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        rows = [
+            [r.category, r.pipeline, *_noise_cells(r.noise), str(r.trial), r.rotation_error_deg,
+             r.translation_error_cm, r.iou, r.estimated_scale, r.gt_scale]
+            for r in self.trials
+        ]
+        return csv_text(_TRIAL_CSV_HEADER, rows)
 
-    def summary_rows(self):
+    def summary_csv(self):
         """One row per (category, noise, pipeline) cell, in first-seen order.
 
         Every figure comes from the stored errors and IoU of the cell's
@@ -516,45 +504,11 @@ class GridResult:
             trans = np.array([r.translation_error_cm for r in cell])
             ious = np.array([r.iou for r in cell])
             rows.append(
-                {
-                    "category": category,
-                    "pipeline": pipeline,
-                    "noise": noise,
-                    "trials": len(cell),
-                    "median_rotation_error_deg": float(np.median(rot)),
-                    "mean_rotation_error_deg": float(rot.mean()),
-                    "median_translation_error_cm": float(np.median(trans)),
-                    "mean_translation_error_cm": float(trans.mean()),
-                    "mean_iou": float(ious.mean()),
-                    "ap": table_ap(ious, rot, trans, len(cell)),
-                }
+                [category, pipeline, *_noise_cells(noise), str(len(cell)), np.median(rot),
+                 rot.mean(), np.median(trans), trans.mean(), ious.mean(),
+                 *table_ap(ious, rot, trans, len(cell))]
             )
-        return rows
-
-    def summary_csv(self):
-        lines = [_SUMMARY_CSV_HEADER]
-        for row in self.summary_rows():
-            ns = row["noise"]
-            lines.append(
-                ",".join(
-                    [row["category"], row["pipeline"]]
-                    + [repr(float(v)) for v in (ns.pixel_noise_sigma, ns.outlier_fraction,
-                                                ns.scale_rel_error, ns.depth_rel_noise)]
-                    + [str(row["trials"])]
-                    + [
-                        repr(float(row[k]))
-                        for k in (
-                            "median_rotation_error_deg",
-                            "mean_rotation_error_deg",
-                            "median_translation_error_cm",
-                            "mean_translation_error_cm",
-                            "mean_iou",
-                        )
-                    ]
-                    + [repr(float(v)) for v in row["ap"]]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(_SUMMARY_CSV_HEADER, rows)
 
 
 def run_grid(

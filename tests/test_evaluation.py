@@ -39,6 +39,7 @@ from scalepose.evaluation import (
     _confidence_order,
     ap_curves,
     average_precision,
+    csv_text,
     curve_csv,
     match_detections,
     metric_table,
@@ -402,3 +403,10 @@ class TestApCurves:
         for grid in ([float("nan")], [0.25, float("nan")], [0.5, float("inf")], [-float("inf"), 0.5], []):
             with pytest.raises(ValueError, match="finite"):
                 ap_curves(metrics, "iou", grid)
+
+
+def test_csv_text_cell_rule():
+    # A str cell is kept as given; any other cell is written as its Python
+    # float's repr, so NumPy 2 scalars do not print as "np.float64(...)".
+    text = csv_text(("name", "value"), [["a", np.float64(0.1)], ["0.10", 0.1 + 0.2], ["3", 3]])
+    assert text == "name,value\na,0.1\n0.10,0.30000000000000004\n3,3.0\n"
