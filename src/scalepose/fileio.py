@@ -1,5 +1,6 @@
-"""File formats shared by the CLI: JSON for structured records, JSON-lines
-for per-object streams, CSV for tabular reports.
+"""File formats shared by the CLI: JSON for structured records and JSON-lines
+for per-object streams. CSV reports are not written here; they come from
+:func:`scalepose.evaluation.csv_text`, which writes floats by the same rule.
 
 Serialization is round-trip exact: floats are written with ``repr``, which
 emits the shortest digit string that reproduces the value bit for bit.
@@ -168,12 +169,19 @@ def load_nocs_model(path) -> NocsModel:
         raise InputError(f"{path}: {exc}")
 
 
+def _whole(value, name):
+    """``int(value)``, refusing a fraction that ``int`` would truncate."""
+    if int(value) != float(value):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def load_correspondence_matrix(path) -> CorrespondenceMatrix:
     """Dense {rows, cols, data: row-major} or sparse {rows, cols, triplets}."""
     data = load_json(path, expect=dict)
     try:
-        rows = int(_require(data, "rows", path))
-        cols = int(_require(data, "cols", path))
+        rows = _whole(_require(data, "rows", path), "rows")
+        cols = _whole(_require(data, "cols", path), "cols")
         if rows < 1 or cols < 1:
             raise InputError(f"{path}: rows and cols must be positive")
         if "data" in data:
@@ -186,13 +194,13 @@ def load_correspondence_matrix(path) -> CorrespondenceMatrix:
             for t in data["triplets"]:
                 if len(t) != 3:
                     raise InputError(f"{path}: triplets must be [row, col, value]")
-                i, j, v = int(t[0]), int(t[1]), float(t[2])
+                i, j, v = _whole(t[0], "triplet row"), _whole(t[1], "triplet column"), float(t[2])
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise InputError(f"{path}: triplet index ({i}, {j}) out of bounds")
                 entries[i, j] += v
         else:
             raise InputError(f"{path}: need either 'data' or 'triplets'")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{path}: {exc}")
     try:
         return CorrespondenceMatrix(entries)
@@ -212,14 +220,12 @@ def load_stats(path):
             category = str(_require(rec, "category", where))
             if category in out:
                 raise ValueError(f"category {category!r} repeats an earlier entry")
-            count = _require(rec, "count", where)
-            if int(count) != float(count):
-                raise ValueError(f"count must be a whole number, got {count!r}")
+            count = _whole(_require(rec, "count", where), "count")
             out[category] = CategoryStats(
                 category=category,
                 mean_scale=float(_require(rec, "mean_scale", where)),
                 std_dev=float(_require(rec, "std_dev", where)),
-                count=int(count),
+                count=count,
             )
         except (TypeError, ValueError, OverflowError, NonPositiveScale) as exc:
             raise InputError(f"{where}: {exc}")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,21 @@ class TestMatrixFormats:
         path = tmp_path / "c.json"
         fileio.dump_json({"rows": 2, "cols": 2, "data": [1.0, 0.0, 1.0]}, str(path))
         with pytest.raises(InputError, match="length"):
+            fileio.load_correspondence_matrix(str(path))
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"rows": 2, "cols": 3, "triplets": [[0, 1.9, 1.0], [1.0, 2, 1.0]]}, "whole number"),
+            ({"rows": 2.7, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0]}, "whole number"),
+            ({"rows": float("inf"), "cols": 2, "data": [1.0, 0.0]}, "infinity"),
+        ],
+        ids=["fractional-column", "fractional-rows", "infinite-rows"],
+    )
+    def test_non_whole_index_rejected(self, tmp_path, data, message):
+        path = tmp_path / "c.json"
+        fileio.dump_json(data, str(path))
+        with pytest.raises(InputError, match=re.escape(str(path)) + ": .*" + message):
             fileio.load_correspondence_matrix(str(path))
 
     def test_non_stochastic_rejected(self, tmp_path):
