@@ -38,7 +38,8 @@ def _as_array(x, shape, name):
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """Read-only float64 copy of ``a``; the caller's array stays writable."""
+    a = np.array(a, dtype=np.float64, order="C")
     a.flags.writeable = False
     return a
 

@@ -258,3 +258,21 @@ class TestValueTypes:
         pose = RigidPose(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
             pose.rotation[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda r, t: RigidPose(r, t), lambda r, t: SimilarityTransform(2.0, r, t)],
+        ids=["rigid", "similarity"],
+    )
+    def test_caller_arrays_stay_writable_and_apart(self, make):
+        rotation = random_rotation(np.random.default_rng(17))
+        translation = np.array([0.1, 0.2, 0.3])
+        pose = make(rotation, translation)
+        kept = pose.rotation.copy(), pose.translation.copy()
+        assert rotation.flags.writeable and translation.flags.writeable
+        rotation[0, 0] = 5.0
+        translation[0] = 1.0
+        assert np.array_equal(pose.rotation, kept[0])
+        assert np.array_equal(pose.translation, kept[1])
+        with pytest.raises(ValueError):
+            pose.translation[0] = 1.0
