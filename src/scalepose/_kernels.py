@@ -13,7 +13,7 @@ reprojection_errors(R, t, obj, pix, fx, fy, cx, cy) -> per-point pixel error,
 pixel_errors(cam, pix, fx, fy, cx, cy)   -> the same error for camera-frame
     points of any leading shape (one pose's points or a stack of poses')
 reprojection_normal_eqs(R, t, obj, pix, fx, fy, cx, cy)
-    -> (JtJ (6,6), Jtr (6,), cost, n_valid) for the Gauss-Newton step
+    -> (JtJ (6,6), Jtr (6,), cost, n_valid) for the Levenberg-Marquardt refine
 
 Grunert's P3P and the Ferrari quartic are scalar code on Python floats,
 called once per RANSAC sample, and make no NumPy call: at a block of
@@ -300,7 +300,7 @@ def reprojection_errors(rotation, translation, obj, pixels, fx, fy, cx, cy):
 
 
 def reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy):
-    """Gauss-Newton normal equations for the reprojection cost.
+    """Normal equations of the reprojection cost for the Levenberg-Marquardt refine.
 
     The local parameterization is (omega, dt): the camera-frame point is
     exp(omega) @ (R x) + t + dt. With (x, y, z) that point, the pixel

@@ -309,19 +309,8 @@ def cmd_simulate(args):
 
 def cmd_stats(args):
     by_category = {}
-    for lineno, rec in fileio.iter_jsonl(args.input):
-        if not isinstance(rec, dict) or "category" not in rec or "scale" not in rec:
-            raise InputError(f"{args.input}:{lineno}: expected {{category, scale}}")
-        try:
-            scale = float(rec["scale"])
-        except (TypeError, ValueError):
-            raise InputError(f"{args.input}:{lineno}: scale is not a number")
-        if not 0 < scale < math.inf:
-            raise InputError(f"{args.input}:{lineno}: scale must be positive and finite, got {scale}")
-        by_category.setdefault(str(rec["category"]), []).append(scale)
-    if not by_category:
-        raise InputError(f"{args.input}: no records")
-
+    for category, scale in fileio.load_scale_listing(args.input):
+        by_category.setdefault(category, []).append(scale)
     stats_list = [compute_stats(cat, scales) for cat, scales in sorted(by_category.items())]
     fileio.save_stats(stats_list, args.output)
     if args.csv:

@@ -37,11 +37,17 @@ TABLE_COLUMNS = ("IoU50", "IoU75", "10cm", "10°", "10°10cm")
 
 def csv_text(header, rows):
     """CSV text: the ``header`` names, then one line per row, each line
-    ending in a newline. A ``str`` cell is written as it is; any other cell as its
-    Python float's ``repr``, the shortest digits that read back bit for bit
-    (NumPy scalars too). Integer columns pass ``str(...)`` cells."""
-    lines = [",".join(header)]
-    lines += [",".join(c if isinstance(c, str) else repr(float(c)) for c in row) for row in rows]
+    ending in a newline. A ``str`` cell or name is written as it is, or in
+    double quotes with its own doubled when it holds a comma, a double
+    quote or a line break. Any other cell is written as its Python float's
+    ``repr``, the shortest digits that read back bit for bit (NumPy scalars
+    too). Integer columns pass ``str(...)`` cells."""
+    def cell(c):
+        if not isinstance(c, str):
+            return repr(float(c))
+        return '"' + c.replace('"', '""') + '"' if "," in c or '"' in c or "\n" in c or "\r" in c else c
+
+    lines = [",".join(map(cell, header)), *(",".join(map(cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

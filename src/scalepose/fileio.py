@@ -1,6 +1,11 @@
-"""File formats shared by the CLI: JSON for structured records and JSON-lines
-for per-object streams. CSV reports are not written here; they come from
-:func:`scalepose.evaluation.csv_text`, which writes floats by the same rule.
+"""File formats of the CLI: every input file is read here, JSON for
+structured records and JSON-lines for per-object streams. CSV reports are
+not written here; they come from :func:`scalepose.evaluation.csv_text`,
+which writes floats by the same rule.
+
+One loop reads every record, and an input error names where it is:
+``path:line`` in a JSON-lines file, ``path: entry i`` in a JSON array, or
+``path``. A number must be a JSON int or float: a bool or a string is not.
 
 Serialization is round-trip exact: floats are written with ``repr``, which
 emits the shortest digit string that reproduces the value bit for bit.
@@ -16,7 +21,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import InputError, NonPositiveScale
+from .errors import InputError, NonPositiveScale, RowNotStochastic
 from .evaluation import DetectionRecord, GroundTruthBox
 from .geometry import CameraIntrinsics, RigidPose
 from .nocs import CorrespondenceMatrix, NocsModel
@@ -56,7 +61,7 @@ def load_json(path, expect=None):
 
 
 def iter_jsonl(path):
-    """Yield (line_number, object) pairs, skipping blank lines."""
+    """Yield ``(path:line, object)`` pairs, skipping blank lines."""
     try:
         fh = open(path)
     except FileNotFoundError:
@@ -66,26 +71,76 @@ def iter_jsonl(path):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
-                yield lineno, json.loads(line)
+                yield where, json.loads(line)
             except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON ({exc})")
+                raise InputError(f"{where}: invalid JSON ({exc})")
 
 
-def _require(mapping, key, path, lineno=None):
+# What building a record from bad fields raises; the readers locate it.
+_BAD_FIELD = (TypeError, ValueError, OverflowError, NonPositiveScale, RowNotStochastic)
+_JSON_NUMBER = (int, float)
+
+
+def _located(pairs, make):
+    """``make(record, where)`` for each ``(where, record)`` pair. A record that is not an
+    object, or whose fields ``make`` rejects, is an :class:`InputError` starting ``where``."""
+    out = []
+    for where, rec in pairs:
+        if not isinstance(rec, dict):
+            raise InputError(f"{where} is not an object")
+        try:
+            out.append(make(rec, where))
+        except _BAD_FIELD as exc:
+            raise InputError(f"{where}: {exc}")
+    return out
+
+
+def _records(path, what, make):
+    """``make`` over the records of a JSON-lines file, which must hold at least one."""
+    out = _located(iter_jsonl(path), make)
+    if not out:
+        raise InputError(f"{path}: no {what} records")
+    return out
+
+
+def _entries(path, make):
+    """``make`` over the entries of a file that holds a JSON array."""
+    data = load_json(path, expect=list)
+    return _located(((f"{path}: entry {i}", rec) for i, rec in enumerate(data)), make)
+
+
+def _object(path, make):
+    """``make`` on the one JSON object that a file holds."""
+    return _located([(path, load_json(path, expect=dict))], make)[0]
+
+
+def _require(mapping, key, where):
     if key not in mapping:
-        where = f"{path}:{lineno}" if lineno else path
         raise InputError(f"{where}: missing required field {key!r}")
     return mapping[key]
 
 
-def _numbers(value, size):
-    """True when ``value`` is a JSON list of ``size`` numbers."""
-    return (
-        isinstance(value, list)
-        and len(value) == size
-        and all(type(v) in (int, float) for v in value)
-    )
+def _number(mapping, key, where):
+    """``mapping[key]`` as a float, when it is a JSON number: a bool or a string is not."""
+    value = _require(mapping, key, where)
+    if type(value) not in _JSON_NUMBER:
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, size=None):
+    """True when ``value`` is a JSON list of numbers, ``size`` of them if given."""
+    return (isinstance(value, list) and size in (None, len(value))
+            and all(type(v) in _JSON_NUMBER for v in value))
+
+
+def _whole(value, name):
+    """``value`` as an int, when it is a number that ``int`` would not truncate."""
+    if type(value) not in _JSON_NUMBER or int(value) != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 # -- poses ---------------------------------------------------------------------
@@ -97,32 +152,22 @@ def pose_to_dict(pose: RigidPose):
     }
 
 
-def pose_from_dict(d, path="<pose>", lineno=None):
-    rot = _require(d, "rotation", path, lineno)
-    trans = _require(d, "translation", path, lineno)
-    if len(rot) != 9 or len(trans) != 3:
-        where = f"{path}:{lineno}" if lineno else path
-        raise InputError(f"{where}: rotation must have 9 entries and translation 3")
+def pose_from_dict(d, where="<pose>"):
+    rot = _require(d, "rotation", where)
+    trans = _require(d, "translation", where)
+    if not (_numbers(rot, 9) and _numbers(trans, 3)):
+        raise InputError(f"{where}: rotation must be 9 numbers and translation 3")
     try:
         return RigidPose(np.asarray(rot, dtype=np.float64).reshape(3, 3), trans)
     except ValueError as exc:
-        where = f"{path}:{lineno}" if lineno else path
         raise InputError(f"{where}: {exc}")
 
 
 # -- intrinsics ------------------------------------------------------------------
 
 def load_intrinsics(path) -> CameraIntrinsics:
-    data = load_json(path, expect=dict)
-    try:
-        return CameraIntrinsics(
-            fx=_require(data, "fx", path),
-            fy=_require(data, "fy", path),
-            cx=_require(data, "cx", path),
-            cy=_require(data, "cy", path),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}")
+    fields = ("fx", "fy", "cx", "cy")
+    return _object(path, lambda d, where: CameraIntrinsics(*(_number(d, k, where) for k in fields)))
 
 
 # -- correspondences ---------------------------------------------------------------
@@ -134,101 +179,78 @@ def load_correspondences(path):
     model side is None when any record omits it (callers then need a
     canonical model plus correspondence matrix).
     """
-    data = load_json(path, expect=list)
-    if not data:
+    def make(rec, where):
+        image = _require(rec, "image", where)
+        if not _numbers(image, 2):
+            raise ValueError("image must be [u, v]")
+        if "model" in rec and not _numbers(rec["model"], 3):
+            raise ValueError("model must be [x, y, z]")
+        return image, rec.get("model")
+
+    pairs = _entries(path, make)
+    if not pairs:
         raise InputError(f"{path}: empty correspondence list")
-    image = []
-    model = []
-    have_model = True
-    for i, rec in enumerate(data):
-        if not isinstance(rec, dict):
-            raise InputError(f"{path}: entry {i} is not an object")
-        img = _require(rec, "image", path)
-        if not _numbers(img, 2):
-            raise InputError(f"{path}: entry {i}: image must be [u, v]")
-        image.append(img)
-        if "model" in rec:
-            if not _numbers(rec["model"], 3):
-                raise InputError(f"{path}: entry {i}: model must be [x, y, z]")
-            model.append(rec["model"])
-        else:
-            have_model = False
-    image_arr = np.asarray(image, dtype=np.float64)
-    model_arr = np.asarray(model, dtype=np.float64) if have_model else None
-    return image_arr, model_arr
+    image, model = zip(*pairs)
+    model_arr = None if None in model else np.asarray(model, dtype=np.float64)
+    return np.asarray(image, dtype=np.float64), model_arr
 
 
 # -- canonical models and correspondence matrices -------------------------------------
 
 def load_nocs_model(path) -> NocsModel:
-    data = load_json(path, expect=dict)
-    pts = _require(data, "points", path)
-    try:
-        return NocsModel(np.asarray(pts, dtype=np.float64))
-    except Exception as exc:
-        raise InputError(f"{path}: {exc}")
+    def make(data, where):
+        points = _require(data, "points", where)
+        if not (isinstance(points, list) and points and all(_numbers(p, 3) for p in points)):
+            raise ValueError("points must be a non-empty list of [x, y, z] numbers")
+        return NocsModel(np.asarray(points, dtype=np.float64))
 
-
-def _whole(value, name):
-    """``int(value)``, refusing a fraction that ``int`` would truncate."""
-    if int(value) != float(value):
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    return _object(path, make)
 
 
 def load_correspondence_matrix(path) -> CorrespondenceMatrix:
     """Dense {rows, cols, data: row-major} or sparse {rows, cols, triplets}."""
-    data = load_json(path, expect=dict)
-    try:
-        rows = _whole(_require(data, "rows", path), "rows")
-        cols = _whole(_require(data, "cols", path), "cols")
+    def make(data, where):
+        rows = _whole(_require(data, "rows", where), "rows")
+        cols = _whole(_require(data, "cols", where), "cols")
         if rows < 1 or cols < 1:
-            raise InputError(f"{path}: rows and cols must be positive")
+            raise ValueError("rows and cols must be positive")
         if "data" in data:
-            flat = np.asarray(data["data"], dtype=np.float64)
-            if flat.size != rows * cols:
-                raise InputError(f"{path}: data length {flat.size} != rows*cols {rows * cols}")
-            entries = flat.reshape(rows, cols)
-        elif "triplets" in data:
-            entries = np.zeros((rows, cols))
-            for t in data["triplets"]:
-                if len(t) != 3:
-                    raise InputError(f"{path}: triplets must be [row, col, value]")
-                i, j, v = _whole(t[0], "triplet row"), _whole(t[1], "triplet column"), float(t[2])
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise InputError(f"{path}: triplet index ({i}, {j}) out of bounds")
-                entries[i, j] += v
-        else:
-            raise InputError(f"{path}: need either 'data' or 'triplets'")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{path}: {exc}")
-    try:
+            flat = data["data"]
+            if not _numbers(flat):
+                raise ValueError("data must be a list of numbers")
+            if len(flat) != rows * cols:
+                raise ValueError(f"data length {len(flat)} != rows*cols {rows * cols}")
+            return CorrespondenceMatrix(np.asarray(flat, dtype=np.float64).reshape(rows, cols))
+        if "triplets" not in data:
+            raise ValueError("need either 'data' or 'triplets'")
+        entries = np.zeros((rows, cols))
+        for t in data["triplets"]:
+            if not _numbers(t, 3):
+                raise ValueError("triplets must be [row, col, value]")
+            i, j = _whole(t[0], "triplet row"), _whole(t[1], "triplet column")
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"triplet index ({i}, {j}) out of bounds")
+            entries[i, j] += t[2]
         return CorrespondenceMatrix(entries)
-    except Exception as exc:
-        raise InputError(f"{path}: {exc}")
+
+    return _object(path, make)
 
 
 # -- category stats ------------------------------------------------------------------
 
 def load_stats(path):
     """JSON array of {category, mean_scale, std_dev, count} -> dict by category."""
-    data = load_json(path, expect=list)
     out = {}
-    for i, rec in enumerate(data):
-        where = f"{path}: entry {i}"
-        try:
-            category = str(_require(rec, "category", where))
-            if category in out:
-                raise ValueError(f"category {category!r} repeats an earlier entry")
-            count = _whole(_require(rec, "count", where), "count")
-            out[category] = CategoryStats(
-                category=category,
-                mean_scale=float(_require(rec, "mean_scale", where)),
-                std_dev=float(_require(rec, "std_dev", where)),
-                count=count,
-            )
-        except (TypeError, ValueError, OverflowError, NonPositiveScale) as exc:
-            raise InputError(f"{where}: {exc}")
+
+    def add(rec, where):
+        category = str(_require(rec, "category", where))
+        if category in out:
+            raise ValueError(f"category {category!r} repeats an earlier entry")
+        count = _whole(_require(rec, "count", where), "count")
+        out[category] = CategoryStats(category, _number(rec, "mean_scale", where),
+                                      _number(rec, "std_dev", where), count)
+
+    _entries(path, add)
     return out
 
 
@@ -245,59 +267,41 @@ def save_stats(stats_list, path):
     dump_json(rows, path)
 
 
-# -- detections / ground truth (JSON-lines) ---------------------------------------------
+# -- scale listings, detections and ground truth (JSON-lines) ----------------------------
 
-def _size_from(rec, path, lineno):
-    """The record's ``scale`` and ``canonical_extents`` as keyword arguments,
-    checked so that its box (extents ``scale * canonical_extents``) is valid."""
-    scale = float(_require(rec, "scale", path, lineno))
+def _scale(rec, where):
+    scale = _number(rec, "scale", where)
     if not 0 < scale < np.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    ext = _require(rec, "canonical_extents", path, lineno)
-    if len(ext) != 3:
-        raise ValueError("canonical_extents must have 3 entries")
-    ext = tuple(float(v) for v in ext)
-    size = scale * np.array(ext)
-    if not np.all((size > 0) & (size < np.inf)):
-        raise ValueError(f"canonical_extents times scale must be positive and finite, got {list(ext)}")
-    return {"scale": scale, "canonical_extents": ext}
+    return scale
+
+
+def load_scale_listing(path):
+    """JSON-lines of {category, scale} -> (category, scale) pairs in file order."""
+    return _records(path, "scale", lambda rec, where: (str(_require(rec, "category", where)), _scale(rec, where)))
+
+
+def _box_fields(rec, where):
+    """The fields that detections and ground truths share, checked so that
+    the record's box (extents ``scale * canonical_extents``) is valid."""
+    category = str(_require(rec, "category", where))
+    pose = pose_from_dict(_require(rec, "pose", where), where)
+    scale = _scale(rec, where)
+    ext = _require(rec, "canonical_extents", where)
+    if not (_numbers(ext, 3) and all(0 < scale * v < np.inf for v in ext)):
+        raise ValueError(f"canonical_extents must be 3 numbers, positive and finite times scale, got {ext!r}")
+    return {"category": category, "pose": pose, "scale": scale, "canonical_extents": tuple(map(float, ext))}
 
 
 def load_detections(path):
-    records = []
-    for lineno, rec in iter_jsonl(path):
-        try:
-            confidence = float(_require(rec, "confidence", path, lineno))
-            if not np.isfinite(confidence):
-                raise ValueError(f"confidence must be finite, got {confidence}")
-            records.append(
-                DetectionRecord(
-                    category=str(_require(rec, "category", path, lineno)),
-                    confidence=confidence,
-                    pose=pose_from_dict(_require(rec, "pose", path, lineno), path, lineno),
-                    **_size_from(rec, path, lineno),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}")
-    if not records:
-        raise InputError(f"{path}: no detection records")
-    return records
+    def make(rec, where):
+        confidence = _number(rec, "confidence", where)
+        if not np.isfinite(confidence):
+            raise ValueError(f"confidence must be finite, got {confidence}")
+        return DetectionRecord(confidence=confidence, **_box_fields(rec, where))
+
+    return _records(path, "detection", make)
 
 
 def load_ground_truths(path):
-    records = []
-    for lineno, rec in iter_jsonl(path):
-        try:
-            records.append(
-                GroundTruthBox(
-                    category=str(_require(rec, "category", path, lineno)),
-                    pose=pose_from_dict(_require(rec, "pose", path, lineno), path, lineno),
-                    **_size_from(rec, path, lineno),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: {exc}")
-    if not records:
-        raise InputError(f"{path}: no ground-truth records")
-    return records
+    return _records(path, "ground-truth", lambda rec, where: GroundTruthBox(**_box_fields(rec, where)))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: file contracts, exit codes, idempotence."""
 
+import csv
 import json
 
 import numpy as np
@@ -364,6 +365,25 @@ class TestStats:
         assert ":2" in capsys.readouterr().err
 
 
+def test_csv_reports_read_back_with_comma_and_quote_in_category(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    category = 'mug,"large"'
+    listing = [{"category": category, "scale": 0.1}, {"category": category, "scale": 0.2},
+               {"category": "can", "scale": 0.3}]
+    (tmp_path / "in.jsonl").write_text("".join(json.dumps(r) + "\n" for r in listing))
+    assert main(["stats", "--input", "in.jsonl", "--output", "s.json", "--csv", "sigma.csv"]) == 0
+    truth = {**GROUND_TRUTH, "category": category}
+    (tmp_path / "g.jsonl").write_text(json.dumps(truth) + "\n")
+    (tmp_path / "p.jsonl").write_text(json.dumps({**truth, "confidence": 0.9}) + "\n")
+    assert main(EVALUATE) == 0
+    reports = ["sigma.csv", *(f"out/{name}" for name in ("metrics.csv", "curve_iou.csv"))]
+    for name in reports:
+        with open(tmp_path / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), name
+        assert category in [row[0] for row in rows] + rows[0], name
+
+
 CORRESPONDENCES = [{"image": [320.0, 240.0], "model": [0.0, 0.0, 0.0]}] * 4
 INTRINSICS = {"fx": 577.5, "fy": 577.5, "cx": 319.5, "cy": 239.5}
 SOLVE = ["solve", "--correspondences", "c.json", "--intrinsics", "k.json", "--output", "o.json"]
@@ -526,6 +546,50 @@ SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
              "g.jsonl": GROUND_TRUTH},
             EVALUATE, "error: p.jsonl:1: canonical_extents", id="extent-zero",
         ),
+        # a bool or a string where a number belongs
+        *[
+            pytest.param(
+                {"c.json": CORRESPONDENCES, "k.json": {**INTRINSICS, "fx": value}}, SOLVE,
+                "error: k.json: fx must be a number", id=f"focal-{case}",
+            )
+            for case, value in [("bool", True), ("string", "577.5")]
+        ],
+        *[
+            pytest.param(
+                {"c.json": CORRESPONDENCES, "k.json": INTRINSICS, "s.json": [{**MUG_STATS, **entry}]},
+                SOLVE_MUG, f"error: s.json: entry 0: {error}", id=case,
+            )
+            for case, entry, error in [
+                ("stats-mean-string", {"mean_scale": "0.14"}, "mean_scale must be a number"),
+                ("stats-count-bool", {"count": True}, "count must be a whole number"),
+            ]
+        ],
+        pytest.param(
+            {"p.jsonl": {**GROUND_TRUTH, "confidence": 0.9, "scale": True}, "g.jsonl": GROUND_TRUTH},
+            EVALUATE, "error: p.jsonl:1: scale must be a number", id="detection-scale-bool",
+        ),
+        pytest.param(
+            {"p.jsonl": {**GROUND_TRUTH, "confidence": 0.9},
+             "g.jsonl": {**GROUND_TRUTH, "canonical_extents": [0.5, "0.6", 0.5]}},
+            EVALUATE, "error: g.jsonl:1: canonical_extents", id="extent-string",
+        ),
+        pytest.param(
+            {"in.jsonl": {"category": "mug", "scale": True}},
+            ["stats", "--input", "in.jsonl", "--output", "o.json"],
+            "error: in.jsonl:1: scale must be a number", id="stats-scale-bool",
+        ),
+        *[
+            pytest.param(
+                {"c.json": CORRESPONDENCES, "k.json": INTRINSICS, "m.json": model, "x.json": matrix},
+                SOLVE + ["--model", "m.json", "--matrix", "x.json"], error, id=case,
+            )
+            for case, model, matrix, error in [
+                ("model-point-bool", {"points": [[0.0, 0.0, True]]}, {"rows": 4, "cols": 1, "data": [1, 1, 1, 1]},
+                 "error: m.json: points"),
+                ("matrix-data-string", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
+                 {"rows": 4, "cols": 2, "data": [0.5, "0.5"] * 4}, "error: x.json: data"),
+            ]
+        ],
         pytest.param(
             # a category without ground truth is never matched, so only the
             # loader sees this record

@@ -22,6 +22,8 @@ bowl (symmetric about y), 3 gt at x = 0, 1, 2 (z = 2), scale 0.5:
     d9  conf 0.40  exact match of gt3            IoU 1      rot 0    trans 0
 """
 
+import csv
+import io
 import math
 from types import SimpleNamespace
 
@@ -410,3 +412,10 @@ def test_csv_text_cell_rule():
     # float's repr, so NumPy 2 scalars do not print as "np.float64(...)".
     text = csv_text(("name", "value"), [["a", np.float64(0.1)], ["0.10", 0.1 + 0.2], ["3", 3]])
     assert text == "name,value\na,0.1\n0.10,0.30000000000000004\n3,3.0\n"
+    # A str cell or name holding a comma, a double quote or a line break is
+    # quoted, and its own double quotes are doubled.
+    text = csv_text(("name,kind", "value"), [["mug,large", 1], ['say "hi"', 2], ["a\nb", 3], ["c\rd", 4]])
+    assert text == '"name,kind",value\n"mug,large",1.0\n"say ""hi""",2.0\n"a\nb",3.0\n"c\rd",4.0\n'
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows == [["name,kind", "value"], ["mug,large", "1.0"], ['say "hi"', "2.0"], ["a\nb", "3.0"],
+                    ["c\rd", "4.0"]]
