@@ -3,12 +3,24 @@
 The intersection of two boxes is the convex polytope bounded by their
 twelve face planes, so its vertices are the points where three planes meet
 inside all twelve closed half-spaces. The exact IoU solves all 220 plane
-triples at once, keeps the feasible points, orders each face's vertices by
-angle about the face centre, and sums the pyramids from an interior point
-over the faces. A face of one box that nearly coincides with a face of the
-other is measured together with it, so that vertices on the fold between
-them are counted once. Points on a plane count as inside (closed
-half-spaces), which keeps the IoU continuous at contact.
+triples by Cramer's rule on the 66 cross products of two plane normals,
+keeps the feasible points, orders each face's vertices by angle about the
+face centre, and sums the pyramids from an interior point over the faces.
+A face of one box that nearly coincides with a face of the other is
+measured together with it, so that vertices on the fold between them are
+counted once. Points on a plane count as inside (closed half-spaces), which
+keeps the IoU continuous at contact.
+
+:func:`iou3d_pairs` measures P pairs at once and :func:`iou3d` is its
+one-pair call. Pairs whose centres lie farther apart than their
+half-diagonals are rejected first; the rest run in chunks of
+``_CHUNK_PAIRS``, with each pair's feasible points moved to the front in
+index order and padded to the chunk's largest count. A pair's IoU does not
+depend on its batch: 3-vector dot products are written out, every longer
+sum runs in index order (``np.cumsum``), where padding adds only exact
+zeros, and the angle sort is stable. NumPy's pairwise reductions,
+``matmul`` and ``einsum`` group terms by the length of the axis, so over a
+padded axis they would round differently for different batches.
 """
 
 from __future__ import annotations
@@ -34,12 +46,31 @@ _SINGULAR_DET = 1e-14
 # are measured as one pair.
 _PAIR_COS = 0.99
 
-_PLANE_TRIPLES = np.array(list(combinations(range(12), 3)))
+# Pairs measured together; bounds the working arrays for any input size.
+_CHUNK_PAIRS = 32
+
+# The plane triples (i, j, k), i < j < k, that can meet: a triple holding
+# both faces of one box axis has two parallel planes. For each, the
+# positions of n_j x n_k, n_i x n_k and n_i x n_j among the plane pairs.
+_PLANE_PAIRS = list(combinations(range(12), 2))
+_OPPOSITE = {(k, k + 3) for k in (0, 1, 2, 6, 7, 8)}
+_TRIPLE_I, _TRIPLE_J, _TRIPLE_K = np.array(
+    [t for t in combinations(range(12), 3) if not _OPPOSITE.intersection(combinations(t, 2))]
+).T
+_PAIR_I, _PAIR_J = np.array(_PLANE_PAIRS).T
+_CROSS_JK, _CROSS_IK, _CROSS_IJ = (
+    np.array([_PLANE_PAIRS.index(pair) for pair in zip(first, second)])
+    for first, second in ((_TRIPLE_J, _TRIPLE_K), (_TRIPLE_I, _TRIPLE_K), (_TRIPLE_I, _TRIPLE_J))
+)
 
 # In-plane frame of each of the twelve faces (a's six, then b's): the two
 # box axes other than the face normal's, as rows of [a's axes; b's axes].
 _FACE_U = np.array([1, 2, 0, 1, 2, 0, 4, 5, 3, 4, 5, 3])
 _FACE_V = np.array([2, 0, 1, 2, 0, 1, 5, 3, 4, 5, 3, 4])
+
+# The faces whose outward normal is +axis, then -axis, for the six axes.
+_OUTWARD = np.array([0, 1, 2, 6, 7, 8])
+_INWARD = np.array([3, 4, 5, 9, 10, 11])
 
 
 @dataclass(frozen=True)
@@ -73,73 +104,155 @@ def box_from_estimate(pose, scale, canonical_extents):
     return OrientedBox3(pose, float(scale) * np.asarray(canonical_extents, dtype=np.float64))
 
 
-def _polygon_areas(u, v, members, points):
-    """Area of each polygon whose in-plane frame is a row of ``u``, ``v``:
-    its member points, ordered by angle about their centre.
+def _total(terms):
+    """Sum over the last axis in index order. Trailing zeros leave it
+    unchanged, and adding 0.0 turns the one exception, a -0.0 total,
+    into 0.0 with or without them."""
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
-    Non-members sort last and collapse onto the first vertex, so they add
-    nothing to the shoelace sum.
-    """
-    centre = (members @ points) / np.maximum(members.sum(axis=1, keepdims=True), 1)
-    rel = points[None, :, :] - centre[:, None, :]
-    x, y = np.einsum("fpk,fk->fp", rel, u), np.einsum("fpk,fk->fp", rel, v)
-    order = np.argsort(np.where(members, np.arctan2(y, x), np.inf), axis=1)
-    kept = np.take_along_axis(members, order, axis=1)
-    x = np.take_along_axis(x, order, axis=1)
-    y = np.take_along_axis(y, order, axis=1)
-    x, y = np.where(kept, x, x[:, :1]), np.where(kept, y, y[:, :1])
-    wrap = x[:, -1] * y[:, 0] - x[:, 0] * y[:, -1]
-    return 0.5 * (np.sum(x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1], axis=1) + wrap)
+
+def _take_rows(values, order):
+    """``np.take_along_axis(values, order, axis=-1)`` through one flat index."""
+    width = order.shape[-1]
+    rows = np.arange(0, order.size, width).reshape(order.shape[:-1] + (1,))
+    return values.reshape(-1)[order + rows]
+
+
+def _dot(a, b):
+    """Dot products of 3-vectors stored along the first axis, written out
+    (in place, to hold fewer temporaries)."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
 
 
 def iou3d(a: OrientedBox3, b: OrientedBox3) -> float:
     """Exact IoU of two oriented boxes."""
-    scale = float(max(a.extents.max(), b.extents.max(), 1e-30))
-    # cheap reject: farther apart than the sum of half-diagonals
-    gap = np.linalg.norm(a.pose.translation - b.pose.translation)
-    if gap > 0.5 * (np.linalg.norm(a.extents) + np.linalg.norm(b.extents)):
-        return 0.0
+    return float(iou3d_pairs([a], [b])[0])
 
+
+def iou3d_pairs(boxes_a, boxes_b) -> np.ndarray:
+    """Exact IoU of each pair ``(boxes_a[p], boxes_b[p])``, as a (P,) array.
+
+    Each value is bit for bit the one :func:`iou3d` gives for its pair
+    alone.
+    """
+    if len(boxes_a) != len(boxes_b):
+        raise ValueError(f"got {len(boxes_a)} boxes to pair with {len(boxes_b)}")
+    out = np.zeros(len(boxes_a))
+    if not len(out):
+        return out
+    # Vectors are stored component first: axes (3, P, 3) hold each box's
+    # axes (the columns of its rotation), the others are (3, P).
+    axes_a, axes_b = (np.array([box.pose.rotation for box in boxes]).transpose(1, 0, 2) for boxes in (boxes_a, boxes_b))
+    t_a, t_b = (np.array([box.pose.translation for box in boxes]).T for boxes in (boxes_a, boxes_b))
+    ext_a, ext_b = (np.array([box.extents for box in boxes]).T for boxes in (boxes_a, boxes_b))
+    # cheap reject: farther apart than the sum of half-diagonals
+    shift = t_b - t_a
+    reach = 0.5 * (np.sqrt(_dot(ext_a, ext_a)) + np.sqrt(_dot(ext_b, ext_b)))
+    live = np.flatnonzero(~(np.sqrt(_dot(shift, shift)) > reach))
+    for start in range(0, len(live), _CHUNK_PAIRS):
+        p = live[start:start + _CHUNK_PAIRS]
+        out[p] = _exact_iou(axes_a[:, p], axes_b[:, p], shift[:, p], ext_a[:, p], ext_b[:, p])
+    return out
+
+
+def _exact_iou(axes_a, axes_b, shift, ext_a, ext_b):
+    """IoU of C pairs from their box axes, b's centre less a's and extents."""
     # The twelve face planes n . x <= d (a's six, then b's), with x taken
     # from a's centre so that round-off scales with the boxes, not with
     # their distance from the camera.
-    ra, rb = a.pose.rotation.T, b.pose.rotation.T
-    normals = np.vstack([ra, -ra, rb, -rb])
-    offsets = np.concatenate([a.extents, a.extents, b.extents, b.extents]) / 2.0
-    offsets[6:] += normals[6:] @ (b.pose.translation - a.pose.translation)
-    eps = _PLANE_EPS * scale
+    axes = np.concatenate([axes_a, axes_b], axis=2)
+    normals = np.concatenate([axes_a, -axes_a, axes_b, -axes_b], axis=2)
+    half_a, half_b = ext_a.T / 2.0, ext_b.T / 2.0
+    along = _dot(axes_b, shift[..., None])
+    offsets = np.concatenate([half_a, half_a, half_b + along, half_b - along], axis=1)
+    eps = _PLANE_EPS * np.maximum(np.maximum(ext_a.max(axis=0), ext_b.max(axis=0)), 1e-30)
 
-    systems = normals[_PLANE_TRIPLES]
-    with np.errstate(all="ignore"):
-        regular = np.abs(np.linalg.det(systems)) > _SINGULAR_DET
-    points = np.linalg.solve(systems[regular], offsets[_PLANE_TRIPLES[regular]][..., None])[..., 0]
-    dist = normals @ points.T - offsets[:, None]
-    feasible = np.all(dist <= eps, axis=0)
-    points, on_face = points[feasible], np.abs(dist[:, feasible]) <= eps
-    if not len(points):
-        return 0.0
+    points, regular = _triple_points(normals, offsets)
+    # Opposite faces share an axis, so six dot products give all twelve
+    # signed distances n . x - d: s - d on a face, -(s + d) on its opposite.
+    s = _dot(axes[..., None], points[:, :, None, :])
+    feasible = regular & np.all(s - offsets[:, _OUTWARD, None] <= eps[:, None, None], axis=1)
+    feasible &= np.all(s + offsets[:, _INWARD, None] >= -eps[:, None, None], axis=1)
+    count = feasible.sum(axis=1)
+    width = count.max()
+    if width == 0:
+        return np.zeros(len(count))
+
+    # Each pair's feasible points first, in index order, then zero padding.
+    order = np.argsort(~feasible, axis=1, kind="stable")[:, :width]
+    valid = np.take_along_axis(feasible, order, axis=1)
+    points = np.where(valid, np.take_along_axis(points, order[None], axis=2), 0.0)
+    s = np.take_along_axis(s, order[:, None, :], axis=2)
+    dist = np.concatenate([s[:, :3], -s[:, :3], s[:, 3:], -s[:, 3:]], axis=1) - offsets[..., None]
+    on_face = (np.abs(dist) <= eps[:, None, None]) & valid[:, None, :]
 
     # A face g of b within a few degrees of a face f of a is measured with
     # it. Near-coincident vertices may land on either face, but the two
     # facets project onto f's plane without overlap, so g's area is that
     # projection less f's, over cos(f, g). Coincident planes are the
-    # zero-angle case and count once.
-    facing = normals[:6] @ normals[6:].T
-    f = np.argmax(facing, axis=0)
-    cos = facing[f, np.arange(6)]
+    # zero-angle case and count once. Each g has a slot, used if paired.
+    facing = _dot(normals[..., :6, None], normals[..., None, 6:])
+    f = np.argmax(facing, axis=1)
+    cos = np.take_along_axis(facing, f[:, None, :], axis=1)[:, 0]
     pair = cos > _PAIR_COS
-    f, g, cos = f[pair], np.flatnonzero(pair) + 6, cos[pair]
-    axes = np.vstack([ra, rb])
-    u, v = axes[_FACE_U], axes[_FACE_V]
+    u, v = axes[..., _FACE_U], axes[..., _FACE_V]
     area = _polygon_areas(
-        np.vstack([u, u[f]]), np.vstack([v, v[f]]), np.vstack([on_face, on_face[f] | on_face[g]]), points
+        np.concatenate([u, np.take_along_axis(u, f[None], axis=2)], axis=2),
+        np.concatenate([v, np.take_along_axis(v, f[None], axis=2)], axis=2),
+        np.concatenate([on_face, np.take_along_axis(on_face, f[..., None], axis=1) | on_face[:, 6:]], axis=1),
+        points,
     )
-    area[g] = (area[12:] - area[f]) / cos
+    folded = (area[:, 12:] - np.take_along_axis(area, f, axis=1)) / np.where(pair, cos, 1.0)
+    area = np.concatenate([area[:, :6], np.where(pair, folded, area[:, 6:12])], axis=1)
 
     # pyramids from an interior point over every face: area * height / 3
-    height = offsets - normals @ points.mean(axis=0)
-    inter = float(area[:12] @ height) / 3.0
-    union = a.volume + b.volume - inter
-    if union <= 0:
-        return 0.0
-    return min(1.0, max(0.0, inter / union))
+    centre = _total(points) / np.maximum(count, 1)
+    height = offsets - _dot(normals, centre[..., None])
+    inter = _total(area * height) / 3.0
+    union = ext_a[0] * ext_a[1] * ext_a[2] + ext_b[0] * ext_b[1] * ext_b[2] - inter
+    ratio = inter / np.where(union > 0, union, 1.0)
+    ratio = np.minimum(1.0, np.where(ratio > 0, ratio, 0.0))
+    return np.where((count > 0) & (union > 0), ratio, 0.0)
+
+
+def _triple_points(normals, offsets):
+    """Where each plane triple (i, j, k) meets, (3, C, T), by Cramer's rule:
+    (d_i n_j x n_k - d_j n_i x n_k + d_k n_i x n_j) / n_i . n_j x n_k, and
+    whether the triple is far enough from singular to count."""
+    n_i, n_j = normals[..., _PAIR_I], normals[..., _PAIR_J]
+    cross = np.stack([
+        n_i[1] * n_j[2] - n_i[2] * n_j[1],
+        n_i[2] * n_j[0] - n_i[0] * n_j[2],
+        n_i[0] * n_j[1] - n_i[1] * n_j[0],
+    ])
+    jk, ik, ij = cross[..., _CROSS_JK], cross[..., _CROSS_IK], cross[..., _CROSS_IJ]
+    det = _dot(normals[..., _TRIPLE_I], jk)
+    regular = np.abs(det) > _SINGULAR_DET
+    points = offsets[:, _TRIPLE_I] * jk
+    points -= offsets[:, _TRIPLE_J] * ik
+    points += offsets[:, _TRIPLE_K] * ij
+    points /= np.where(regular, det, 1.0)
+    return points, regular
+
+
+def _polygon_areas(u, v, members, points):
+    """Area of each polygon whose in-plane frame is a column of ``u``,
+    ``v`` (3, C, F): its ``members`` (C, F, W) among ``points`` (3, C, W),
+    ordered by angle about their centre.
+
+    Non-members sort last and collapse onto the first vertex, so they add
+    nothing but trailing zeros to the shoelace sum.
+    """
+    # in-plane coordinates about the members' centre
+    x, y = _dot(points[:, :, None, :], u[..., None]), _dot(points[:, :, None, :], v[..., None])
+    count = np.maximum(members.sum(axis=2), 1)[..., None]
+    x = x - _total(np.where(members, x, 0.0))[..., None] / count
+    y = y - _total(np.where(members, y, 0.0))[..., None] / count
+    order = np.argsort(np.where(members, np.arctan2(y, x), np.inf), axis=2, kind="stable")
+    x, y = _take_rows(x, order), _take_rows(y, order)
+    kept = np.arange(members.shape[2]) < count
+    x, y = np.where(kept, x, x[..., :1]), np.where(kept, y, y[..., :1])
+    return 0.5 * _total(x * np.roll(y, -1, axis=2) - np.roll(x, -1, axis=2) * y)

@@ -140,13 +140,8 @@ def cmd_solve(args):
     intrinsics = fileio.load_intrinsics(args.intrinsics)
 
     if args.matrix is not None:
-        matrix = fileio.load_correspondence_matrix(args.matrix)
         model = fileio.load_nocs_model(args.model)
-        if matrix.shape[0] != image_pts.shape[0]:
-            raise InputError(
-                f"matrix has {matrix.shape[0]} rows but correspondences file has "
-                f"{image_pts.shape[0]} pixels"
-            )
+        matrix = fileio.load_correspondence_matrix(args.matrix, len(image_pts), len(model))
         model_pts = assign(matrix, model)
     elif model_pts is None:
         raise InputError(

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox3, box_from_estimate, iou3d
+from .boxes import OrientedBox3, box_from_estimate, iou3d_pairs
+from .boxes import iou3d  # noqa: F401 -- kept for perfbench/spans.py, which wraps this name
 from .errors import EmptyRecordSet
 from .geometry import (
     RigidPose,
@@ -150,30 +151,29 @@ def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetr
         else:
             group.append(det)
 
-    columns, starts = [], [0]
+    # every same-category (detection, truth) IoU of the call, in one batch
+    det_boxes = {cat: [det.box() for det in dets_by_category[cat]] for cat in categories}
+    gt_boxes = {cat: [gt.box() for gt in gts_by_category[cat]] for cat in categories}
+    pairs = [(d, g) for cat in categories for d in det_boxes[cat] for g in gt_boxes[cat]]
+    ious = iou3d_pairs([d for d, _ in pairs], [g for _, g in pairs])
+
+    columns, starts, at = [], [0], 0
     for cat in categories:
         gts, dets = gts_by_category[cat], dets_by_category[cat]
-        gt_boxes = [gt.box() for gt in gts]
-        taken = [False] * len(gts)
+        table = ious[at:at + len(dets) * len(gts)].reshape(len(dets), len(gts))
+        at += table.size
+        taken = np.zeros(len(gts), dtype=bool)
         for idx in _confidence_order(dets):
-            det = dets[idx]
-            det_box = det.box()
-            best_j = -1
-            best_iou = 0.0
-            for j, gt_box in enumerate(gt_boxes):
-                if taken[j]:
-                    continue
-                overlap = iou3d(det_box, gt_box)
-                if overlap > best_iou:
-                    best_iou = overlap
-                    best_j = j
-            if best_j < 0:
+            # the untaken truth of highest IoU, the first on a tie
+            overlaps = np.where(taken, 0.0, table[idx])
+            best_j = int(np.argmax(overlaps))
+            if not overlaps[best_j] > 0.0:
                 columns.append((np.nan, np.nan, np.nan))
                 continue
             taken[best_j] = True
-            gt = gts[best_j]
+            det, gt = dets[idx], gts[best_j]
             columns.append((
-                best_iou,
+                overlaps[best_j],
                 category_rotation_error_deg(cat, det.pose.rotation, gt.pose.rotation, use_symmetry),
                 translation_error_cm(det.pose.translation, gt.pose.translation),
             ))

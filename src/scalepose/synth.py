@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import box_from_estimate, iou3d
+from .boxes import box_from_estimate, iou3d_pairs
+from .boxes import iou3d  # noqa: F401 -- kept for perfbench/spans.py, which wraps this name
 from .errors import PlacementFailed, UnknownCategory
 from .evaluation import category_rotation_error_deg, csv_text, table_ap
 from .geometry import (
@@ -132,7 +133,6 @@ class ExperimentResult:
     trial: int
     rotation_error_deg: float
     translation_error_cm: float
-    iou: float
     estimated_scale: float
     gt_scale: float
     pose: RigidPose
@@ -140,10 +140,16 @@ class ExperimentResult:
     canonical_extents: tuple[float, float, float]
 
     def __post_init__(self):
-        values = (self.rotation_error_deg, self.translation_error_cm, self.iou,
-                  self.estimated_scale, self.gt_scale)
+        values = (self.rotation_error_deg, self.translation_error_cm, self.estimated_scale, self.gt_scale)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"non-finite experiment result: {values}")
+
+    def boxes(self):
+        """The estimated box and the true box, whose IoU scores the trial."""
+        return (
+            box_from_estimate(self.pose, self.estimated_scale, self.canonical_extents),
+            box_from_estimate(self.gt_pose, self.gt_scale, self.canonical_extents),
+        )
 
 
 # -- procedural category shapes ------------------------------------------------
@@ -397,10 +403,6 @@ def _result(scene, pipeline, noise, trial, est_pose, est_scale):
             scene.category, est_pose.rotation, scene.pose.rotation
         ),
         translation_error_cm=translation_error_cm(est_pose.translation, scene.pose.translation),
-        iou=iou3d(
-            box_from_estimate(est_pose, est_scale, scene.canonical_extents),
-            box_from_estimate(scene.pose, scene.scale, scene.canonical_extents),
-        ),
         estimated_scale=est_scale,
         gt_scale=scene.scale,
         pose=est_pose,
@@ -479,30 +481,31 @@ def _noise_cells(noise):
 @dataclass(frozen=True)
 class GridResult:
     trials: tuple[ExperimentResult, ...]
+    ious: tuple[float, ...]  # each trial's IoU, of its ``boxes()``
 
     def trials_csv(self):
         rows = [
             [r.category, r.pipeline, *_noise_cells(r.noise), str(r.trial), r.rotation_error_deg,
-             r.translation_error_cm, r.iou, r.estimated_scale, r.gt_scale]
-            for r in self.trials
+             r.translation_error_cm, iou, r.estimated_scale, r.gt_scale]
+            for r, iou in zip(self.trials, self.ious)
         ]
         return csv_text(_TRIAL_CSV_HEADER, rows)
 
     def summary_csv(self):
         """One row per (category, noise, pipeline) cell, in first-seen order.
 
-        Every figure comes from the stored errors and IoU of the cell's
-        results; the AP columns rank the results in trial order, since
+        Every figure comes from the errors stored with the cell's results
+        and their ``ious``; the AP columns rank the results in trial order, since
         every simulated detection has confidence 1.
         """
         cells = {}
-        for r in self.trials:
-            cells.setdefault((r.category, r.noise, r.pipeline), []).append(r)
+        for r, iou in zip(self.trials, self.ious):
+            cells.setdefault((r.category, r.noise, r.pipeline), []).append((r, iou))
         rows = []
         for (category, noise, pipeline), cell in cells.items():
-            rot = np.array([r.rotation_error_deg for r in cell])
-            trans = np.array([r.translation_error_cm for r in cell])
-            ious = np.array([r.iou for r in cell])
+            rot = np.array([r.rotation_error_deg for r, _ in cell])
+            trans = np.array([r.translation_error_cm for r, _ in cell])
+            ious = np.array([iou for _, iou in cell])
             rows.append(
                 [category, pipeline, *_noise_cells(noise), str(len(cell)), np.median(rot),
                  rot.mean(), np.median(trans), trans.mean(), ious.mean(),
@@ -582,4 +585,6 @@ def run_grid(
                     run_decoupled(scene, solved[pixels_key], delta, noise=noise, trial=trial)
                 )
                 results.append(run_coupled(scene, observations, noise=noise, trial=trial))
-    return GridResult(tuple(results))
+    boxes = [r.boxes() for r in results]
+    ious = iou3d_pairs([estimated for estimated, _ in boxes], [truth for _, truth in boxes])
+    return GridResult(tuple(results), tuple(ious.tolist()))

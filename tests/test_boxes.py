@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import contains, corners, iou3d_mc, points_in_box_mask
-from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d
+from scalepose.boxes import _CHUNK_PAIRS
+from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d, iou3d_pairs
 from scalepose.errors import NonPositiveScale
 from scalepose.geometry import RigidPose, random_rotation, rotation_about_axis, rotation_from_quaternion
 
@@ -119,6 +120,56 @@ class TestExactIoU:
     @given(a=boxes, b=boxes)
     def test_range(self, a, b):
         assert 0.0 <= iou3d(a, b) <= 1.0
+
+
+def batch_cases():
+    """Pairs for the batch test: the hand cases above in both orders, then
+    300 seeded random pairs, one in five too far apart to overlap."""
+    quarter = OrientedBox3(RigidPose(rotation_about_axis([0, 0, 1], 90.0), np.zeros(3)), (1, 1, 1))
+    turned = OrientedBox3(RigidPose(rotation_about_axis([0, 0, 1], 45.0), np.zeros(3)), (1, 1, 1))
+    tilt = rotation_about_axis(np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0), 1e-10)
+    near = OrientedBox3(RigidPose(tilt, [1e-13, 1e-13, 1.0 + 1e-13]), (1, 1, 1))
+    others = [
+        axis_aligned(),  # coincident faces, all six
+        quarter,
+        axis_aligned(0.25, 0.25, 0.25, extents=(0.5, 0.5, 0.5)),
+        axis_aligned(0.25, 0.25, 0.0, extents=(0.5, 0.5, 1.0)),
+        axis_aligned(tx=1.0),  # touching faces
+        axis_aligned(1.0, 1.0, 0.0),
+        axis_aligned(1.0, 1.0, 1.0),
+        axis_aligned(tx=0.5),
+        axis_aligned(extents=(0.5, 0.5, 0.5)),
+        axis_aligned(tx=5.0),  # rejected by the centre gap
+        turned,
+    ]
+    pairs = [(axis_aligned(), other) for other in others] + [(other, axis_aligned()) for other in others]
+    pairs.append((axis_aligned(0.0, 0.0, 1.0), near))
+    pairs += [random_pair(seed, overlap=seed % 5 != 0) for seed in range(300)]
+    return pairs
+
+
+class TestBatchIoU:
+    def test_batch_and_chunks_match_single_pairs_bit_for_bit(self):
+        pairs = batch_cases()
+        assert len(pairs) > 2 * _CHUNK_PAIRS  # the batch straddles the chunk size
+        first, second = [a for a, _ in pairs], [b for _, b in pairs]
+        single = np.array([iou3d(a, b) for a, b in pairs])
+        whole = iou3d_pairs(first, second)
+        sevens = np.concatenate(
+            [iou3d_pairs(first[i:i + 7], second[i:i + 7]) for i in range(0, len(pairs), 7)]
+        )
+        assert whole.tobytes() == single.tobytes()
+        assert sevens.tobytes() == single.tobytes()
+        assert 0.0 < single.min(initial=1.0, where=single > 0) and single.max() == 1.0
+        assert np.count_nonzero(single == 0.0) >= 60  # rejected and touching pairs
+
+    def test_empty_batch(self):
+        out = iou3d_pairs([], [])
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            iou3d_pairs([axis_aligned()], [])
 
 
 class TestMonteCarloOracle:

@@ -588,6 +588,13 @@ SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
                  "error: m.json: points"),
                 ("matrix-data-string", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
                  {"rows": 4, "cols": 2, "data": [0.5, "0.5"] * 4}, "error: x.json: data"),
+                # far too large to allocate: refused on its stated size alone
+                ("matrix-rows-oversized", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
+                 {"rows": 1000000, "cols": 1000000, "triplets": []},
+                 "error: x.json: matrix has 1000000 rows but correspondences file has 4 pixels"),
+                ("matrix-cols-oversized", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
+                 {"rows": 4, "cols": 10**12, "triplets": []},
+                 "error: x.json: matrix has 1000000000000 columns but model has 2 points"),
             ]
         ],
         pytest.param(

@@ -1,7 +1,7 @@
-"""Each exact IoU is computed once: ``evaluate`` makes only the ``iou3d``
-calls of its matching pass, whose IoU becomes each matched row's IoU, and
-the simulate summary reads the IoU and errors stored with each result
-instead of recomputing them."""
+"""Each exact IoU is computed once: ``evaluate`` measures only the
+``iou3d_pairs`` pairs of its matching pass, whose IoU becomes each matched
+row's IoU, and the simulate summary reads the IoUs and errors stored with
+the grid instead of recomputing them."""
 
 import pytest
 
@@ -14,15 +14,16 @@ from test_golden import GOLDEN, evaluate_args
 
 @pytest.fixture
 def iou_calls(monkeypatch):
-    """Counts ``iou3d`` calls made through the evaluation and synth modules."""
+    """Counts the box pairs passed to ``iou3d_pairs`` through the evaluation
+    and synth modules, one entry per pair."""
     calls = []
     for module in (evaluation, synth):
 
-        def counted(a, b, original=module.iou3d):
-            calls.append(1)
-            return original(a, b)
+        def counted(boxes_a, boxes_b, original=module.iou3d_pairs):
+            calls.extend([1] * len(boxes_a))
+            return original(boxes_a, boxes_b)
 
-        monkeypatch.setattr(module, "iou3d", counted)
+        monkeypatch.setattr(module, "iou3d_pairs", counted)
     return calls
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalepose import synth
+from scalepose.boxes import iou3d
 from scalepose.errors import ConsensusNotFound, PlacementFailed, UnknownCategory
 from scalepose.evaluation import RecordMetrics, metric_table
 from scalepose.geometry import rotation_about_axis, rotation_error_deg, rotation_error_symmetric_deg
@@ -43,15 +44,15 @@ def decoupled_metrics(grid):
     """Metric columns of a one-category grid's decoupled results, from the
     IoU and errors each result stores against its own truth (the pairing
     is known by construction, so nothing is matched)."""
-    rows = [r for r in grid.trials if r.pipeline == "decoupled"]
-    (category,) = {r.category for r in rows}
+    rows = [(r, iou) for r, iou in zip(grid.trials, grid.ious) if r.pipeline == "decoupled"]
+    (category,) = {r.category for r, _ in rows}
     return RecordMetrics(
         categories=(category,),
         n_gt=(len(rows),),
         starts=(0, len(rows)),
-        iou=np.array([r.iou for r in rows]),
-        rot_err_deg=np.array([r.rotation_error_deg for r in rows]),
-        trans_err_cm=np.array([r.translation_error_cm for r in rows]),
+        iou=np.array([iou for _, iou in rows]),
+        rot_err_deg=np.array([r.rotation_error_deg for r, _ in rows]),
+        trans_err_cm=np.array([r.translation_error_cm for r, _ in rows]),
     )
 
 
@@ -222,7 +223,7 @@ class TestPipelines:
         out = run_decoupled(scene, solve_canonical(scene, corrupt(scene, NoiseSpec(), 0)), oracle_offset(scene))
         assert out.rotation_error_deg < 0.01
         assert out.translation_error_cm < 0.01
-        assert out.iou > 0.999
+        assert iou3d(*out.boxes()) > 0.999
 
     def test_decoupled_rotation_immune_to_scale_offset(self):
         # a scale far from the truth leaves rotation unaffected
