@@ -87,10 +87,6 @@ class OrientedBox3:
         ext.flags.writeable = False
         object.__setattr__(self, "extents", ext)
 
-    @property
-    def volume(self):
-        return float(np.prod(self.extents))
-
 
 def box_from_estimate(pose, scale, canonical_extents):
     """Box for a pose/scale estimate: extents = scale * canonical extents.
@@ -109,13 +105,6 @@ def _total(terms):
     unchanged, and adding 0.0 turns the one exception, a -0.0 total,
     into 0.0 with or without them."""
     return np.cumsum(terms, axis=-1)[..., -1] + 0.0
-
-
-def _take_rows(values, order):
-    """``np.take_along_axis(values, order, axis=-1)`` through one flat index."""
-    width = order.shape[-1]
-    rows = np.arange(0, order.size, width).reshape(order.shape[:-1] + (1,))
-    return values.reshape(-1)[order + rows]
 
 
 def _dot(a, b):
@@ -145,9 +134,10 @@ def iou3d_pairs(boxes_a, boxes_b) -> np.ndarray:
         return out
     # Vectors are stored component first: axes (3, P, 3) hold each box's
     # axes (the columns of its rotation), the others are (3, P).
-    axes_a, axes_b = (np.array([box.pose.rotation for box in boxes]).transpose(1, 0, 2) for boxes in (boxes_a, boxes_b))
-    t_a, t_b = (np.array([box.pose.translation for box in boxes]).T for boxes in (boxes_a, boxes_b))
-    ext_a, ext_b = (np.array([box.extents for box in boxes]).T for boxes in (boxes_a, boxes_b))
+    both = (boxes_a, boxes_b)
+    axes_a, axes_b = (np.array([box.pose.rotation for box in boxes]).transpose(1, 0, 2) for boxes in both)
+    t_a, t_b = (np.array([box.pose.translation for box in boxes]).T for boxes in both)
+    ext_a, ext_b = (np.array([box.extents for box in boxes]).T for boxes in both)
     # cheap reject: farther apart than the sum of half-diagonals
     shift = t_b - t_a
     reach = 0.5 * (np.sqrt(_dot(ext_a, ext_a)) + np.sqrt(_dot(ext_b, ext_b)))
@@ -252,7 +242,7 @@ def _polygon_areas(u, v, members, points):
     x = x - _total(np.where(members, x, 0.0))[..., None] / count
     y = y - _total(np.where(members, y, 0.0))[..., None] / count
     order = np.argsort(np.where(members, np.arctan2(y, x), np.inf), axis=2, kind="stable")
-    x, y = _take_rows(x, order), _take_rows(y, order)
+    x, y = np.take_along_axis(x, order, axis=2), np.take_along_axis(y, order, axis=2)
     kept = np.arange(members.shape[2]) < count
     x, y = np.where(kept, x, x[..., :1]), np.where(kept, y, y[..., :1])
     return 0.5 * _total(x * np.roll(y, -1, axis=2) - np.roll(x, -1, axis=2) * y)

@@ -495,8 +495,8 @@ class GridResult:
         """One row per (category, noise, pipeline) cell, in first-seen order.
 
         Every figure comes from the errors stored with the cell's results
-        and their ``ious``; the AP columns rank the results in trial order, since
-        every simulated detection has confidence 1.
+        and from their ``ious``; the AP columns rank the results in trial
+        order, since every simulated detection has confidence 1.
         """
         cells = {}
         for r, iou in zip(self.trials, self.ious):

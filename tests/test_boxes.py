@@ -226,7 +226,7 @@ class TestBoxConstruction:
     def test_box_from_estimate_doubles(self):
         box = box_from_estimate(RigidPose(np.eye(3), np.zeros(3)), 2.0, UNIT_DIAG_EXTENTS)
         assert np.allclose(box.extents, 2.0 * UNIT_DIAG_EXTENTS)
-        assert abs(box.volume - 8.0 * np.prod(UNIT_DIAG_EXTENTS)) < 1e-12
+        assert abs(np.prod(box.extents) - 8.0 * np.prod(UNIT_DIAG_EXTENTS)) < 1e-12
 
     def test_diagonal_equals_scale(self):
         rng = np.random.default_rng(5)
