@@ -52,16 +52,14 @@ _CHUNK_PAIRS = 32
 # The plane triples (i, j, k), i < j < k, that can meet: a triple holding
 # both faces of one box axis has two parallel planes. For each, the
 # positions of n_j x n_k, n_i x n_k and n_i x n_j among the plane pairs.
-_PLANE_PAIRS = list(combinations(range(12), 2))
+_PLANE_PAIRS = {pair: n for n, pair in enumerate(combinations(range(12), 2))}
 _OPPOSITE = {(k, k + 3) for k in (0, 1, 2, 6, 7, 8)}
-_TRIPLE_I, _TRIPLE_J, _TRIPLE_K = np.array(
-    [t for t in combinations(range(12), 3) if not _OPPOSITE.intersection(combinations(t, 2))]
+_TRIPLES = [t for t in combinations(range(12), 3) if not _OPPOSITE.intersection(combinations(t, 2))]
+_TRIPLE_I, _TRIPLE_J, _TRIPLE_K = np.array(_TRIPLES).T
+_PAIR_I, _PAIR_J = np.array(list(_PLANE_PAIRS)).T
+_CROSS_JK, _CROSS_IK, _CROSS_IJ = np.array(
+    [(_PLANE_PAIRS[j, k], _PLANE_PAIRS[i, k], _PLANE_PAIRS[i, j]) for i, j, k in _TRIPLES]
 ).T
-_PAIR_I, _PAIR_J = np.array(_PLANE_PAIRS).T
-_CROSS_JK, _CROSS_IK, _CROSS_IJ = (
-    np.array([_PLANE_PAIRS.index(pair) for pair in zip(first, second)])
-    for first, second in ((_TRIPLE_J, _TRIPLE_K), (_TRIPLE_I, _TRIPLE_K), (_TRIPLE_I, _TRIPLE_J))
-)
 
 # In-plane frame of each of the twelve faces (a's six, then b's): the two
 # box axes other than the face normal's, as rows of [a's axes; b's axes].

@@ -207,21 +207,19 @@ def load_nocs_model(path) -> NocsModel:
     return _object(path, make)
 
 
-def load_correspondence_matrix(path, pixels=None, points=None) -> CorrespondenceMatrix:
-    """Dense {rows, cols, data: row-major} or sparse {rows, cols, triplets}.
-
-    ``pixels`` and ``points``, when given, are the row and column counts the
-    caller needs (its correspondences and model points); a file that states
-    others is refused before anything is allocated.
-    """
+def load_correspondence_matrix(path, pixels, points) -> CorrespondenceMatrix:
+    """Dense {rows, cols, data: row-major} or sparse {rows, cols, triplets}
+    with ``pixels`` rows (one per correspondence) and ``points`` columns
+    (one per model point); a file that states another size is refused
+    before anything is allocated."""
     def make(data, where):
         rows = _whole(_require(data, "rows", where), "rows")
         cols = _whole(_require(data, "cols", where), "cols")
         if rows < 1 or cols < 1:
             raise ValueError("rows and cols must be positive")
-        if pixels is not None and rows != pixels:
+        if rows != pixels:
             raise ValueError(f"matrix has {rows} rows but correspondences file has {pixels} pixels")
-        if points is not None and cols != points:
+        if cols != points:
             raise ValueError(f"matrix has {cols} columns but model has {points} points")
         if "data" in data:
             flat = data["data"]

@@ -75,7 +75,7 @@ class TestMatrixFormats:
         entries = np.array([[0.25, 0.75], [1.0, 0.0]])
         path = tmp_path / "c.json"
         fileio.dump_json({"rows": 2, "cols": 2, "data": entries.ravel().tolist()}, str(path))
-        cm = fileio.load_correspondence_matrix(str(path))
+        cm = fileio.load_correspondence_matrix(str(path), 2, 2)
         assert np.array_equal(cm.entries, entries)
 
     def test_sparse_triplets(self, tmp_path):
@@ -83,14 +83,14 @@ class TestMatrixFormats:
         fileio.dump_json(
             {"rows": 2, "cols": 3, "triplets": [[0, 1, 1.0], [1, 0, 0.5], [1, 2, 0.5]]}, str(path)
         )
-        cm = fileio.load_correspondence_matrix(str(path))
+        cm = fileio.load_correspondence_matrix(str(path), 2, 3)
         assert np.array_equal(cm.entries, [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5]])
 
     def test_length_mismatch(self, tmp_path):
         path = tmp_path / "c.json"
         fileio.dump_json({"rows": 2, "cols": 2, "data": [1.0, 0.0, 1.0]}, str(path))
         with pytest.raises(InputError, match="length"):
-            fileio.load_correspondence_matrix(str(path))
+            fileio.load_correspondence_matrix(str(path), 2, 2)
 
     @pytest.mark.parametrize(
         "data, message",
@@ -105,13 +105,13 @@ class TestMatrixFormats:
         path = tmp_path / "c.json"
         fileio.dump_json(data, str(path))
         with pytest.raises(InputError, match=re.escape(str(path)) + ": .*" + message):
-            fileio.load_correspondence_matrix(str(path))
+            fileio.load_correspondence_matrix(str(path), 2, 3)
 
     def test_non_stochastic_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         fileio.dump_json({"rows": 1, "cols": 2, "data": [0.2, 0.2]}, str(path))
         with pytest.raises(InputError):
-            fileio.load_correspondence_matrix(str(path))
+            fileio.load_correspondence_matrix(str(path), 1, 2)
 
 
 class TestStatsAndRecords:
