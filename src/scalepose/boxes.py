@@ -2,14 +2,18 @@
 
 The intersection of two boxes is the convex polytope bounded by their
 twelve face planes, so its vertices are the points where three planes meet
-inside all twelve closed half-spaces. The exact IoU solves all 220 plane
-triples by Cramer's rule on the 66 cross products of two plane normals,
-keeps the feasible points, orders each face's vertices by angle about the
-face centre, and sums the pyramids from an interior point over the faces.
-A face of one box that nearly coincides with a face of the other is
-measured together with it, so that vertices on the fold between them are
-counted once. Points on a plane count as inside (closed half-spaces), which
-keeps the IoU continuous at contact.
+inside all twelve closed half-spaces. The exact IoU finds the 160 points
+where three non-parallel planes meet, keeps the feasible ones, orders each
+face's vertices by angle about the face centre, and sums the pyramids from
+an interior point over the faces. Each triple holds two faces of one box,
+so the point is found in that box's frame, where those faces fix two
+coordinates and the third plane the last; every point then lies on its
+planes to rounding, even where faces of the two boxes are nearly parallel
+(Cramer's rule on their cross products misplaces such points by up to 1e-4
+of the box size). A face of one box that nearly coincides with a face of
+the other is measured together with it, so that vertices on the fold
+between them are counted once. Points on a plane count as inside (closed
+half-spaces), which keeps the IoU continuous at contact.
 
 :func:`iou3d_pairs` measures P pairs at once and :func:`iou3d` is its
 one-pair call. Pairs whose centres lie farther apart than their
@@ -49,17 +53,30 @@ _PAIR_COS = 0.99
 # Pairs measured together; bounds the working arrays for any input size.
 _CHUNK_PAIRS = 32
 
-# The plane triples (i, j, k), i < j < k, that can meet: a triple holding
-# both faces of one box axis has two parallel planes. For each, the
-# positions of n_j x n_k, n_i x n_k and n_i x n_j among the plane pairs.
-_PLANE_PAIRS = {pair: n for n, pair in enumerate(combinations(range(12), 2))}
-_OPPOSITE = {(k, k + 3) for k in (0, 1, 2, 6, 7, 8)}
-_TRIPLES = [t for t in combinations(range(12), 3) if not _OPPOSITE.intersection(combinations(t, 2))]
-_TRIPLE_I, _TRIPLE_J, _TRIPLE_K = np.array(_TRIPLES).T
-_PAIR_I, _PAIR_J = np.array(list(_PLANE_PAIRS)).T
-_CROSS_JK, _CROSS_IK, _CROSS_IJ = np.array(
-    [(_PLANE_PAIRS[j, k], _PLANE_PAIRS[i, k], _PLANE_PAIRS[i, j]) for i, j, k in _TRIPLES]
-).T
+
+def _triple_table():
+    """The plane triples that can meet: a triple holding both faces of one
+    box axis has two parallel planes. Every other triple holds two faces of
+    one box, on axes P and Q of the six box axes (a's three, then b's) with
+    signs SIGN_P and SIGN_Q, and a THIRD plane, on axis AXIS with sign
+    SIGN; R is that box's remaining axis and IN_B is 1 if the box is b.
+    One column per field."""
+    rows = []
+    for triple in combinations(range(12), 3):
+        if any(k // 6 == m // 6 and k % 3 == m % 3 for k, m in combinations(triple, 2)):
+            continue
+        box = int(sum(k // 6 for k in triple) >= 2)
+        i, j = [k for k in triple if k // 6 == box][:2]
+        (third,) = set(triple) - {i, j}
+        rows.append((
+            3 * box + i % 3, 3 * box + j % 3, 3 * box + 3 - i % 3 - j % 3,
+            1 - 2 * (i % 6 // 3), 1 - 2 * (j % 6 // 3), third,
+            3 * (third // 6) + third % 3, 1 - 2 * (third % 6 // 3), box,
+        ))
+    return np.array(rows).T
+
+
+_FRAME_P, _FRAME_Q, _FRAME_R, _SIGN_P, _SIGN_Q, _THIRD, _AXIS, _SIGN, _IN_B = _triple_table()
 
 # In-plane frame of each of the twelve faces (a's six, then b's): the two
 # box axes other than the face normal's, as rows of [a's axes; b's axes].
@@ -153,12 +170,13 @@ def _exact_iou(axes_a, axes_b, shift, ext_a, ext_b):
     # their distance from the camera.
     axes = np.concatenate([axes_a, axes_b], axis=2)
     normals = np.concatenate([axes_a, -axes_a, axes_b, -axes_b], axis=2)
-    half_a, half_b = ext_a.T / 2.0, ext_b.T / 2.0
-    along = _dot(axes_b, shift[..., None])
-    offsets = np.concatenate([half_a, half_a, half_b + along, half_b - along], axis=1)
+    half = np.concatenate([ext_a, ext_b]).T / 2.0
+    lift = _dot(axes, shift[..., None])
+    half_a, half_b, lift_b = half[:, :3], half[:, 3:], lift[:, 3:]
+    offsets = np.concatenate([half_a, half_a, half_b + lift_b, half_b - lift_b], axis=1)
     eps = _PLANE_EPS * np.maximum(np.maximum(ext_a.max(axis=0), ext_b.max(axis=0)), 1e-30)
 
-    points, regular = _triple_points(normals, offsets)
+    points, regular = _triple_points(axes, offsets, half, shift, lift)
     # Opposite faces share an axis, so six dot products give all twelve
     # signed distances n . x - d: s - d on a face, -(s + d) on its opposite.
     s = _dot(axes[..., None], points[:, :, None, :])
@@ -206,24 +224,28 @@ def _exact_iou(axes_a, axes_b, shift, ext_a, ext_b):
     return np.where((count > 0) & (union > 0), ratio, 0.0)
 
 
-def _triple_points(normals, offsets):
-    """Where each plane triple (i, j, k) meets, (3, C, T), by Cramer's rule:
-    (d_i n_j x n_k - d_j n_i x n_k + d_k n_i x n_j) / n_i . n_j x n_k, and
-    whether the triple is far enough from singular to count."""
-    n_i, n_j = normals[..., _PAIR_I], normals[..., _PAIR_J]
-    cross = np.stack([
-        n_i[1] * n_j[2] - n_i[2] * n_j[1],
-        n_i[2] * n_j[0] - n_i[0] * n_j[2],
-        n_i[0] * n_j[1] - n_i[1] * n_j[0],
-    ])
-    jk, ik, ij = cross[..., _CROSS_JK], cross[..., _CROSS_IK], cross[..., _CROSS_IJ]
-    det = _dot(normals[..., _TRIPLE_I], jk)
-    regular = np.abs(det) > _SINGULAR_DET
-    points = offsets[:, _TRIPLE_I] * jk
-    points -= offsets[:, _TRIPLE_J] * ik
-    points += offsets[:, _TRIPLE_K] * ij
-    points /= np.where(regular, det, 1.0)
-    return points, regular
+def _triple_points(axes, offsets, half, shift, lift):
+    """Where each plane triple meets, (3, C, T), and whether the triple is
+    far enough from singular to count. ``lift`` (C, 6) holds each box
+    axis's component of ``shift``.
+
+    In the frame of the box that holds two of the planes, those planes fix
+    two coordinates at its half extents, and the third plane gives the last
+    by one division, by the third normal's component along the free axis
+    (the triple's determinant). Each point then lies on its three planes to
+    rounding, however nearly parallel they are.
+    """
+    gram = _dot(axes[..., :, None], axes[..., None, :]).reshape(len(half), 36)
+    u, v, w = axes[..., _FRAME_P], axes[..., _FRAME_Q], axes[..., _FRAME_R]
+    along_u, along_v = _SIGN_P * half[:, _FRAME_P], _SIGN_Q * half[:, _FRAME_Q]
+    slope = _SIGN * gram[:, 6 * _AXIS + _FRAME_R]
+    regular = np.abs(slope) > _SINGULAR_DET
+    free = offsets[:, _THIRD] - (_SIGN * _IN_B) * lift[:, _AXIS]
+    free -= (_SIGN * gram[:, 6 * _AXIS + _FRAME_P]) * along_u
+    free -= (_SIGN * gram[:, 6 * _AXIS + _FRAME_Q]) * along_v
+    free /= np.where(regular, slope, 1.0)
+    centre = _IN_B * shift[..., None]
+    return centre + u * along_u + v * along_v + w * free, regular
 
 
 def _polygon_areas(u, v, members, points):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import contains, corners, iou3d_mc, points_in_box_mask
@@ -98,6 +98,12 @@ class TestExactIoU:
 
     @settings(max_examples=100, deadline=None)
     @given(a=boxes, b=boxes, rot=quaternions, t=vectors(5.0))
+    @example(  # faces 1e-12 rad apart: plane triples with a determinant of 1e-12
+        a=OrientedBox3(RigidPose(rotation_from_quaternion((0.0, 0.0, 0.0, 1.0)), np.zeros(3)), (1, 1, 1)),
+        b=OrientedBox3(RigidPose(rotation_from_quaternion((0.0, 1.0, 1.0, 1e-12)), np.zeros(3)), (1, 1, 1)),
+        rot=(0.0, 0.0, 1.0, 0.5),
+        t=np.zeros(3),
+    )
     def test_rigid_invariance(self, a, b, rot, t):
         rot = rotation_from_quaternion(rot)
 
