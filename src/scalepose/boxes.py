@@ -244,8 +244,10 @@ def _triple_points(axes, offsets, half, shift, lift):
     free -= (_SIGN * gram[:, 6 * _AXIS + _FRAME_P]) * along_u
     free -= (_SIGN * gram[:, 6 * _AXIS + _FRAME_Q]) * along_v
     free /= np.where(regular, slope, 1.0)
-    centre = _IN_B * shift[..., None]
-    return centre + u * along_u + v * along_v + w * free, regular
+    points = _IN_B * shift[..., None] + u * along_u
+    points += v * along_v
+    points += w * free
+    return points, regular
 
 
 def _polygon_areas(u, v, members, points):
