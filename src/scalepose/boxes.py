@@ -79,7 +79,7 @@ def _triple_table():
 _FRAME_P, _FRAME_Q, _FRAME_R, _SIGN_P, _SIGN_Q, _THIRD, _AXIS, _SIGN, _IN_B = _triple_table()
 
 # In-plane frame of each of the twelve faces (a's six, then b's): the two
-# box axes other than the face normal's, as rows of [a's axes; b's axes].
+# box axes other than the face normal's, among the six (a's three, then b's).
 _FACE_U = np.array([1, 2, 0, 1, 2, 0, 4, 5, 3, 4, 5, 3])
 _FACE_V = np.array([2, 0, 1, 2, 0, 1, 5, 3, 4, 5, 3, 4])
 
