@@ -37,25 +37,47 @@ def _as_array(x, shape, name):
     return a
 
 
-def _freeze(a):
-    """Read-only float64 copy of ``a``; the caller's array stays writable."""
-    a = np.array(a, dtype=np.float64, order="C")
+def _frozen(x, shape, name):
+    """Read-only float64 copy of ``x``, which must have ``shape`` and be
+    finite, and its entries as Python floats in row-major order. The
+    caller's array stays writable."""
+    a = np.array(x, dtype=np.float64, order="C")
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+    flat = a.ravel().tolist()
+    if not all(map(math.isfinite, flat)):
+        raise ValueError(f"{name} contains non-finite values")
     a.flags.writeable = False
-    return a
+    return a, flat
+
+
+def _check_rotation(flat, tol):
+    """Raise unless the nine row-major floats ``flat`` are a proper
+    rotation within ``tol``: every entry of RᵀR - I, and det R - 1."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = flat
+    err = max(
+        abs(r00 * r00 + r10 * r10 + r20 * r20 - 1.0),
+        abs(r01 * r01 + r11 * r11 + r21 * r21 - 1.0),
+        abs(r02 * r02 + r12 * r12 + r22 * r22 - 1.0),
+        abs(r00 * r01 + r10 * r11 + r20 * r21),
+        abs(r00 * r02 + r10 * r12 + r20 * r22),
+        abs(r01 * r02 + r11 * r12 + r21 * r22),
+    )
+    if err > tol:
+        raise ValueError(f"matrix is not orthonormal (max deviation {err:.3e})")
+    det = r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20) + r02 * (r10 * r21 - r11 * r20)
+    if abs(det - 1.0) > tol:
+        raise ValueError(f"matrix is not a proper rotation (det {det:.12f})")
 
 
 def ensure_rotation(r, tol=ROTATION_TOL):
-    """Validate that ``r`` is a proper rotation matrix; return it as float64.
+    """Validate that ``r`` is a proper rotation matrix; return it as a
+    read-only float64 copy.
 
     Orthonormality and det(+1) are checked within ``tol``.
     """
-    r = _as_array(r, (3, 3), "rotation")
-    err = np.abs(r.T @ r - np.eye(3)).max()
-    if err > tol:
-        raise ValueError(f"matrix is not orthonormal (max deviation {err:.3e})")
-    det = np.linalg.det(r)
-    if abs(det - 1.0) > tol:
-        raise ValueError(f"matrix is not a proper rotation (det {det:.12f})")
+    r, flat = _frozen(r, (3, 3), "rotation")
+    _check_rotation(flat, tol)
     return r
 
 
@@ -67,10 +89,8 @@ class RigidPose:
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", _freeze(ensure_rotation(self.rotation)))
-        object.__setattr__(
-            self, "translation", _freeze(_as_array(self.translation, (3,), "translation"))
-        )
+        object.__setattr__(self, "rotation", ensure_rotation(self.rotation))
+        object.__setattr__(self, "translation", _frozen(self.translation, (3,), "translation")[0])
 
     def transform(self, points):
         """Apply the pose to one point (3,) or a point set (N, 3)."""
@@ -90,10 +110,8 @@ class SimilarityTransform:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be positive, got {self.scale}")
         object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "rotation", _freeze(ensure_rotation(self.rotation)))
-        object.__setattr__(
-            self, "translation", _freeze(_as_array(self.translation, (3,), "translation"))
-        )
+        object.__setattr__(self, "rotation", ensure_rotation(self.rotation))
+        object.__setattr__(self, "translation", _frozen(self.translation, (3,), "translation")[0])
 
 
 @dataclass(frozen=True)
