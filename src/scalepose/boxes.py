@@ -15,9 +15,10 @@ the other is measured together with it, so that vertices on the fold
 between them are counted once. Points on a plane count as inside (closed
 half-spaces), which keeps the IoU continuous at contact.
 
-:func:`iou3d_pairs` measures P pairs at once and :func:`iou3d` is its
-one-pair call. Pairs whose centres lie farther apart than their
-half-diagonals are rejected first; the rest run in chunks of
+:func:`iou3d_pairs` measures P pairs at once, from boxes stacked as arrays
+(:func:`box_stack` builds them from pose estimates with no per-box object),
+and :func:`iou3d` is its one-pair call. Pairs whose centres lie farther
+apart than their half-diagonals are rejected first; the rest run in chunks of
 ``_CHUNK_PAIRS``, with each pair's feasible points moved to the front in
 index order and padded to the chunk's largest count. A pair's IoU does not
 depend on its batch: 3-vector dot products are written out, every longer
@@ -115,6 +116,24 @@ def box_from_estimate(pose, scale, canonical_extents):
     return OrientedBox3(pose, float(scale) * np.asarray(canonical_extents, dtype=np.float64))
 
 
+def box_stack(poses, scales, canonical_extents):
+    """The boxes of P pose/scale estimates, stacked for :func:`iou3d_pairs`:
+    rotations (P, 3, 3), translations (P, 3) and extents (P, 3), each row
+    bit for bit what :func:`box_from_estimate` gives, and checked as it
+    checks one box."""
+    scales = np.array(scales, dtype=np.float64).reshape(-1)
+    bad = np.flatnonzero(~(scales > 0))
+    if len(bad):
+        raise NonPositiveScale(f"scale must be positive, got {scales[bad[0]]}")
+    extents = scales[:, None] * np.array(canonical_extents, dtype=np.float64).reshape(-1, 3)
+    bad = np.flatnonzero(~np.all((extents > 0) & np.isfinite(extents), axis=1))
+    if len(bad):
+        raise ValueError(f"extents must be positive finite, got {extents[bad[0]]}")
+    rotations = np.array([pose.rotation for pose in poses]).reshape(-1, 3, 3)
+    translations = np.array([pose.translation for pose in poses]).reshape(-1, 3)
+    return rotations, translations, extents
+
+
 def _total(terms):
     """Sum over the last axis in index order. Trailing zeros leave it
     unchanged, and adding 0.0 turns the one exception, a -0.0 total,
@@ -133,26 +152,28 @@ def _dot(a, b):
 
 def iou3d(a: OrientedBox3, b: OrientedBox3) -> float:
     """Exact IoU of two oriented boxes."""
-    return float(iou3d_pairs([a], [b])[0])
+    a, b = ((box.pose.rotation[None], box.pose.translation[None], box.extents[None]) for box in (a, b))
+    return float(iou3d_pairs(a, b)[0])
 
 
-def iou3d_pairs(boxes_a, boxes_b) -> np.ndarray:
-    """Exact IoU of each pair ``(boxes_a[p], boxes_b[p])``, as a (P,) array.
+def iou3d_pairs(a, b) -> np.ndarray:
+    """Exact IoU of each pair ``(a[p], b[p])``, as a (P,) array.
 
-    Each value is bit for bit the one :func:`iou3d` gives for its pair
-    alone.
+    ``a`` and ``b`` each stack P boxes as ``(rotations (P, 3, 3),
+    translations (P, 3), extents (P, 3))``, extents being positive full side
+    lengths (:func:`box_stack`). Each value is bit for bit the one
+    :func:`iou3d` gives for its pair alone.
     """
-    if len(boxes_a) != len(boxes_b):
-        raise ValueError(f"got {len(boxes_a)} boxes to pair with {len(boxes_b)}")
-    out = np.zeros(len(boxes_a))
+    (rot_a, t_a, ext_a), (rot_b, t_b, ext_b) = a, b
+    if len(rot_a) != len(rot_b):
+        raise ValueError(f"got {len(rot_a)} boxes to pair with {len(rot_b)}")
+    out = np.zeros(len(rot_a))
     if not len(out):
         return out
     # Vectors are stored component first: axes (3, P, 3) hold each box's
     # axes (the columns of its rotation), the others are (3, P).
-    both = (boxes_a, boxes_b)
-    axes_a, axes_b = (np.array([box.pose.rotation for box in boxes]).transpose(1, 0, 2) for boxes in both)
-    t_a, t_b = (np.array([box.pose.translation for box in boxes]).T for boxes in both)
-    ext_a, ext_b = (np.array([box.extents for box in boxes]).T for boxes in both)
+    axes_a, axes_b = (np.asarray(r, dtype=np.float64).transpose(1, 0, 2) for r in (rot_a, rot_b))
+    t_a, t_b, ext_a, ext_b = (np.asarray(v, dtype=np.float64).T for v in (t_a, t_b, ext_a, ext_b))
     # cheap reject: farther apart than the sum of half-diagonals
     shift = t_b - t_a
     reach = 0.5 * (np.sqrt(_dot(ext_a, ext_a)) + np.sqrt(_dot(ext_b, ext_b)))

@@ -4,6 +4,13 @@ precision over confidence-ordered hit matrices, the five-column metric
 table (IoU50 / IoU75 / 10cm / 10deg / 10deg10cm), and AP-vs-threshold
 curves.
 
+Scoring runs on arrays. :attr:`RecordMetrics.padded` holds each metric
+column once as a (categories, N_max) array padded at the end with NaN
+(:func:`padded_groups`), which fails every threshold as an unmatched row
+does; trailing non-hits leave a category's AP bit for bit unchanged, so
+:func:`metric_table` and each :func:`ap_curves` make one
+:func:`average_precision` call over all categories and thresholds.
+
 Matching policy (as in the NOCS protocol): detections are handled per
 predicted category, sorted by descending confidence (stable on ties), and
 each is greedily assigned the untaken ground truth of that category with
@@ -15,11 +22,12 @@ are reported but omitted from the mean.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import OrientedBox3, box_from_estimate, iou3d_pairs
+from .boxes import box_stack, iou3d_pairs
 from .boxes import iou3d  # noqa: F401 -- kept for perfbench/spans.py, which wraps this name
 from .errors import EmptyRecordSet
 from .geometry import (
@@ -61,9 +69,6 @@ class GroundTruthBox:
     scale: float
     canonical_extents: tuple[float, float, float]
 
-    def box(self) -> OrientedBox3:
-        return box_from_estimate(self.pose, self.scale, self.canonical_extents)
-
 
 @dataclass(frozen=True)
 class DetectionRecord:
@@ -74,9 +79,6 @@ class DetectionRecord:
     pose: RigidPose
     scale: float
     canonical_extents: tuple[float, float, float]
-
-    def box(self) -> OrientedBox3:
-        return box_from_estimate(self.pose, self.scale, self.canonical_extents)
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,24 @@ class RecordMetrics:
     trans_err_cm: np.ndarray
     skipped_categories: tuple[str, ...] = ()
 
-    def groups(self):
-        """``(rows, n_gt)`` per category: a row slice and its gt count."""
-        return [(slice(lo, hi), n) for lo, hi, n in zip(self.starts, self.starts[1:], self.n_gt)]
+    @functools.cached_property
+    def padded(self):
+        """``{column name: (len(categories), N_max) array}``, each column as
+        :func:`padded_groups` lays it out; built on first use and shared by
+        the table and every curve."""
+        return {name: padded_groups(getattr(self, name), self.starts)
+                for name in ("iou", "rot_err_deg", "trans_err_cm")}
+
+
+def padded_groups(column, starts):
+    """The groups of ``column`` (rows ``starts[i]:starts[i + 1]`` form
+    group ``i``) as a (groups, N_max) array: row ``i`` holds group ``i``,
+    then NaN up to the largest group. NaN fails every threshold test, as an
+    unmatched row does, and trailing non-hits leave an AP bit for bit."""
+    counts = np.diff(starts)
+    out = np.full((len(counts), counts.max(initial=0)), np.nan)
+    out[np.arange(out.shape[1]) < counts[:, None]] = column
+    return out
 
 
 def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetrics:
@@ -151,11 +168,21 @@ def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetr
         else:
             group.append(det)
 
-    # every same-category (detection, truth) IoU of the call, in one batch
-    det_boxes = {cat: [det.box() for det in dets_by_category[cat]] for cat in categories}
-    gt_boxes = {cat: [gt.box() for gt in gts_by_category[cat]] for cat in categories}
-    pairs = [(d, g) for cat in categories for d in det_boxes[cat] for g in gt_boxes[cat]]
-    ious = iou3d_pairs([d for d, _ in pairs], [g for _, g in pairs])
+    # Every same-category (detection, truth) IoU of the call, in one batch:
+    # each side is stacked once, category by category, and every pair is
+    # gathered from the two stacks by index.
+    det_boxes, gt_boxes = (
+        _stack([r for cat in categories for r in by_category[cat]])
+        for by_category in (dets_by_category, gts_by_category)
+    )
+    det_index, gt_index, d0, g0 = [], [], 0, 0
+    for cat in categories:
+        n_det, n_gt = len(dets_by_category[cat]), len(gts_by_category[cat])
+        det_index.append(np.repeat(np.arange(d0, d0 + n_det), n_gt))
+        gt_index.append(np.tile(np.arange(g0, g0 + n_gt), n_det))
+        d0, g0 = d0 + n_det, g0 + n_gt
+    det_index, gt_index = np.concatenate(det_index), np.concatenate(gt_index)
+    ious = iou3d_pairs(tuple(v[det_index] for v in det_boxes), tuple(v[gt_index] for v in gt_boxes))
 
     columns, starts, at = [], [0], 0
     for cat in categories:
@@ -190,6 +217,12 @@ def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetr
     )
 
 
+def _stack(records):
+    """The boxes of ground-truth or detection records, stacked."""
+    return box_stack([r.pose for r in records], [r.scale for r in records],
+                     [r.canonical_extents for r in records])
+
+
 def _confidence_order(detections):
     conf = np.array([d.confidence for d in detections], dtype=np.float64)
     return np.argsort(-conf, kind="stable")
@@ -198,34 +231,39 @@ def _confidence_order(detections):
 def average_precision(hits, n_gt):
     """Area under the precision-recall curve, one value per hit row.
 
-    ``hits`` is a ``(T, N)`` boolean matrix: row ``t`` marks which of one
+    ``hits`` is a ``(..., N)`` boolean array: each row marks which of one
     category's N detections, in descending confidence, are true positives
-    under threshold ``t``; ``n_gt`` is the category's ground-truth count.
+    under one threshold. ``n_gt``, the category's ground-truth count,
+    broadcasts against the leading axes ``(...)``, so one call can score
+    every category and threshold; a shorter group is padded at the end
+    with non-hits, which add only exact zeros and leave its AP bit for bit.
     Precision is envelope-interpolated (monotone non-increasing) before
     integrating over recall. The integral is summed in rank order, so the
     result does not depend on how NumPy would pair up a reduction.
     """
-    if n_gt == 0:
+    n_gt = np.asarray(n_gt)
+    if np.any(n_gt == 0):
         raise EmptyRecordSet("average precision needs at least one ground truth")
     tp = np.asarray(hits, dtype=np.float64)
-    if tp.shape[1] == 0:
-        return np.zeros(tp.shape[0])
-    cum_tp = np.cumsum(tp, axis=1)
-    cum_fp = np.cumsum(1.0 - tp, axis=1)
-    recall = cum_tp / n_gt
+    if tp.shape[-1] == 0:
+        return np.zeros(np.broadcast_shapes(tp.shape[:-1], n_gt.shape))
+    cum_tp = np.cumsum(tp, axis=-1)
+    cum_fp = np.cumsum(1.0 - tp, axis=-1)
+    recall = cum_tp / n_gt[..., None]
     precision = cum_tp / (cum_tp + cum_fp)
-    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    gains = np.diff(recall, axis=1, prepend=0.0) * envelope
-    return np.cumsum(gains, axis=1)[:, -1]
+    envelope = np.maximum.accumulate(precision[..., ::-1], axis=-1)[..., ::-1]
+    gains = np.diff(recall, axis=-1, prepend=0.0) * envelope
+    return np.cumsum(gains, axis=-1)[..., -1]
 
 
 def table_ap(iou, rot_err_deg, trans_err_cm, n_gt):
-    """AP at the five :data:`TABLE_COLUMNS` thresholds for one group of
-    records given as confidence-ordered metric columns."""
+    """AP at the five :data:`TABLE_COLUMNS` thresholds, ``(..., 5)``, of
+    confidence-ordered metric columns ``(..., N)`` in one
+    :func:`average_precision` call; ``n_gt`` broadcasts against ``(...)``."""
     rot_ok = rot_err_deg <= 10.0
     trans_ok = trans_err_cm <= 10.0
-    hits = np.array([iou >= 0.5, iou >= 0.75, trans_ok, rot_ok, rot_ok & trans_ok])
-    return average_precision(hits, n_gt)
+    hits = np.stack([iou >= 0.5, iou >= 0.75, trans_ok, rot_ok, rot_ok & trans_ok], axis=-2)
+    return average_precision(hits, np.asarray(n_gt)[..., None])
 
 
 @dataclass(frozen=True)
@@ -246,23 +284,21 @@ class MetricTable:
         width = max([len("category")] + [len(c) for c in self.categories + ("mean",)])
         header = "category".ljust(width) + "".join(f"{c:>10}" for c in TABLE_COLUMNS)
         lines = [header]
-        for cat, row in zip(self.categories, self.values):
+        for cat, row in zip(self.categories + ("mean",), self.values.tolist() + [self.mean.tolist()]):
             lines.append(cat.ljust(width) + "".join(f"{100 * v:>10.1f}" for v in row))
-        lines.append("mean".ljust(width) + "".join(f"{100 * v:>10.1f}" for v in self.mean))
         return "\n".join(lines) + "\n"
 
     def to_csv(self):
-        rows = [[cat, *row] for cat, row in zip(self.categories, self.values)]
-        return csv_text(("category", *TABLE_COLUMNS), rows + [["mean", *self.mean]])
+        rows = [[cat, *row] for cat, row in zip(self.categories, self.values.tolist())]
+        return csv_text(("category", *TABLE_COLUMNS), rows + [["mean", *self.mean.tolist()]])
 
 
 def metric_table(metrics: RecordMetrics) -> MetricTable:
     """mAP at the five standard thresholds over :func:`match_detections`."""
-    values = np.array(
-        [
-            table_ap(metrics.iou[rows], metrics.rot_err_deg[rows], metrics.trans_err_cm[rows], n_gt)
-            for rows, n_gt in metrics.groups()
-        ]
+    columns = metrics.padded
+    # C order, so that the mean sums each column as the per-category rows did
+    values = np.ascontiguousarray(
+        table_ap(columns["iou"], columns["rot_err_deg"], columns["trans_err_cm"], metrics.n_gt)
     )
     return MetricTable(metrics.categories, values, values.mean(axis=0), metrics.skipped_categories)
 
@@ -289,10 +325,9 @@ def ap_curves(metrics: RecordMetrics, metric, thresholds) -> ApCurve:
             or any(b <= a for a, b in zip(thresholds, thresholds[1:]))):
         raise ValueError(f"{metric} threshold grid must be non-empty, finite and strictly increasing")
     column, test = _CURVE_TESTS[metric]
-    hits = test(getattr(metrics, column)[None, :], np.array(thresholds)[:, None])
-    per_cat = np.column_stack(
-        [average_precision(hits[:, rows], n_gt) for rows, n_gt in metrics.groups()]
-    )
+    hits = test(metrics.padded[column][:, None, :], np.array(thresholds)[:, None])
+    ap = average_precision(hits, np.asarray(metrics.n_gt)[:, None])
+    per_cat = np.ascontiguousarray(ap.T)  # C order: the mean sums each row in the same order
     return ApCurve(metric, tuple(thresholds), metrics.categories, per_cat, per_cat.mean(axis=1))
 
 
@@ -300,6 +335,6 @@ def curve_csv(curve: ApCurve):
     """CSV rows: threshold, one column per category, then the mean."""
     rows = [
         [thr, *per_cat, mean]
-        for thr, per_cat, mean in zip(curve.thresholds, curve.per_category, curve.mean)
+        for thr, per_cat, mean in zip(curve.thresholds, curve.per_category.tolist(), curve.mean.tolist())
     ]
     return csv_text(("threshold", *curve.categories, "mean"), rows)

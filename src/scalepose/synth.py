@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import box_from_estimate, iou3d_pairs
+from .boxes import box_stack, iou3d_pairs
 from .boxes import iou3d  # noqa: F401 -- kept for perfbench/spans.py, which wraps this name
 from .errors import PlacementFailed, UnknownCategory
-from .evaluation import category_rotation_error_deg, csv_text, table_ap
+from .evaluation import category_rotation_error_deg, csv_text, padded_groups, table_ap
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
@@ -143,13 +143,6 @@ class ExperimentResult:
         values = (self.rotation_error_deg, self.translation_error_cm, self.estimated_scale, self.gt_scale)
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"non-finite experiment result: {values}")
-
-    def boxes(self):
-        """The estimated box and the true box, whose IoU scores the trial."""
-        return (
-            box_from_estimate(self.pose, self.estimated_scale, self.canonical_extents),
-            box_from_estimate(self.gt_pose, self.gt_scale, self.canonical_extents),
-        )
 
 
 # -- procedural category shapes ------------------------------------------------
@@ -481,7 +474,7 @@ def _noise_cells(noise):
 @dataclass(frozen=True)
 class GridResult:
     trials: tuple[ExperimentResult, ...]
-    ious: tuple[float, ...]  # each trial's IoU, of its ``boxes()``
+    ious: tuple[float, ...]  # each trial's IoU, of its estimated box against the true one
 
     def trials_csv(self):
         rows = [
@@ -496,20 +489,23 @@ class GridResult:
 
         Every figure comes from the errors stored with the cell's results
         and from their ``ious``; the AP columns rank the results in trial
-        order, since every simulated detection has confidence 1.
+        order, since every simulated detection has confidence 1. One AP
+        call scores every cell, its columns padded with NaN (a miss at
+        every threshold) to the largest cell.
         """
         cells = {}
         for r, iou in zip(self.trials, self.ious):
-            cells.setdefault((r.category, r.noise, r.pipeline), []).append((r, iou))
+            cells.setdefault((r.category, r.noise, r.pipeline), []).append(
+                (r.rotation_error_deg, r.translation_error_cm, iou)
+            )
+        starts = np.cumsum([0] + [len(cell) for cell in cells.values()]).tolist()
+        rot, trans, ious = np.array([row for cell in cells.values() for row in cell]).reshape(-1, 3).T.copy()
+        aps = table_ap(*(padded_groups(c, starts) for c in (ious, rot, trans)), np.diff(starts)).tolist()
         rows = []
-        for (category, noise, pipeline), cell in cells.items():
-            rot = np.array([r.rotation_error_deg for r, _ in cell])
-            trans = np.array([r.translation_error_cm for r, _ in cell])
-            ious = np.array([iou for _, iou in cell])
+        for (category, noise, pipeline), lo, hi, ap in zip(cells, starts, starts[1:], aps):
             rows.append(
-                [category, pipeline, *_noise_cells(noise), str(len(cell)), np.median(rot),
-                 rot.mean(), np.median(trans), trans.mean(), ious.mean(),
-                 *table_ap(ious, rot, trans, len(cell))]
+                [category, pipeline, *_noise_cells(noise), str(hi - lo), np.median(rot[lo:hi]),
+                 rot[lo:hi].mean(), np.median(trans[lo:hi]), trans[lo:hi].mean(), ious[lo:hi].mean(), *ap]
             )
         return csv_text(_SUMMARY_CSV_HEADER, rows)
 
@@ -585,6 +581,7 @@ def run_grid(
                     run_decoupled(scene, solved[pixels_key], delta, noise=noise, trial=trial)
                 )
                 results.append(run_coupled(scene, observations, noise=noise, trial=trial))
-    boxes = [r.boxes() for r in results]
-    ious = iou3d_pairs([estimated for estimated, _ in boxes], [truth for _, truth in boxes])
-    return GridResult(tuple(results), tuple(ious.tolist()))
+    extents = [r.canonical_extents for r in results]
+    estimated = box_stack([r.pose for r in results], [r.estimated_scale for r in results], extents)
+    truth = box_stack([r.gt_pose for r in results], [r.gt_scale for r in results], extents)
+    return GridResult(tuple(results), tuple(iou3d_pairs(estimated, truth).tolist()))

@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 
-from scalepose.boxes import OrientedBox3, iou3d
+from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d
 from scalepose.errors import EmptyRecordSet
 from scalepose.evaluation import RecordMetrics, category_rotation_error_deg
 from scalepose.geometry import translation_error_cm
@@ -132,10 +132,15 @@ def _confidence_order(records):
     return np.argsort(-np.array([r.confidence for r in records], dtype=np.float64), kind="stable")
 
 
+def _box(record):
+    """The box of one detection or ground-truth record."""
+    return box_from_estimate(record.pose, record.scale, record.canonical_extents)
+
+
 def reference_pose_metrics(detection, gt, use_symmetry=True):
     """IoU, rotation error (deg) and translation error (cm) of one matched pair."""
     return {
-        "iou": iou3d(detection.box(), gt.box()),
+        "iou": iou3d(_box(detection), _box(gt)),
         "rot_err_deg": category_rotation_error_deg(
             detection.category, detection.pose.rotation, gt.pose.rotation, use_symmetry
         ),
@@ -152,12 +157,12 @@ def reference_record_metrics(detections, ground_truths, use_symmetry=True):
     confidence again and measures every matched pair afresh, IoU included.
     """
     detections = list(detections)
-    gt_boxes = [gt.box() for gt in ground_truths]
+    gt_boxes = [_box(gt) for gt in ground_truths]
     taken = [False] * len(ground_truths)
     matched = [None] * len(detections)
     for idx in _confidence_order(detections):
         det = detections[idx]
-        det_box = det.box()
+        det_box = _box(det)
         best_j = -1
         best_iou = 0.0
         for j, gt in enumerate(ground_truths):

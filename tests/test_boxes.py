@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import contains, corners, iou3d_mc, points_in_box_mask
 from scalepose.boxes import _CHUNK_PAIRS
-from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d, iou3d_pairs
+from scalepose.boxes import OrientedBox3, box_from_estimate, box_stack, iou3d, iou3d_pairs
 from scalepose.errors import NonPositiveScale
 from scalepose.geometry import RigidPose, random_rotation, rotation_about_axis, rotation_from_quaternion
 
@@ -24,6 +24,15 @@ def random_pair(seed, overlap=True):
     e1 = rng.uniform(0.3, 1.6, 3)
     e2 = rng.uniform(0.3, 1.6, 3)
     return OrientedBox3(RigidPose(r1, t1), e1), OrientedBox3(RigidPose(r2, t2), e2)
+
+
+def stacked(boxes):
+    """``iou3d_pairs``' array form of a list of boxes."""
+    return (
+        np.array([box.pose.rotation for box in boxes]).reshape(-1, 3, 3),
+        np.array([box.pose.translation for box in boxes]).reshape(-1, 3),
+        np.array([box.extents for box in boxes]).reshape(-1, 3),
+    )
 
 
 def vectors(bound):
@@ -160,9 +169,9 @@ class TestBatchIoU:
         assert len(pairs) > 2 * _CHUNK_PAIRS  # the batch straddles the chunk size
         first, second = [a for a, _ in pairs], [b for _, b in pairs]
         single = np.array([iou3d(a, b) for a, b in pairs])
-        whole = iou3d_pairs(first, second)
+        whole = iou3d_pairs(stacked(first), stacked(second))
         sevens = np.concatenate(
-            [iou3d_pairs(first[i:i + 7], second[i:i + 7]) for i in range(0, len(pairs), 7)]
+            [iou3d_pairs(stacked(first[i:i + 7]), stacked(second[i:i + 7])) for i in range(0, len(pairs), 7)]
         )
         assert whole.tobytes() == single.tobytes()
         assert sevens.tobytes() == single.tobytes()
@@ -170,12 +179,12 @@ class TestBatchIoU:
         assert np.count_nonzero(single == 0.0) >= 60  # rejected and touching pairs
 
     def test_empty_batch(self):
-        out = iou3d_pairs([], [])
+        out = iou3d_pairs(stacked([]), stacked([]))
         assert out.shape == (0,) and out.dtype == np.float64
 
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
-            iou3d_pairs([axis_aligned()], [])
+            iou3d_pairs(stacked([axis_aligned()]), stacked([]))
 
 
 class TestMonteCarloOracle:
@@ -250,6 +259,28 @@ class TestBoxConstruction:
     def test_rejects_bad_extents(self):
         with pytest.raises(ValueError):
             OrientedBox3(RigidPose(np.eye(3), np.zeros(3)), (1.0, 0.0, 1.0))
+
+    def test_stack_rows_match_single_boxes_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        poses = [RigidPose(random_rotation(rng), rng.normal(size=3)) for _ in range(5)]
+        scales = rng.uniform(0.05, 3.0, size=5).tolist()
+        extents = [tuple(rng.uniform(0.2, 1.0, size=3).tolist()) for _ in range(5)]
+        singles = [box_from_estimate(p, s, e) for p, s, e in zip(poses, scales, extents)]
+        for got, want in zip(box_stack(poses, scales, extents), stacked(singles)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "scale, extents, error",
+        [(0.0, UNIT_DIAG_EXTENTS, NonPositiveScale), (float("nan"), UNIT_DIAG_EXTENTS, NonPositiveScale),
+         (1.0, (1.0, 0.0, 1.0), ValueError), (1.0, (1.0, float("inf"), 1.0), ValueError)],
+    )
+    def test_stack_checks_as_single_boxes(self, scale, extents, error):
+        good = RigidPose(np.eye(3), np.zeros(3))
+        with pytest.raises(error) as single:
+            box_from_estimate(good, scale, extents)
+        with pytest.raises(error) as stack:
+            box_stack([good, good], [1.0, scale], [UNIT_DIAG_EXTENTS, extents])
+        assert str(stack.value) == str(single.value)
 
     def test_corners_and_containment(self):
         rng = np.random.default_rng(6)

@@ -278,6 +278,39 @@ class TestAveragePrecision:
         assert [repr(float(v)) for v in got] == [repr(v) for v in expected]
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # per group: detections as above (none makes an empty group) and a
+        # ground-truth count that may exceed them
+        groups=st.lists(
+            st.tuples(
+                st.lists(
+                    st.tuples(st.sampled_from([0.1, 0.5, 0.9]), st.lists(st.booleans(), min_size=3, max_size=3)),
+                    max_size=12,
+                ),
+                st.integers(1, 20),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    # uneven groups, an empty group, an all-miss row and n_gt above N
+    @example(groups=[([(0.5, [True, False, False])] * 3, 2), ([], 1), ([(0.9, [False, True, False])], 4)])
+    def test_padded_groups_match_each_group_bit_for_bit(self, groups):
+        width = max(len(detections) for detections, _ in groups)
+        hits = np.zeros((len(groups), 3, width), dtype=bool)  # padded with non-hits
+        for g, (detections, _) in enumerate(groups):
+            order = _confidence_order([SimpleNamespace(confidence=c) for c, _ in detections])
+            for rank, i in enumerate(order):
+                hits[g, :, rank] = detections[i][1]
+        got = average_precision(hits, np.array([n_gt for _, n_gt in groups])[:, None])
+        assert got.shape == (len(groups), 3)
+        for g, (detections, n_gt) in enumerate(groups):
+            confidences = [c for c, _ in detections]
+            expected = [reference_ap(confidences, [h[t] for _, h in detections], n_gt) for t in range(3)]
+            assert [repr(float(v)) for v in got[g]] == [repr(v) for v in expected]
+
+
 class TestMetricTable:
     def test_fixture_matches_hand_computation(self):
         detections, gts = fixture_records()
