@@ -228,39 +228,10 @@ def cmd_evaluate(args):
 
 # -- simulate ------------------------------------------------------------------------
 
-def _list_of(*types):
-    return lambda v: isinstance(v, list) and bool(v) and all(type(x) in types for x in v)
-
-
-# Each config key with the JSON type that its flag's parsed value has.
-_SIM_CONFIG_TYPES = {
-    "categories": ("a non-empty list of strings", _list_of(str)),
-    **{key: ("a non-empty list of numbers", _list_of(int, float))
-       for key in ("pixel_noise", "outlier_fraction", "scale_error", "depth_noise")},
-    **{key: ("an integer", lambda v: type(v) is int) for key in ("trials", "seed", "points")},
-    **{key: ("a string or null", lambda v: v is None or isinstance(v, str))
-       for key in ("output", "summary")},
-    "predictor": (f"one of {list(PREDICTOR_KINDS)}", lambda v: v in PREDICTOR_KINDS),
-}
-
-
-def _apply_sim_config(args):
-    if args.config is None:
-        return args
-    data = fileio.load_json(args.config, expect=dict)
-    unknown = set(data) - set(_SIM_CONFIG_TYPES)
-    if unknown:
-        raise InputError(f"{args.config}: unknown config keys {sorted(unknown)}")
-    for key, value in data.items():
-        kind, valid = _SIM_CONFIG_TYPES[key]
-        if not valid(value):
-            raise InputError(f"{args.config}: {key} must be {kind}, got {value!r}")
-        setattr(args, key, value)
-    return args
-
-
 def cmd_simulate(args):
-    args = _apply_sim_config(args)
+    if args.config is not None:
+        for key, value in fileio.load_simulate_config(args.config).items():
+            setattr(args, key, value)
     output = args.output
     if output is None:
         base = os.environ.get(OUTPUT_DIR_ENV, ".")

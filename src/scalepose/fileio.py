@@ -26,6 +26,7 @@ from .evaluation import DetectionRecord, GroundTruthBox
 from .geometry import CameraIntrinsics, RigidPose
 from .nocs import CorrespondenceMatrix, NocsModel
 from .scale import CategoryStats
+from .synth import PREDICTOR_KINDS
 
 
 def atomic_write_text(path, text):
@@ -312,3 +313,35 @@ def load_detections(path):
 
 def load_ground_truths(path):
     return _records(path, "ground-truth", lambda rec, where: GroundTruthBox(**_box_fields(rec, where)))
+
+
+# -- simulate config ---------------------------------------------------------------
+
+# Each key of a simulate config, with the JSON type that its flag's parsed value has.
+_SIMULATE_CONFIG = {
+    "categories": ("a non-empty list of strings",
+                   lambda v: isinstance(v, list) and bool(v) and all(isinstance(c, str) for c in v)),
+    **{key: ("a non-empty list of numbers", lambda v: _numbers(v) and bool(v))
+       for key in ("pixel_noise", "outlier_fraction", "scale_error", "depth_noise")},
+    **{key: ("an integer", lambda v: type(v) is int) for key in ("trials", "seed", "points")},
+    **{key: ("a string or null", lambda v: v is None or isinstance(v, str)) for key in ("output", "summary")},
+    "predictor": (f"one of {list(PREDICTOR_KINDS)}", lambda v: v in PREDICTOR_KINDS),
+}
+
+
+def load_simulate_config(path):
+    """The ``simulate --config`` object: each key names a ``simulate`` flag
+    (``pixel_noise`` for ``--pixel-noise``) and holds the value that the
+    flag would parse to. A number follows this module's one rule; an
+    integer must be a JSON int."""
+    def make(data, where):
+        unknown = set(data) - set(_SIMULATE_CONFIG)
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        for key, value in data.items():
+            kind, valid = _SIMULATE_CONFIG[key]
+            if not valid(value):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+        return data
+
+    return _object(path, make)
