@@ -8,6 +8,7 @@ inputs and seeds produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -48,7 +49,10 @@ def _float_list(text):
     return values
 
 
+@functools.cache
 def build_parser():
+    """The one command table: each subcommand's flags and its handler
+    (``args.run``). Built on the first :func:`main` call, then shared."""
     parser = _Parser(prog="scalepose", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -66,6 +70,7 @@ def build_parser():
     p_solve.add_argument("--max-iterations", type=int, default=1000)
     p_solve.add_argument("--confidence", type=float, default=0.999)
     p_solve.add_argument("--seed", type=int, default=0, help="RANSAC rng seed")
+    p_solve.set_defaults(run=cmd_solve)
 
     p_eval = sub.add_parser("evaluate", help="score predictions against ground truth")
     p_eval.add_argument("--predictions", required=True, help="JSON-lines predictions")
@@ -78,6 +83,7 @@ def build_parser():
     p_eval.add_argument("--iou-grid", type=_float_list, default=None)
     p_eval.add_argument("--rotation-grid", type=_float_list, default=None, help="degrees")
     p_eval.add_argument("--translation-grid", type=_float_list, default=None, help="centimeters")
+    p_eval.set_defaults(run=cmd_evaluate)
 
     p_sim = sub.add_parser("simulate", help="run the decoupled-vs-coupled experiment grid")
     p_sim.add_argument("--categories", nargs="+", default=list(CATEGORIES))
@@ -95,11 +101,13 @@ def build_parser():
     p_sim.add_argument("--output", default=None, help=f"trials CSV (default under ${OUTPUT_DIR_ENV})")
     p_sim.add_argument("--summary", default=None, help="summary CSV (default next to --output)")
     p_sim.add_argument("--config", default=None, help="JSON file overriding the flags above")
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_stats = sub.add_parser("stats", help="category scale statistics from a gt listing")
     p_stats.add_argument("--input", required=True, help="JSON-lines of {category, scale}")
     p_stats.add_argument("--output", required=True, help="stats JSON path")
     p_stats.add_argument("--csv", default=None, help="bar-chart-ready CSV of std_dev per category")
+    p_stats.set_defaults(run=cmd_stats)
 
     return parser
 
@@ -212,16 +220,16 @@ def cmd_evaluate(args):
         "translation_cm": args.translation_grid or _DEFAULT_TRANS_GRID,
     }
     # every report is built before the first is written: all or none
-    reports = {"metrics.csv": table.to_csv(), "metrics.txt": table.to_text() + rotation_note}
+    table_text = table.to_text()
+    reports = {"metrics.csv": table.to_csv(), "metrics.txt": table_text + rotation_note}
     for metric, grid in grids.items():
         reports[f"curve_{metric}.csv"] = curve_csv(ap_curves(metrics, metric, grid))
 
     out = args.output_dir
-    os.makedirs(out, exist_ok=True)
-    for name, text in reports.items():
-        fileio.atomic_write_text(os.path.join(out, name), text)
+    for name, report in reports.items():
+        fileio.atomic_write_text(os.path.join(out, name), report)
 
-    print(table.to_text(), end="")
+    print(table_text, end="")
     print(f"reports written to {out}")
     return EXIT_OK
 
@@ -288,19 +296,10 @@ def cmd_stats(args):
     return EXIT_OK
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "evaluate": cmd_evaluate,
-    "simulate": cmd_simulate,
-    "stats": cmd_stats,
-}
-
-
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -38,6 +38,7 @@ from .errors import (
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
+    backproject,
     nearest_rotation,
     rotation_from_rotvec,
 )
@@ -132,16 +133,15 @@ def _validate_inputs(image_points, model_points):
 
 
 def _bearings(image_points, k: CameraIntrinsics):
-    rays = np.empty((image_points.shape[0], 3))
-    rays[:, 0] = (image_points[:, 0] - k.cx) / k.fx
-    rays[:, 1] = (image_points[:, 1] - k.cy) / k.fy
-    rays[:, 2] = 1.0
+    rays = backproject(image_points, 1.0, k)
     return rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
 
 def _norms(v):
-    """Row norms of (M, 3) vectors, bit-equal to ``np.linalg.norm`` per row
-    (``np.vecdot`` takes the same dot product; it needs NumPy 2.0)."""
+    """Row norms of (M, 3) vectors through ``np.vecdot`` (NumPy 2.0). Its dot
+    product may round differently from ``np.linalg.norm``: with OpenBLAS
+    about one row in ten differs in the last bit, so :func:`_bearings`,
+    whose rays every pose depends on, keeps ``np.linalg.norm``."""
     return np.sqrt(np.vecdot(v, v))
 
 
@@ -310,8 +310,7 @@ def solve_pnp_lsq(image_points, model_points, intrinsics):
     if n < 6:
         raise InsufficientCorrespondences(f"least-squares PnP needs >= 6 correspondences, got {n}")
 
-    xn = (image[:, 0] - intrinsics.cx) / intrinsics.fx
-    yn = (image[:, 1] - intrinsics.cy) / intrinsics.fy
+    xn, yn, _ = backproject(image, 1.0, intrinsics).T
 
     a = np.zeros((2 * n, 12))
     homog = np.column_stack([model, np.ones(n)])

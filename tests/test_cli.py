@@ -1,11 +1,16 @@
 """End-to-end CLI behavior: file contracts, exit codes, idempotence."""
 
+import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import scalepose
 import writers
 from scalepose import fileio
 from scalepose.cli import main
@@ -13,6 +18,7 @@ from scalepose.evaluation import DetectionRecord, GroundTruthBox
 from scalepose.geometry import rotation_error_deg
 from scalepose.scale import CategoryStats
 from scalepose.synth import NoiseSpec, run_grid, sample_scene
+from test_golden import GOLDEN, SIMULATE_ARGS, evaluate_args
 
 
 @pytest.fixture
@@ -615,3 +621,87 @@ def test_malformed_input_is_a_typed_error(tmp_path, monkeypatch, capsys, files, 
     assert any(line.startswith(error) for line in err.splitlines()), err
     assert "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+class TestOneParser:
+    """``main`` parses with one parser per process, built on its first call."""
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        """Every ``argparse.ArgumentParser`` constructed while the fixture is
+        active, subparsers included."""
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(type(parser))
+            original(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return built
+
+    def test_no_parser_built_after_the_first_call(self, tmp_path, solve_fixture, parsers_built):
+        _, corr, intr, _ = solve_fixture
+        scales = tmp_path / "scales.jsonl"
+        scales.write_text('{"category": "mug", "scale": 1.0}\n{"category": "mug", "scale": 2.0}\n')
+        stats = ["stats", "--input", str(scales), "--output", str(tmp_path / "stats_out.json")]
+        commands = [
+            stats,
+            ["solve", "--correspondences", str(corr), "--intrinsics", str(intr),
+             "--scale", "1.0", "--output", str(tmp_path / "pose.json")],
+            evaluate_args(tmp_path / "eval"),
+            SIMULATE + ["--depth-noise", "0", "--output", str(tmp_path / "sim.csv")],
+        ]
+        assert main(stats) == 0
+        parsers_built.clear()
+        for argv in commands:
+            assert main(argv) == 0, argv[0]
+        assert parsers_built == []
+
+    def test_import_builds_no_parser(self):
+        # a fresh interpreter, so that no earlier call has built the parser
+        child = "\n".join([
+            "import argparse",
+            "built = []",
+            "original = argparse.ArgumentParser.__init__",
+            "def counted(parser, *args, **kwargs):",
+            "    built.append(type(parser))",
+            "    original(parser, *args, **kwargs)",
+            "argparse.ArgumentParser.__init__ = counted",
+            "import scalepose.cli",
+            "print(len(built))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(scalepose.__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert result.stdout.strip() == "0"
+
+    def test_calls_share_no_state(self, tmp_path, capsys):
+        # a config run writes its keys onto the parsed arguments and a usage
+        # error stops a parse half way; neither may reach the next call
+        cfg = tmp_path / "s.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "categories": ["can"],
+                    "pixel_noise": [2.0],
+                    "outlier_fraction": [0.1],
+                    "scale_error": [0.2],
+                    "depth_noise": [0.0],
+                    "trials": 1,
+                    "seed": 9,
+                    "points": 32,
+                    "predictor": "mean",
+                    "output": str(tmp_path / "cfg.csv"),
+                    "summary": str(tmp_path / "cfg_summary.csv"),
+                }
+            )
+        )
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["simulate", "--categories", "mug", "--trials"]) == 1
+        trials, summary = tmp_path / "trials.csv", tmp_path / "summary.csv"
+        assert main(SIMULATE_ARGS + ["--output", str(trials), "--summary", str(summary)]) == 0
+        assert trials.read_bytes() == (GOLDEN / "simulate" / "trials.csv").read_bytes()
+        assert summary.read_bytes() == (GOLDEN / "simulate" / "summary.csv").read_bytes()
