@@ -678,7 +678,7 @@ class TestOneParser:
         )
         assert result.stdout.strip() == "0"
 
-    def test_calls_share_no_state(self, tmp_path, capsys):
+    def test_calls_share_no_state(self, tmp_path):
         # a config run writes its keys onto the parsed arguments and a usage
         # error stops a parse half way; neither may reach the next call
         cfg = tmp_path / "s.json"
