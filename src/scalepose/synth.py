@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -528,14 +528,20 @@ def run_grid(
     grid is a pure function of its arguments, and a category's rows do
     not depend on the other categories or noise points beside it.
 
-    Each fact is computed once: a scene per (category, trial), and a
-    :func:`solve_canonical` per (category, trial, pixel noise, outlier
-    fraction), since only those levels move the pixels; every cell
-    sharing them rescales that solve. The decoupled arm's offset from the
-    category anchor is the oracle's, ``gt_offset`` of the trial's true
-    scale times ``1 + scale_rel_error`` (``predictor_kind="oracle"``), or
-    0, the bare category mean that ignores the instance (``"mean"``, the
-    anchor-only ablation arm).
+    Each fact is computed once. A scene is sampled per (category, trial),
+    and a :func:`solve_canonical` runs per (category, trial, pixel noise,
+    outlier fraction), since only those levels move the pixels. Each row
+    is built once from the inputs its arm reads: a coupled row, with its
+    :func:`corrupt`, per (category, trial, pixel noise, outlier fraction,
+    depth noise), and a decoupled row, which rescales the solve, per
+    (category, trial, pixel noise, outlier fraction, offset). Every other
+    cell sharing those inputs gets a copy carrying its own ``noise``, and
+    each distinct row's IoU is measured once. The decoupled arm's offset
+    from the category anchor is the oracle's, ``gt_offset`` of the trial's
+    true scale times ``1 + scale_rel_error`` (``predictor_kind="oracle"``),
+    or 0, the bare category mean that ignores the instance (``"mean"``,
+    the anchor-only ablation arm), so a ``"mean"`` row is shared across
+    scale errors too.
 
     A repeated category or noise point raises ``ValueError``: its cells
     would be copies that the summary merges into one cell counting each
@@ -557,9 +563,11 @@ def run_grid(
         if repeated:
             raise ValueError(f"{name} must not repeat, got {repeated[0]!r} twice")
 
-    results = []
+    rows, at = [], {}  # each distinct row once, and its position by key
+    cells = []  # (position of the row, the cell's noise), in output order
     for category in categories:
         key = CATEGORIES.index(category)
+        stats = DEFAULT_CATEGORY_STATS[category]
         scenes = [
             sample_scene(category, rng_seed=(master_seed, key, trial, 0), point_count=point_count)
             for trial in range(trials)
@@ -567,21 +575,28 @@ def run_grid(
         solved = {}
         for noise in noise_specs:
             for trial, scene in enumerate(scenes):
-                observations = corrupt(scene, noise, seed=(master_seed, key, trial, 1))
-                pixels_key = (trial, noise.pixel_noise_sigma, noise.outlier_fraction)
-                if pixels_key not in solved:
-                    solved[pixels_key] = solve_canonical(scene, observations)
+                pixels = (category, trial, noise.pixel_noise_sigma, noise.outlier_fraction)
+                coupled = ("coupled", *pixels, noise.depth_rel_noise)
+                if coupled not in at:
+                    observations = corrupt(scene, noise, seed=(master_seed, key, trial, 1))
+                    if pixels not in solved:
+                        solved[pixels] = solve_canonical(scene, observations)
+                    at[coupled] = len(rows)
+                    rows.append(run_coupled(scene, observations, noise=noise, trial=trial))
                 if predictor_kind == "mean":
                     delta = 0.0
                 else:
-                    delta = gt_offset(
-                        scene.scale * (1.0 + noise.scale_rel_error), DEFAULT_CATEGORY_STATS[category]
-                    )
-                results.append(
-                    run_decoupled(scene, solved[pixels_key], delta, noise=noise, trial=trial)
-                )
-                results.append(run_coupled(scene, observations, noise=noise, trial=trial))
-    extents = [r.canonical_extents for r in results]
-    estimated = box_stack([r.pose for r in results], [r.estimated_scale for r in results], extents)
-    truth = box_stack([r.gt_pose for r in results], [r.gt_scale for r in results], extents)
-    return GridResult(tuple(results), tuple(iou3d_pairs(estimated, truth).tolist()))
+                    delta = gt_offset(scene.scale * (1.0 + noise.scale_rel_error), stats)
+                decoupled = ("decoupled", *pixels, delta)
+                if decoupled not in at:
+                    at[decoupled] = len(rows)
+                    rows.append(run_decoupled(scene, solved[pixels], delta, noise=noise, trial=trial))
+                cells += [(at[decoupled], noise), (at[coupled], noise)]
+    extents = [r.canonical_extents for r in rows]
+    estimated = box_stack([r.pose for r in rows], [r.estimated_scale for r in rows], extents)
+    truth = box_stack([r.gt_pose for r in rows], [r.gt_scale for r in rows], extents)
+    ious = iou3d_pairs(estimated, truth).tolist()
+    results = tuple(
+        rows[i] if rows[i].noise is noise else replace(rows[i], noise=noise) for i, noise in cells
+    )
+    return GridResult(results, tuple(ious[i] for i, _ in cells))

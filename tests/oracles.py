@@ -2,8 +2,9 @@
 
 They are independent of the code they check: box corners and a seeded
 Monte-Carlo IoU for the exact oriented-box IoU, an explicit residual
-Jacobian for the Gauss-Newton normal equations, and the two-pass
-evaluation that the one-pass ``match_detections`` replaced.
+Jacobian for the Gauss-Newton normal equations, the two-pass
+evaluation that the one-pass ``match_detections`` replaced, and the
+per-cell simulate loop that ``run_grid``'s shared rows replaced.
 """
 
 from collections import Counter
@@ -15,6 +16,17 @@ from scalepose.errors import EmptyRecordSet
 from scalepose.evaluation import RecordMetrics, category_rotation_error_deg
 from scalepose.geometry import translation_error_cm
 from scalepose.pnp import _validate_inputs
+from scalepose.scale import gt_offset
+from scalepose.synth import (
+    CATEGORIES,
+    DEFAULT_CATEGORY_STATS,
+    GridResult,
+    corrupt,
+    run_coupled,
+    run_decoupled,
+    sample_scene,
+    solve_canonical,
+)
 
 
 _CORNER_SIGNS = np.array(
@@ -199,3 +211,31 @@ def reference_record_metrics(detections, ground_truths, use_symmetry=True):
         **{key: np.array([v[key] for v in values], dtype=np.float64) for key in unmatched},
         skipped_categories=tuple(sorted({det.category for det, _ in skipped})),
     )
+
+
+def reference_grid(categories, noise_specs, trials, master_seed=0, point_count=192, predictor_kind="oracle"):
+    """``run_grid`` as a plain per-cell loop: every (category, noise point,
+    trial) samples its scene, corrupts it, solves it and runs both arms
+    afresh, and every row's IoU is measured on its own."""
+    results = []
+    for category in categories:
+        key = CATEGORIES.index(category)
+        for noise in noise_specs:
+            for trial in range(trials):
+                scene = sample_scene(category, rng_seed=(master_seed, key, trial, 0), point_count=point_count)
+                observations = corrupt(scene, noise, seed=(master_seed, key, trial, 1))
+                if predictor_kind == "mean":
+                    delta = 0.0
+                else:
+                    delta = gt_offset(scene.scale * (1.0 + noise.scale_rel_error), DEFAULT_CATEGORY_STATS[category])
+                canonical = solve_canonical(scene, observations)
+                results.append(run_decoupled(scene, canonical, delta, noise=noise, trial=trial))
+                results.append(run_coupled(scene, observations, noise=noise, trial=trial))
+    ious = [
+        iou3d(
+            box_from_estimate(r.pose, r.estimated_scale, r.canonical_extents),
+            box_from_estimate(r.gt_pose, r.gt_scale, r.canonical_extents),
+        )
+        for r in results
+    ]
+    return GridResult(tuple(results), tuple(ious))

@@ -1,7 +1,8 @@
 """Each exact IoU is computed once: ``evaluate`` measures only the
 ``iou3d_pairs`` pairs of its matching pass, whose IoU becomes each matched
 row's IoU, and the simulate summary reads the IoUs and errors stored with
-the grid instead of recomputing them. Neither builds a box object per
+the grid instead of recomputing them; the grid measures each distinct row
+once, however many cells share it. Neither builds a box object per
 record: the IoU kernel takes the poses stacked as arrays."""
 
 import numpy as np
@@ -45,7 +46,10 @@ def test_evaluate_scores_each_matched_record_once(tmp_path, iou_calls):
 
 def test_summary_makes_no_iou_call(iou_calls):
     grid = run_grid(["mug"], [NoiseSpec(), NoiseSpec(depth_rel_noise=0.05)], trials=2)
-    assert len(iou_calls) == len(grid.trials)
+    # one pair per distinct row: each trial has one decoupled row, which
+    # both cells share, and one coupled row per depth noise level
+    assert len(grid.trials) == 8
+    assert len(iou_calls) == 2 * (1 + 2)
 
     iou_calls.clear()
     grid.summary_csv()

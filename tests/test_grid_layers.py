@@ -1,7 +1,10 @@
 """``run_grid`` reaches each stage of a trial through the ``synth`` module,
 and computes each fact once: one scene per (category, trial), one RANSAC
-solve per (category, trial, pixel noise, outlier fraction), and one
-corruption and one result of each arm per (cell, trial). The benchmark's
+solve per (category, trial, pixel noise, outlier fraction), one corruption
+and one coupled row per (category, trial, pixel noise, outlier fraction,
+depth noise), and one decoupled row per (category, trial, pixel noise,
+outlier fraction, offset); the oracle offset moves with the scale error
+only. Every other cell gets a copy of the row it shares. The benchmark's
 tracer counts these module functions as its ``synth.*`` layers (and
 ``synth.ransac_pnp`` as ``pnp.ransac_pnp``), so an arm inlined into
 ``run_grid`` must fail here rather than make a per-layer metric read 0."""
@@ -24,16 +27,16 @@ def test_each_layer_runs_once_per_key(monkeypatch):
 
         monkeypatch.setattr(synth, name, counted)
 
-    pixel_noise, outliers = (0.5, 1.0), (0.0, 0.2)
-    specs = [NoiseSpec(*levels) for levels in itertools.product(pixel_noise, outliers, (0.0, 0.1), (0.0, 0.05))]
+    pixel_noise, outliers, scale_errors, depth_noise = (0.5, 1.0), (0.0, 0.2), (0.0, 0.1), (0.0, 0.05)
+    specs = [NoiseSpec(*levels) for levels in itertools.product(pixel_noise, outliers, scale_errors, depth_noise)]
     categories, trials = ["camera", "mug"], 2
     grid = run_grid(categories, specs, trials=trials, point_count=32)
-    cell_trials = len(categories) * len(specs) * trials
-    assert len(grid.trials) == 2 * cell_trials
+    assert len(grid.trials) == 2 * len(categories) * len(specs) * trials
+    solves = len(categories) * trials * len(pixel_noise) * len(outliers)
     assert calls == {
         "sample_scene": len(categories) * trials,
-        "ransac_pnp": len(categories) * trials * len(pixel_noise) * len(outliers),
-        "corrupt": cell_trials,
-        "run_decoupled": cell_trials,
-        "run_coupled": cell_trials,
+        "ransac_pnp": solves,
+        "corrupt": solves * len(depth_noise),
+        "run_decoupled": solves * len(scale_errors),
+        "run_coupled": solves * len(depth_noise),
     }

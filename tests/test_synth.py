@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalepose import synth
@@ -29,6 +29,7 @@ from scalepose.synth import (
     sample_scene,
     solve_canonical,
 )
+from oracles import reference_grid
 from test_evaluation import reference_ap
 
 IMAGE_BOUNDS = np.array([640.0, 480.0])
@@ -429,6 +430,26 @@ class TestGrid:
         assert cols_mean["10°"] == cols_oracle["10°"] == 1.0
         assert cols_oracle["IoU75"] == 1.0
         assert cols_oracle["IoU75"] > cols_mean["IoU75"]
+
+    # Every axis draws from the same levels, so cells repeat a value across
+    # different axes as well as along one.
+    @settings(max_examples=25, deadline=None)
+    @given(
+        categories=st.lists(st.sampled_from(("can", "mug")), min_size=1, max_size=2, unique=True),
+        levels=st.lists(st.tuples(*[st.sampled_from((0.0, 0.1, 0.2))] * 4), min_size=1, max_size=5, unique=True),
+        trials=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        predictor_kind=st.sampled_from(("oracle", "mean")),
+    )
+    @example(["can", "mug"], [(0.1, 0.1, 0.1, 0.1), (0.1, 0.1, 0.0, 0.1), (0.1, 0.1, 0.1, 0.0)], 2, 0, "mean")
+    @example(["mug"], [(0.0, 0.2, 0.1, 0.0), (0.0, 0.2, 0.0, 0.1), (0.2, 0.0, 0.1, 0.0)], 3, 1, "oracle")
+    def test_shared_rows_match_the_per_cell_loop(self, categories, levels, trials, seed, predictor_kind):
+        specs = [NoiseSpec(*spec) for spec in levels]
+        kwargs = dict(master_seed=seed, point_count=32, predictor_kind=predictor_kind)
+        grid = run_grid(categories, specs, trials, **kwargs)
+        reference = reference_grid(categories, specs, trials, **kwargs)
+        assert grid.trials_csv() == reference.trials_csv()
+        assert grid.summary_csv() == reference.summary_csv()
 
     def test_unknown_predictor_kind(self):
         with pytest.raises(ValueError):
