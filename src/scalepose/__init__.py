@@ -2,10 +2,10 @@
 objects.
 
 The package separates metric size recovery (a category anchor plus a
-relative offset) from pose recovery (RANSAC-PnP on scaled canonical
-models), provides the NOCS-style oriented-box IoU / mAP evaluation suite,
-and ships a synthetic harness contrasting the decoupled pipeline with a
-coupled depth-backprojection baseline.
+relative offset) from pose recovery (RANSAC-PnP on the canonical model,
+its translation scaled), provides the NOCS-style oriented-box IoU / mAP
+evaluation suite, and ships a synthetic harness contrasting the
+decoupled pipeline with a coupled depth-backprojection baseline.
 """
 
 from .boxes import OrientedBox3, box_from_estimate, iou3d
@@ -41,7 +41,6 @@ from .pnp import (
     RansacConfig,
     ransac_pnp,
     refine_pnp,
-    scale_model_points,
     solve_pnp_lsq,
     solve_pnp_minimal,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "run_decoupled",
     "run_grid",
     "sample_scene",
-    "scale_model_points",
     "solve_canonical",
     "solve_pnp_lsq",
     "solve_pnp_minimal",

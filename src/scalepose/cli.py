@@ -19,8 +19,9 @@ import numpy as np
 from . import fileio
 from .errors import InputError, ScalePoseError, SolverError
 from .evaluation import ap_curves, csv_text, curve_csv, match_detections, metric_table
+from .geometry import RigidPose
 from .nocs import assign
-from .pnp import RansacConfig, ransac_pnp, scale_model_points
+from .pnp import RansacConfig, ransac_pnp
 from .scale import compute_stats, recover_scale
 from .synth import CATEGORIES, PREDICTOR_KINDS, NoiseSpec, run_grid
 
@@ -158,17 +159,17 @@ def cmd_solve(args):
         )
 
     scale, delta = _resolve_scale(args)
-    metric_pts = scale_model_points(scale, model_pts)
     config = RansacConfig(
         reprojection_threshold=args.threshold,
         max_iterations=args.max_iterations,
         confidence=args.confidence,
         rng_seed=args.seed,
     )
-    result = ransac_pnp(image_pts, metric_pts, intrinsics, config)
+    result = ransac_pnp(image_pts, model_pts, intrinsics, config)
+    pose = RigidPose(result.pose.rotation, scale * result.pose.translation)
 
     payload = {
-        "pose": fileio.pose_to_dict(result.pose),
+        "pose": fileio.pose_to_dict(pose),
         "scale": scale,
         "delta": delta,
         "inlier_count": result.inlier_count,

@@ -1,10 +1,10 @@
-"""Perspective-n-Point pose solving on metric model points.
+"""Perspective-n-Point pose solving from 2D-3D correspondences.
 
-The pose path of the decoupled pipeline: once canonical-space model points
-have been scaled to metric size, the object pose is recovered purely from
-2D-3D correspondences, so errors in the scale estimate cannot bend the
-rotation (scaling model points by alpha leaves every reprojection
-unchanged when the translation scales by alpha with them).
+The pose path of the decoupled pipeline: the pose is solved on the
+canonical-space model points and its callers multiply only the translation
+by the metric scale, so errors in the scale estimate cannot bend the
+rotation (scaling model points by alpha leaves every reprojection unchanged
+when the translation scales by alpha with them).
 
 Solvers:
 
@@ -31,7 +31,6 @@ from .errors import (
     DegenerateSample,
     DivergedBehindCamera,
     InsufficientCorrespondences,
-    NonPositiveScale,
     NoRealSolution,
     RankDeficient,
 )
@@ -109,13 +108,6 @@ class PnPResult:
     @property
     def inlier_count(self):
         return int(np.count_nonzero(self.inlier_mask))
-
-
-def scale_model_points(scale, points):
-    """Scale canonical-space model points to metric size (``s * P``)."""
-    if not 0 < scale < math.inf:
-        raise NonPositiveScale(f"scale must be positive and finite, got {scale}")
-    return np.asarray(points, dtype=np.float64) * float(scale)
 
 
 def _validate_inputs(image_points, model_points):

@@ -423,7 +423,8 @@ def run_decoupled(
 
     RANSAC-PnP on the model scaled by s is, to rounding, the unit-model
     solve with its translation times s, with the same inlier mask and
-    iteration count, so one solve serves every scale of a scene.
+    iteration count, so one solve serves every scale of a scene. The
+    ``solve`` command applies the same rule to its canonical model.
     """
     scale = recover_scale(DEFAULT_CATEGORY_STATS[scene.category], delta)
     pose = RigidPose(canonical.pose.rotation, scale * canonical.pose.translation)

@@ -42,7 +42,6 @@ PUBLIC_NAMES = [
     "run_decoupled",
     "run_grid",
     "sample_scene",
-    "scale_model_points",
     "solve_canonical",
     "solve_pnp_lsq",
     "solve_pnp_minimal",

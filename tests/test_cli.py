@@ -17,7 +17,7 @@ from scalepose.cli import main
 from scalepose.evaluation import DetectionRecord, GroundTruthBox
 from scalepose.geometry import rotation_error_deg
 from scalepose.scale import CategoryStats
-from scalepose.synth import NoiseSpec, run_grid, sample_scene
+from scalepose.synth import NoiseSpec, corrupt, run_grid, sample_scene
 from test_golden import GOLDEN, SIMULATE_ARGS, evaluate_args
 
 
@@ -153,6 +153,35 @@ class TestSolve:
         )
         assert rc == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_scale_moves_only_the_translation(self, tmp_path):
+        # the pose is solved on the canonical model and only its translation
+        # is multiplied by the scale, so no scale reaches the rotation, the
+        # consensus or the iteration count
+        scene = sample_scene("mug", rng_seed=3)
+        obs = corrupt(scene, NoiseSpec(pixel_noise_sigma=1.0, outlier_fraction=0.3), 3)
+        corr, intr, stats = tmp_path / "corr.json", tmp_path / "intr.json", tmp_path / "stats.json"
+        writers.save_correspondences(obs.pixels, scene.model.points, str(corr))
+        writers.save_intrinsics(scene.intrinsics, str(intr))
+        fileio.save_stats([CategoryStats("mug", scene.scale, 0.01, 5)], str(stats))
+
+        def solve(*flags):
+            out = tmp_path / "pose.json"
+            argv = ["solve", "--correspondences", str(corr), "--intrinsics", str(intr), "--output", str(out)]
+            assert main(argv + list(flags)) == 0
+            return json.loads(out.read_text())
+
+        base = solve()
+        assert base["scale"] == 1.0
+        runs = [solve("--stats", str(stats), "--category", "mug", "--delta", repr(d)) for d in (-0.3, 0.1, 1.0, 3.0)]
+        runs.append(solve("--scale", "0.37"))
+        for run in runs:
+            assert run["scale"] != 1.0
+            for key in ("inlier_mask", "iterations_used", "mean_reprojection_error"):
+                assert run[key] == base[key]
+            assert run["pose"]["rotation"] == base["pose"]["rotation"]
+            expected = run["scale"] * np.asarray(base["pose"]["translation"])
+            assert run["pose"]["translation"] == expected.tolist()
 
 
 class TestEvaluate:

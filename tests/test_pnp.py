@@ -15,7 +15,6 @@ from scalepose.errors import (
     DegenerateSample,
     DivergedBehindCamera,
     InsufficientCorrespondences,
-    NonPositiveScale,
     NoRealSolution,
     RankDeficient,
     ScalePoseError,
@@ -33,7 +32,6 @@ from scalepose.pnp import (
     RansacConfig,
     ransac_pnp,
     refine_pnp,
-    scale_model_points,
     solve_pnp_lsq,
     solve_pnp_minimal,
 )
@@ -329,7 +327,7 @@ class TestRansac:
         pose, pts, pix = make_projected_scene(50, seed=34)
         base = ransac_pnp(pix, pts, camera, RansacConfig(rng_seed=2))
         for alpha in (0.5, 0.8, 1.25, 2.0):
-            scaled = ransac_pnp(pix, scale_model_points(alpha, pts), camera, RansacConfig(rng_seed=2))
+            scaled = ransac_pnp(pix, alpha * pts, camera, RansacConfig(rng_seed=2))
             assert np.max(np.abs(scaled.pose.rotation - base.pose.rotation)) < 1e-6
             assert np.max(np.abs(scaled.pose.translation - alpha * base.pose.translation)) < 1e-6
 
@@ -434,7 +432,7 @@ class TestRansacProperties:
     def test_model_scale_only_scales_translation(self, problem, alpha):
         _, points, pixels, _ = problem
         base = ransac_pnp(pixels, points, CAMERA, SURE)
-        scaled = ransac_pnp(pixels, scale_model_points(alpha, points), CAMERA, SURE)
+        scaled = ransac_pnp(pixels, alpha * points, CAMERA, SURE)
         assert np.max(np.abs(scaled.pose.rotation - base.pose.rotation)) < 1e-9
         assert np.max(np.abs(scaled.pose.translation - alpha * base.pose.translation)) < 1e-9 * max(1.0, alpha)
         assert np.array_equal(scaled.inlier_mask, base.inlier_mask)
@@ -632,24 +630,6 @@ class TestCollinearModel:
         with mock.patch.object(pnp, "_p3p_block", side_effect=AssertionError("sampled")):
             with pytest.raises(ConsensusNotFound, match="collinear"):
                 ransac_pnp(pixels, model, camera, RansacConfig(rng_seed=0))
-
-
-class TestScaleModelPoints:
-    def test_identity(self):
-        pts = np.array([[0.1, 0.0, 0.0]])
-        assert np.array_equal(scale_model_points(1.0, pts), pts)
-
-    def test_doubles(self):
-        assert np.allclose(scale_model_points(2.0, np.array([[0.1, 0, 0]])), [[0.2, 0, 0]])
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(NonPositiveScale):
-            scale_model_points(0.0, np.zeros((1, 3)))
-
-    @pytest.mark.parametrize("scale", [math.inf, math.nan])
-    def test_rejects_non_finite(self, scale):
-        with pytest.raises(NonPositiveScale, match="finite"):
-            scale_model_points(scale, np.zeros((1, 3)))
 
 
 class TestConfigAndRecords:

@@ -13,7 +13,7 @@ from scalepose.errors import ConsensusNotFound, PlacementFailed, UnknownCategory
 from scalepose.evaluation import RecordMetrics, metric_table
 from scalepose.geometry import rotation_about_axis, rotation_error_deg, rotation_error_symmetric_deg
 from scalepose.nocs import bbox_diagonal
-from scalepose.pnp import RansacConfig, ransac_pnp, scale_model_points
+from scalepose.pnp import RansacConfig, ransac_pnp
 from scalepose.scale import CategoryStats, gt_offset, recover_scale
 from scalepose.synth import (
     CATEGORIES,
@@ -127,7 +127,7 @@ class TestSampleScene:
         from scalepose.geometry import rotation_error_deg
 
         scene = sample_scene("camera", 11)
-        metric = scale_model_points(scene.scale, scene.model.points)
+        metric = scene.scale * scene.model.points
         result = ransac_pnp(scene.pixels, metric, scene.intrinsics, RansacConfig(rng_seed=0))
         assert rotation_error_deg(result.pose.rotation, scene.pose.rotation) < 1e-6
         assert np.linalg.norm(result.pose.translation - scene.pose.translation) < 1e-6
@@ -282,7 +282,7 @@ class TestCanonicalSolve:
         obs = corrupt(scene, NoiseSpec(pixel_noise, outliers), seed)
         delta = oracle_offset(scene, rel)
         scale = recover_scale(DEFAULT_CATEGORY_STATS[category], delta)
-        metric = scale_model_points(scale, scene.model.points)
+        metric = scale * scene.model.points
         try:
             canonical = solve_canonical(scene, obs)
         except ConsensusNotFound:
