@@ -199,7 +199,7 @@ class _Block(NamedTuple):
     rotations: np.ndarray  # (H, 3, 3)
     translations: np.ndarray  # (H, 3)
     errors: np.ndarray  # (H, N) pixel error of every point, inf behind the camera
-    groups: list  # per sample, its candidates' indices in fourth-point order
+    starts: np.ndarray  # (S + 1,) sample s owns candidates starts[s]:starts[s + 1]
 
 
 def _p3p_block(image, model, rays, samples, k):
@@ -215,8 +215,8 @@ def _p3p_block(image, model, rays, samples, k):
     candidate's rotation, with no SVD. Every candidate is projected once,
     all N points in one ``kernels.pixel_errors`` call; candidates with a
     bad camera frame or a sample point at non-positive depth are dropped,
-    the rest are grouped by sample and ordered by the fourth point's error
-    (stable), and their error rows are returned for scoring.
+    the rest stay in kernel order (by sample, then by sorted distance
+    triple), and their error rows are returned for scoring.
     """
     tri = model[samples[:, :3]]
     src, ok = _triad_frames(tri)
@@ -247,14 +247,8 @@ def _p3p_block(image, model, rays, samples, k):
     errors = kernels.pixel_errors(points, image, k.fx, k.fy, k.cx, k.cy)
     rows = np.arange(len(owner))[:, None]
     kept = ~np.any(points[rows, samples[owner], 2] <= 0, axis=1)
-    rot, t, owner, errors = rot[kept], t[kept], owner[kept], errors[kept]
-    err4 = errors[np.arange(len(owner)), samples[owner, 3]].tolist()
-    groups = [[] for _ in samples]
-    for j, s in enumerate(owner.tolist()):
-        groups[s].append(j)
-    for group in groups:
-        group.sort(key=err4.__getitem__)
-    return _Block(degenerate, rot, t, errors, groups)
+    starts = np.searchsorted(owner[kept], np.arange(len(samples) + 1))
+    return _Block(degenerate, rot[kept], t[kept], errors[kept], starts)
 
 
 def solve_pnp_minimal(image_points, model_points, intrinsics):
@@ -283,9 +277,10 @@ def solve_pnp_minimal(image_points, model_points, intrinsics):
     block = _p3p_block(image, model, rays, np.arange(MINIMAL_SAMPLE_SIZE)[None], intrinsics)
     if block.degenerate[0]:
         raise DegenerateSample("first three model points are (near-)collinear")
-    if not block.groups[0]:
+    if not len(block.rotations):
         raise NoRealSolution("no P3P candidate passed cheirality")
-    return [RigidPose(block.rotations[j], block.translations[j]) for j in block.groups[0]]
+    order = np.argsort(block.errors[:, 3], kind="stable")
+    return [RigidPose(block.rotations[j], block.translations[j]) for j in order]
 
 
 def solve_pnp_lsq(image_points, model_points, intrinsics):
@@ -428,15 +423,16 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
     uniform draws, each row ``n`` wide and consumed in order. The sample
     sequence is therefore a function of ``(rng_seed, n)`` alone, and
     results are reproducible bit for bit. A hypothesis beats the incumbent
-    on higher inlier count, then lower mean inlier error (earlier
-    iteration wins exact ties). The iteration budget shrinks adaptively
-    from the best inlier ratio and the requested confidence.
+    on higher inlier count, then lower mean inlier error; an exact tie goes
+    to the earlier iteration, then to the earlier candidate in kernel order
+    (:func:`_p3p_block`). The iteration budget shrinks adaptively from the
+    best inlier ratio and the requested confidence.
 
     Samples are drawn, solved and scored ``SAMPLE_BLOCK`` at a time, then
     replayed in iteration order: the stopping rule is checked before each
-    sample and each sample's candidates are taken in their fourth-point
-    order, so the result is that of the one-sample-at-a-time loop, for
-    any block size; work past the stop point is thrown away.
+    sample and each sample's candidates are taken in kernel order, so the
+    result is that of the one-sample-at-a-time loop, for any block size;
+    work past the stop point is thrown away.
 
     The final pose is refined on the best consensus set by
     :func:`refine_pnp` and the inlier mask is recomputed against the
@@ -482,10 +478,11 @@ def ransac_pnp(image_points, model_points, intrinsics, config=None):
             if block.degenerate[s]:
                 degenerate += 1
                 continue
-            if not block.groups[s]:
+            candidates = range(block.starts[s], block.starts[s + 1])
+            if not candidates:
                 no_solution += 1
                 continue
-            for j in block.groups[s]:
+            for j in candidates:
                 count = int(counts[j])
                 if count == 0 or count < best_count:
                     continue

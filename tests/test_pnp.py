@@ -477,22 +477,26 @@ def ransac_outcome(pixels, points, config):
     )
 
 
+# Solves with outliers, collinear runs, noise and iteration caps of 1-40.
+block_solves = dict(
+    problem=st.builds(
+        block_problem,
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 80),
+        outlier_fraction=st.floats(0.0, 0.6),
+        collinear_fraction=st.sampled_from([0.0, 0.5, 0.8]),
+        noise=st.floats(0.0, 1.0),
+    ),
+    max_iterations=st.integers(1, 40),
+    confidence=st.sampled_from([0.9, 0.999, 0.99999]),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+
+
 class TestSampleBlockInvariance:
     # A block of one sample is the one-sample-at-a-time loop.
     @settings(max_examples=60, deadline=None)
-    @given(
-        problem=st.builds(
-            block_problem,
-            seed=st.integers(0, 2**32 - 1),
-            n=st.integers(6, 80),
-            outlier_fraction=st.floats(0.0, 0.6),
-            collinear_fraction=st.sampled_from([0.0, 0.5, 0.8]),
-            noise=st.floats(0.0, 1.0),
-        ),
-        max_iterations=st.integers(1, 40),
-        confidence=st.sampled_from([0.9, 0.999, 0.99999]),
-        rng_seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**block_solves)
     def test_result_does_not_depend_on_block_size(self, problem, max_iterations, confidence, rng_seed):
         pixels, points = problem
         config = RansacConfig(2.0, max_iterations, confidence, rng_seed)
@@ -501,6 +505,28 @@ class TestSampleBlockInvariance:
             with mock.patch.object(pnp, "SAMPLE_BLOCK", block):
                 outcomes.append(ransac_outcome(pixels, points, config))
         assert outcomes[1:] == outcomes[:1] * 3
+
+
+def reversed_candidates(block):
+    """``block`` with each sample's candidates in reverse kernel order."""
+    order = np.concatenate([np.arange(a, b)[::-1] for a, b in itertools.pairwise(block.starts)])
+    return block._replace(
+        rotations=block.rotations[order], translations=block.translations[order], errors=block.errors[order]
+    )
+
+
+class TestCandidateOrder:
+    # Every candidate is scored against every point, so the order of one
+    # sample's candidates can decide only an exact tie of two poses.
+    @settings(max_examples=60, deadline=None)
+    @given(**block_solves)
+    def test_result_does_not_depend_on_candidate_order(self, problem, max_iterations, confidence, rng_seed):
+        pixels, points = problem
+        config = RansacConfig(2.0, max_iterations, confidence, rng_seed)
+        solve = pnp._p3p_block
+        with mock.patch.object(pnp, "_p3p_block", lambda *args: reversed_candidates(solve(*args))):
+            flipped = ransac_outcome(pixels, points, config)
+        assert flipped == ransac_outcome(pixels, points, config)
 
 
 def rejection_outcome(pixels, points, config):
