@@ -8,7 +8,7 @@ evaluation suite, and ships a synthetic harness contrasting the
 decoupled pipeline with a coupled depth-backprojection baseline.
 """
 
-from .boxes import OrientedBox3, box_from_estimate, iou3d
+from .boxes import OrientedBox3, iou3d
 from .evaluation import (
     ApCurve,
     DetectionRecord,
@@ -84,7 +84,6 @@ __all__ = [
     "assign",
     "average_precision",
     "backproject",
-    "box_from_estimate",
     "compute_stats",
     "corrupt",
     "gt_offset",

@@ -104,23 +104,14 @@ class OrientedBox3:
         object.__setattr__(self, "extents", ext)
 
 
-def box_from_estimate(pose, scale, canonical_extents):
-    """Box for a pose/scale estimate: extents = scale * canonical extents.
-
-    With unit-diagonal canonical extents the resulting box diagonal equals
-    the metric scale, matching the normalization convention of the
-    canonical models.
-    """
-    if not scale > 0:
-        raise NonPositiveScale(f"scale must be positive, got {scale}")
-    return OrientedBox3(pose, float(scale) * np.asarray(canonical_extents, dtype=np.float64))
-
-
 def box_stack(poses, scales, canonical_extents):
     """The boxes of P pose/scale estimates, stacked for :func:`iou3d_pairs`:
-    rotations (P, 3, 3), translations (P, 3) and extents (P, 3), each row
-    bit for bit what :func:`box_from_estimate` gives, and checked as it
-    checks one box."""
+    rotations (P, 3, 3), translations (P, 3) and extents (P, 3), each
+    extents row its scale times its canonical extents. With unit-diagonal
+    canonical extents a box's diagonal equals its metric scale, the
+    normalization convention of the canonical models. A scale that is not
+    positive raises :class:`NonPositiveScale`, and extents that are not
+    positive and finite raise ``ValueError`` as :class:`OrientedBox3` does."""
     scales = np.array(scales, dtype=np.float64).reshape(-1)
     bad = np.flatnonzero(~(scales > 0))
     if len(bad):

@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from scalepose.boxes import OrientedBox3, box_from_estimate, iou3d
+from scalepose.boxes import OrientedBox3, iou3d
 from scalepose.errors import EmptyRecordSet
 from scalepose.evaluation import RecordMetrics, category_rotation_error_deg
 from scalepose.geometry import translation_error_cm
@@ -144,9 +144,15 @@ def _confidence_order(records):
     return np.argsort(-np.array([r.confidence for r in records], dtype=np.float64), kind="stable")
 
 
+def estimate_box(pose, scale, canonical_extents):
+    """The box of a pose/scale estimate: its extents are the scale times the
+    canonical extents, the product ``boxes.box_stack`` forms."""
+    return OrientedBox3(pose, float(scale) * np.asarray(canonical_extents, dtype=np.float64))
+
+
 def _box(record):
     """The box of one detection or ground-truth record."""
-    return box_from_estimate(record.pose, record.scale, record.canonical_extents)
+    return estimate_box(record.pose, record.scale, record.canonical_extents)
 
 
 def reference_pose_metrics(detection, gt, use_symmetry=True):
@@ -233,8 +239,8 @@ def reference_grid(categories, noise_specs, trials, master_seed=0, point_count=1
                 results.append(run_coupled(scene, observations, noise=noise, trial=trial))
     ious = [
         iou3d(
-            box_from_estimate(r.pose, r.estimated_scale, r.canonical_extents),
-            box_from_estimate(r.gt_pose, r.gt_scale, r.canonical_extents),
+            estimate_box(r.pose, r.estimated_scale, r.canonical_extents),
+            estimate_box(r.gt_pose, r.gt_scale, r.canonical_extents),
         )
         for r in results
     ]

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "assign",
     "average_precision",
     "backproject",
-    "box_from_estimate",
     "compute_stats",
     "corrupt",
     "gt_offset",

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import contains, corners, iou3d_mc, points_in_box_mask
+from oracles import contains, corners, estimate_box, iou3d_mc, points_in_box_mask
 from scalepose.boxes import _CHUNK_PAIRS
-from scalepose.boxes import OrientedBox3, box_from_estimate, box_stack, iou3d, iou3d_pairs
+from scalepose.boxes import OrientedBox3, box_stack, iou3d, iou3d_pairs
 from scalepose.errors import NonPositiveScale
 from scalepose.geometry import RigidPose, random_rotation, rotation_about_axis, rotation_from_quaternion
 
@@ -234,27 +234,26 @@ class TestPointsInBox:
 
 
 class TestBoxConstruction:
-    def test_box_from_estimate_identity_scale(self):
-        box = box_from_estimate(RigidPose(np.eye(3), np.zeros(3)), 1.0, UNIT_DIAG_EXTENTS)
-        assert np.allclose(box.extents, UNIT_DIAG_EXTENTS)
-
-    def test_box_from_estimate_doubles(self):
-        box = box_from_estimate(RigidPose(np.eye(3), np.zeros(3)), 2.0, UNIT_DIAG_EXTENTS)
-        assert np.allclose(box.extents, 2.0 * UNIT_DIAG_EXTENTS)
-        assert abs(np.prod(box.extents) - 8.0 * np.prod(UNIT_DIAG_EXTENTS)) < 1e-12
+    def test_stack_extents_are_scale_times_canonical(self):
+        identity = RigidPose(np.eye(3), np.zeros(3))
+        scales = [1.0, 2.0, 0.37]
+        _, _, extents = box_stack([identity] * 3, scales, [UNIT_DIAG_EXTENTS] * 3)
+        for got, scale in zip(extents, scales):
+            assert got.tobytes() == (scale * UNIT_DIAG_EXTENTS).tobytes()
 
     def test_diagonal_equals_scale(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            e = rng.uniform(0.2, 1.0, size=3)
-            e /= np.linalg.norm(e)  # unit-diagonal canonical extents
-            s = rng.uniform(0.05, 3.0)
-            box = box_from_estimate(RigidPose(np.eye(3), np.zeros(3)), s, e)
-            assert abs(np.linalg.norm(box.extents) - s) < 1e-9
+        e = rng.uniform(0.2, 1.0, size=(20, 3))
+        e /= np.linalg.norm(e, axis=1, keepdims=True)  # unit-diagonal canonical extents
+        s = rng.uniform(0.05, 3.0, size=20)
+        _, _, extents = box_stack([RigidPose(np.eye(3), np.zeros(3))] * 20, s, e)
+        assert np.max(np.abs(np.linalg.norm(extents, axis=1) - s)) < 1e-9
 
     def test_rejects_non_positive_scale(self):
-        with pytest.raises(NonPositiveScale):
-            box_from_estimate(RigidPose(np.eye(3), np.zeros(3)), 0.0, UNIT_DIAG_EXTENTS)
+        good = RigidPose(np.eye(3), np.zeros(3))
+        for scale in (0.0, -1.0):
+            with pytest.raises(NonPositiveScale, match=f"scale must be positive, got {scale}"):
+                box_stack([good], [scale], [UNIT_DIAG_EXTENTS])
 
     def test_rejects_bad_extents(self):
         with pytest.raises(ValueError):
@@ -265,7 +264,7 @@ class TestBoxConstruction:
         poses = [RigidPose(random_rotation(rng), rng.normal(size=3)) for _ in range(5)]
         scales = rng.uniform(0.05, 3.0, size=5).tolist()
         extents = [tuple(rng.uniform(0.2, 1.0, size=3).tolist()) for _ in range(5)]
-        singles = [box_from_estimate(p, s, e) for p, s, e in zip(poses, scales, extents)]
+        singles = [estimate_box(p, s, e) for p, s, e in zip(poses, scales, extents)]
         for got, want in zip(box_stack(poses, scales, extents), stacked(singles)):
             assert got.tobytes() == want.tobytes()
 
@@ -275,12 +274,17 @@ class TestBoxConstruction:
          (1.0, (1.0, 0.0, 1.0), ValueError), (1.0, (1.0, float("inf"), 1.0), ValueError)],
     )
     def test_stack_checks_as_single_boxes(self, scale, extents, error):
+        # a bad scale is named as given, bad extents as OrientedBox3 names them
         good = RigidPose(np.eye(3), np.zeros(3))
-        with pytest.raises(error) as single:
-            box_from_estimate(good, scale, extents)
+        if error is NonPositiveScale:
+            message = f"scale must be positive, got {scale}"
+        else:
+            with pytest.raises(ValueError) as single:
+                OrientedBox3(good, scale * np.asarray(extents))
+            message = str(single.value)
         with pytest.raises(error) as stack:
             box_stack([good, good], [1.0, scale], [UNIT_DIAG_EXTENTS, extents])
-        assert str(stack.value) == str(single.value)
+        assert str(stack.value) == message
 
     def test_corners_and_containment(self):
         rng = np.random.default_rng(6)

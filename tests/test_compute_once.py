@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from scalepose import evaluation, fileio, synth
-from scalepose.boxes import OrientedBox3, box_from_estimate
+from scalepose.boxes import OrientedBox3
 from scalepose.cli import main
 from scalepose.evaluation import match_detections
 from scalepose.geometry import RigidPose
@@ -71,7 +71,7 @@ def boxes_built(monkeypatch):
 
 
 def test_evaluate_and_grid_build_no_box_objects(tmp_path, boxes_built):
-    box_from_estimate(RigidPose(np.eye(3), np.zeros(3)), 1.0, (0.6, 0.6, 0.5))
+    OrientedBox3(RigidPose(np.eye(3), np.zeros(3)), (0.6, 0.6, 0.5))
     assert len(boxes_built) == 1  # the counter sees a box
     boxes_built.clear()
 

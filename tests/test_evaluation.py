@@ -32,7 +32,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_record_metrics
+from oracles import estimate_box, reference_record_metrics
 from scalepose.errors import EmptyRecordSet
 from scalepose.evaluation import (
     TABLE_COLUMNS,
@@ -137,7 +137,7 @@ class TestPoseMetrics:
         assert _row(rec, gt, use_symmetry=False)["rot_err_deg"] == pytest.approx(37.0, abs=1e-9)
 
     def test_matches_composed_metric_calls(self):
-        from scalepose.boxes import box_from_estimate, iou3d
+        from scalepose.boxes import iou3d
         from scalepose.geometry import random_rotation, rotation_error_deg, translation_error_cm
 
         rng = np.random.default_rng(0)
@@ -150,7 +150,7 @@ class TestPoseMetrics:
             translation_error_cm(est_pose.translation, gt_pose.translation)
         )
         assert m["iou"] == pytest.approx(
-            iou3d(box_from_estimate(est_pose, 0.28, EXT), box_from_estimate(gt_pose, 0.3, EXT))
+            iou3d(estimate_box(est_pose, 0.28, EXT), estimate_box(gt_pose, 0.3, EXT))
         )
 
     def test_missing_ground_truth(self):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalepose import synth
-from scalepose.boxes import box_from_estimate, iou3d
+from scalepose.boxes import iou3d
 from scalepose.errors import ConsensusNotFound, PlacementFailed, UnknownCategory
 from scalepose.evaluation import RecordMetrics, metric_table
 from scalepose.geometry import rotation_about_axis, rotation_error_deg, rotation_error_symmetric_deg
@@ -29,7 +29,7 @@ from scalepose.synth import (
     sample_scene,
     solve_canonical,
 )
-from oracles import reference_grid
+from oracles import estimate_box, reference_grid
 from test_evaluation import reference_ap
 
 IMAGE_BOUNDS = np.array([640.0, 480.0])
@@ -224,8 +224,8 @@ class TestPipelines:
         out = run_decoupled(scene, solve_canonical(scene, corrupt(scene, NoiseSpec(), 0)), oracle_offset(scene))
         assert out.rotation_error_deg < 0.01
         assert out.translation_error_cm < 0.01
-        estimated = box_from_estimate(out.pose, out.estimated_scale, out.canonical_extents)
-        truth = box_from_estimate(out.gt_pose, out.gt_scale, out.canonical_extents)
+        estimated = estimate_box(out.pose, out.estimated_scale, out.canonical_extents)
+        truth = estimate_box(out.gt_pose, out.gt_scale, out.canonical_extents)
         assert iou3d(estimated, truth) > 0.999
 
     def test_decoupled_rotation_immune_to_scale_offset(self):
