@@ -5,7 +5,8 @@ which writes floats by the same rule.
 
 One loop reads every record, and an input error names where it is:
 ``path:line`` in a JSON-lines file, ``path: entry i`` in a JSON array, or
-``path``. A number must be a JSON int or float: a bool or a string is not.
+``path``, also for a file that cannot be read or written. A number must be
+a JSON int or float: a bool or a string is not.
 
 Serialization is round-trip exact: floats are written with ``repr``, which
 emits the shortest digit string that reproduces the value bit for bit.
@@ -30,30 +31,44 @@ from .synth import PREDICTOR_KINDS
 
 
 def atomic_write_text(path, text):
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename; a temp
+    file left by a failure is removed."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        # makedirs meets an existing path only where a file stands for a directory
+        reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror or exc
+        raise InputError(f"{path}: cannot write ({reason})")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def dump_json(obj, path):
     atomic_write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
-def load_json(path, expect=None):
+def _read_text(path):
+    """The text of ``path``, decoded whole, so that bytes which are not
+    UTF-8 fail here wherever they lie."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return fh.read()
     except FileNotFoundError:
         raise InputError(f"file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})")
+
+
+def load_json(path, expect=None):
+    try:
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})")
     if expect is not None and not isinstance(data, expect):
@@ -63,20 +78,15 @@ def load_json(path, expect=None):
 
 def iter_jsonl(path):
     """Yield ``(path:line, object)`` pairs, skipping blank lines."""
-    try:
-        fh = open(path)
-    except FileNotFoundError:
-        raise InputError(f"file not found: {path}")
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                yield where, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{where}: invalid JSON ({exc})")
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            yield where, json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{where}: invalid JSON ({exc})")
 
 
 # What building a record from bad fields raises; the readers locate it.

@@ -652,6 +652,39 @@ def test_malformed_input_is_a_typed_error(tmp_path, monkeypatch, capsys, files, 
     assert not list(tmp_path.glob("*.csv"))
 
 
+# valid JSON-lines on line 1, bytes that are not UTF-8 on line 2
+NOT_UTF8_LINES = b'{"category": "mug", "scale": 1.0}\n{"category": "m\xe9g", "scale": 2.0}\n'
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        pytest.param(SOLVE[:2] + ["d"] + SOLVE[3:], "d", id="solve-input-is-a-directory"),
+        pytest.param(["stats", "--input", "d", "--output", "o.json"], "d", id="stats-input-is-a-directory"),
+        pytest.param(SOLVE[:2] + ["latin1.json"] + SOLVE[3:], "latin1.json", id="json-not-utf8"),
+        pytest.param(["stats", "--input", "latin1.jsonl", "--output", "o.json"], "latin1.jsonl",
+                     id="jsonl-not-utf8"),
+        pytest.param(EVALUATE[:-1] + ["f.txt"], os.path.join("f.txt", "metrics.csv"),
+                     id="evaluate-output-dir-is-a-file"),
+        pytest.param(SIMULATE + ["--output", "f.txt/x.csv"], "f.txt/x.csv", id="simulate-output-under-a-file"),
+    ],
+)
+def test_unusable_path_is_an_input_error(tmp_path, monkeypatch, capsys, argv, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f.txt").write_text("a file, not a directory\n")
+    (tmp_path / "latin1.json").write_bytes(json.dumps(CORRESPONDENCES).encode()[:-1] + b', "\xe9"]')
+    (tmp_path / "latin1.jsonl").write_bytes(NOT_UTF8_LINES)
+    (tmp_path / "k.json").write_text(json.dumps(INTRINSICS))
+    (tmp_path / "p.jsonl").write_text(json.dumps({**GROUND_TRUTH, "confidence": 0.9}))
+    (tmp_path / "g.jsonl").write_text(json.dumps(GROUND_TRUTH))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot "), err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.json").exists()
+
+
 class TestOneParser:
     """``main`` parses with one parser per process, built on its first call."""
 

@@ -164,3 +164,10 @@ class TestAtomicWrite:
         fileio.atomic_write_text(str(path), "two\n")
         assert path.read_text() == "two\n"
         assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
+
+    def test_failed_write_names_the_path_and_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()  # the rename onto a directory fails after the temp file is written
+        with pytest.raises(InputError, match="out: cannot write"):
+            fileio.atomic_write_text(str(target), "text\n")
+        assert list(tmp_path.iterdir()) == [target]
