@@ -234,12 +234,15 @@ class TestPointsInBox:
 
 
 class TestBoxConstruction:
-    def test_stack_extents_are_scale_times_canonical(self):
-        identity = RigidPose(np.eye(3), np.zeros(3))
-        scales = [1.0, 2.0, 0.37]
-        _, _, extents = box_stack([identity] * 3, scales, [UNIT_DIAG_EXTENTS] * 3)
-        for got, scale in zip(extents, scales):
-            assert got.tobytes() == (scale * UNIT_DIAG_EXTENTS).tobytes()
+    # an estimate's box is built by box_stack: extents are scale times canonical
+    def test_box_from_estimate_identity_scale(self):
+        _, _, extents = box_stack([RigidPose(np.eye(3), np.zeros(3))], [1.0], [UNIT_DIAG_EXTENTS])
+        assert extents[0].tobytes() == UNIT_DIAG_EXTENTS.tobytes()
+
+    def test_box_from_estimate_doubles(self):
+        _, _, extents = box_stack([RigidPose(np.eye(3), np.zeros(3))], [2.0], [UNIT_DIAG_EXTENTS])
+        assert extents[0].tobytes() == (2.0 * UNIT_DIAG_EXTENTS).tobytes()
+        assert abs(np.prod(extents[0]) - 8.0 * np.prod(UNIT_DIAG_EXTENTS)) < 1e-12
 
     def test_diagonal_equals_scale(self):
         rng = np.random.default_rng(5)
