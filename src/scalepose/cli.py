@@ -1,8 +1,9 @@
 """Command-line front-end: solve, evaluate, simulate, stats.
 
 Exit codes: 0 success, 1 input/config error, 2 numerical/solver failure.
-All outputs are written atomically; re-running a subcommand with the same
-inputs and seeds produces byte-identical files.
+Every output path is checked before the first is written, and each file
+is written atomically; re-running a subcommand with the same inputs and
+seeds produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .errors import InputError, ScalePoseError, SolverError
+from .errors import InputError, SolverError
 from .evaluation import ap_curves, csv_text, curve_csv, match_detections, metric_table
 from .geometry import RigidPose
 from .nocs import assign
@@ -227,6 +228,7 @@ def cmd_evaluate(args):
         reports[f"curve_{metric}.csv"] = curve_csv(ap_curves(metrics, metric, grid))
 
     out = args.output_dir
+    fileio.prepare_outputs(*(os.path.join(out, name) for name in reports))
     for name, report in reports.items():
         fileio.atomic_write_text(os.path.join(out, name), report)
 
@@ -264,6 +266,7 @@ def cmd_simulate(args):
         point_count=args.points,
         predictor_kind=args.predictor,
     )
+    fileio.prepare_outputs(output, summary_path)
     fileio.atomic_write_text(output, grid.trials_csv())
     fileio.atomic_write_text(summary_path, grid.summary_csv())
 
@@ -287,6 +290,7 @@ def cmd_stats(args):
     for category, scale in fileio.load_scale_listing(args.input):
         by_category.setdefault(category, []).append(scale)
     stats_list = [compute_stats(cat, scales) for cat, scales in sorted(by_category.items())]
+    fileio.prepare_outputs(args.output, *([args.csv] if args.csv else []))
     fileio.save_stats(stats_list, args.output)
     if args.csv:
         rows = [[s.category, s.std_dev] for s in stats_list]
@@ -306,9 +310,6 @@ def main(argv=None):
         return EXIT_INPUT
     except SolverError as exc:
         print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ScalePoseError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

@@ -4,12 +4,12 @@ precision over confidence-ordered hit matrices, the five-column metric
 table (IoU50 / IoU75 / 10cm / 10deg / 10deg10cm), and AP-vs-threshold
 curves.
 
-Scoring runs on arrays. :attr:`RecordMetrics.padded` holds each metric
-column once as a (categories, N_max) array padded at the end with NaN
-(:func:`padded_groups`), which fails every threshold as an unmatched row
-does; trailing non-hits leave a category's AP bit for bit unchanged, so
-:func:`metric_table` and each :func:`ap_curves` make one
-:func:`average_precision` call over all categories and thresholds.
+Scoring runs on arrays. :class:`RecordMetrics` holds each metric column
+once, as a (categories, N_max) array padded at the end with NaN, which
+fails every threshold as an unmatched row does; trailing non-hits leave a
+category's AP bit for bit unchanged, so :func:`metric_table` and each
+:func:`ap_curves` make one :func:`average_precision` call over all
+categories and thresholds.
 
 Matching policy (as in the NOCS protocol): detections are handled per
 predicted category, sorted by descending confidence (stable on ties), and
@@ -22,7 +22,7 @@ are reported but omitted from the mean.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,27 +108,21 @@ def category_rotation_error_deg(category, estimated, truth, use_symmetry=True):
 class RecordMetrics:
     """Per-record metric columns of matched detections, computed once.
 
-    Rows are grouped by ground-truth category (lexicographic order) and,
-    within a group, ordered by descending confidence (input order breaks
-    ties); rows ``starts[i]:starts[i + 1]`` belong to ``categories[i]``.
-    Unmatched rows hold NaN, which fails every threshold test.
+    Each column is a (len(categories), N_max) array, as
+    :func:`padded_groups` lays it out: row ``i`` holds the detections of
+    ``categories[i]`` (lexicographic order) in descending confidence (input
+    order breaks ties), then NaN up to the largest category. Category ``i``
+    has ``starts[i + 1] - starts[i]`` detections. Unmatched detections hold
+    NaN too, which fails every threshold test.
     """
 
     categories: tuple[str, ...]
     n_gt: tuple[int, ...]
     starts: tuple[int, ...]  # (len(categories) + 1,)
-    iou: np.ndarray
-    rot_err_deg: np.ndarray
-    trans_err_cm: np.ndarray
+    iou: np.ndarray  # (len(categories), N_max)
+    rot_err_deg: np.ndarray  # (len(categories), N_max)
+    trans_err_cm: np.ndarray  # (len(categories), N_max)
     skipped_categories: tuple[str, ...] = ()
-
-    @functools.cached_property
-    def padded(self):
-        """``{column name: (len(categories), N_max) array}``, each column as
-        :func:`padded_groups` lays it out; built on first use and shared by
-        the table and every curve."""
-        return {name: padded_groups(getattr(self, name), self.starts)
-                for name in ("iou", "rot_err_deg", "trans_err_cm")}
 
 
 def padded_groups(column, starts):
@@ -148,10 +142,10 @@ def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetr
     Per ground-truth category, detections are visited in descending
     confidence (input order breaks ties) and each takes the untaken truth
     of its category with the highest IoU, provided the overlap is positive.
-    That IoU is the row's ``iou``; rotation error (as
+    That IoU is the detection's ``iou``; rotation error (as
     :func:`category_rotation_error_deg` gives it) and translation error
-    (cm) are computed for matched rows only. Detection categories absent
-    from the gt set are dropped and reported in ``skipped_categories``.
+    (cm) are computed for matched detections only. Detection categories
+    absent from the gt set are dropped and reported in ``skipped_categories``.
     """
     gts_by_category = {}
     for gt in ground_truths:
@@ -184,32 +178,32 @@ def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetr
     det_index, gt_index = np.concatenate(det_index), np.concatenate(gt_index)
     ious = iou3d_pairs(tuple(v[det_index] for v in det_boxes), tuple(v[gt_index] for v in gt_boxes))
 
-    columns, starts, at = [], [0], 0
-    for cat in categories:
+    counts = [len(dets_by_category[cat]) for cat in categories]
+    columns = np.full((3, len(categories), max(counts)), np.nan)  # iou, rotation, translation
+    at = 0
+    for i, cat in enumerate(categories):
         gts, dets = gts_by_category[cat], dets_by_category[cat]
         table = ious[at:at + len(dets) * len(gts)].reshape(len(dets), len(gts))
         at += table.size
         taken = np.zeros(len(gts), dtype=bool)
-        for idx in _confidence_order(dets):
+        for rank, idx in enumerate(_confidence_order(dets)):
             # the untaken truth of highest IoU, the first on a tie
             overlaps = np.where(taken, 0.0, table[idx])
             best_j = int(np.argmax(overlaps))
             if not overlaps[best_j] > 0.0:
-                columns.append((np.nan, np.nan, np.nan))
                 continue
             taken[best_j] = True
             det, gt = dets[idx], gts[best_j]
-            columns.append((
+            columns[:, i, rank] = (
                 overlaps[best_j],
                 category_rotation_error_deg(cat, det.pose.rotation, gt.pose.rotation, use_symmetry),
                 translation_error_cm(det.pose.translation, gt.pose.translation),
-            ))
-        starts.append(len(columns))
-    iou, rot_err_deg, trans_err_cm = np.array(columns, dtype=np.float64).reshape(-1, 3).T.copy()
+            )
+    iou, rot_err_deg, trans_err_cm = columns
     return RecordMetrics(
         categories=tuple(categories),
         n_gt=tuple(len(gts_by_category[cat]) for cat in categories),
-        starts=tuple(starts),
+        starts=tuple(itertools.accumulate(counts, initial=0)),
         iou=iou,
         rot_err_deg=rot_err_deg,
         trans_err_cm=trans_err_cm,
@@ -295,10 +289,9 @@ class MetricTable:
 
 def metric_table(metrics: RecordMetrics) -> MetricTable:
     """mAP at the five standard thresholds over :func:`match_detections`."""
-    columns = metrics.padded
     # C order, so that the mean sums each column as the per-category rows did
     values = np.ascontiguousarray(
-        table_ap(columns["iou"], columns["rot_err_deg"], columns["trans_err_cm"], metrics.n_gt)
+        table_ap(metrics.iou, metrics.rot_err_deg, metrics.trans_err_cm, metrics.n_gt)
     )
     return MetricTable(metrics.categories, values, values.mean(axis=0), metrics.skipped_categories)
 
@@ -325,7 +318,7 @@ def ap_curves(metrics: RecordMetrics, metric, thresholds) -> ApCurve:
             or any(b <= a for a, b in zip(thresholds, thresholds[1:]))):
         raise ValueError(f"{metric} threshold grid must be non-empty, finite and strictly increasing")
     column, test = _CURVE_TESTS[metric]
-    hits = test(metrics.padded[column][:, None, :], np.array(thresholds)[:, None])
+    hits = test(getattr(metrics, column)[:, None, :], np.array(thresholds)[:, None])
     ap = average_precision(hits, np.asarray(metrics.n_gt)[:, None])
     per_cat = np.ascontiguousarray(ap.T)  # C order: the mean sums each row in the same order
     return ApCurve(metric, tuple(thresholds), metrics.categories, per_cat, per_cat.mean(axis=1))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,21 +31,33 @@ from .scale import CategoryStats
 from .synth import PREDICTOR_KINDS
 
 
+def prepare_outputs(*paths):
+    """Make the directory of every output path and refuse a path that is a
+    directory. Each command checks all its outputs before its first write;
+    a failure after that, such as a full disk, can still leave earlier files."""
+    for path in paths:
+        try:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        except OSError as exc:
+            # makedirs meets an existing path only where a file stands for a directory
+            reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror or exc
+            raise InputError(f"{path}: cannot write ({reason})")
+        if os.path.isdir(path):
+            raise InputError(f"{path}: cannot write (Is a directory)")
+
+
 def atomic_write_text(path, text):
-    """Write via a temp file in the same directory, then rename; a temp
-    file left by a failure is removed."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write via a temp file in the directory that :func:`prepare_outputs`
+    makes, then rename; a temp file left by a failure is removed."""
+    prepare_outputs(path)
     tmp = None
     try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        # makedirs meets an existing path only where a file stands for a directory
-        reason = "Not a directory" if isinstance(exc, FileExistsError) else exc.strerror or exc
-        raise InputError(f"{path}: cannot write ({reason})")
+        raise InputError(f"{path}: cannot write ({exc.strerror or exc})")
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -66,12 +79,12 @@ def _read_text(path):
         raise InputError(f"{path}: cannot read ({getattr(exc, 'strerror', None) or exc})")
 
 
-def load_json(path, expect=None):
+def load_json(path, expect):
     try:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})")
-    if expect is not None and not isinstance(data, expect):
+    if not isinstance(data, expect):
         raise InputError(f"{path}: expected top-level {expect.__name__}")
     return data
 
@@ -273,16 +286,7 @@ def load_stats(path):
 
 
 def save_stats(stats_list, path):
-    rows = [
-        {
-            "category": s.category,
-            "mean_scale": s.mean_scale,
-            "std_dev": s.std_dev,
-            "count": s.count,
-        }
-        for s in sorted(stats_list, key=lambda s: s.category)
-    ]
-    dump_json(rows, path)
+    dump_json([asdict(s) for s in sorted(stats_list, key=lambda s: s.category)], path)
 
 
 # -- scale listings, detections and ground truth (JSON-lines) ----------------------------

@@ -406,11 +406,10 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
 
 
 def _adaptive_iteration_bound(inlier_ratio, confidence):
+    """Iterations that draw an all-inlier sample with ``confidence``; ``inlier_ratio`` > 0."""
     w4 = inlier_ratio ** MINIMAL_SAMPLE_SIZE
     if w4 >= 1.0:
         return 0
-    if w4 <= 0.0:
-        return math.inf
     denom = math.log1p(-w4)
     return math.ceil(math.log1p(-confidence) / denom)
 

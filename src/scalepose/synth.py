@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -147,8 +147,8 @@ class ExperimentResult:
 
 # -- procedural category shapes ------------------------------------------------
 
-def _ring(radius, y, count, phase=0.0):
-    theta = 2.0 * np.pi * np.arange(count) / count + phase
+def _ring(radius, y, count):
+    theta = 2.0 * np.pi * np.arange(count) / count
     return np.column_stack([radius * np.cos(theta), np.full(count, float(y)), radius * np.sin(theta)])
 
 
@@ -454,7 +454,7 @@ def run_coupled(
 # The rules ``run_grid`` knows for the decoupled arm's offset.
 PREDICTOR_KINDS = ("oracle", "mean")
 
-_NOISE_COLUMNS = ("pixel_noise_sigma", "outlier_fraction", "scale_rel_error", "depth_rel_noise")
+_NOISE_COLUMNS = tuple(field.name for field in fields(NoiseSpec))
 
 _TRIAL_CSV_HEADER = (
     "category", "pipeline", *_NOISE_COLUMNS, "trial", "rotation_error_deg",
@@ -529,20 +529,20 @@ def run_grid(
     grid is a pure function of its arguments, and a category's rows do
     not depend on the other categories or noise points beside it.
 
-    Each fact is computed once. A scene is sampled per (category, trial),
-    and a :func:`solve_canonical` runs per (category, trial, pixel noise,
-    outlier fraction), since only those levels move the pixels. Each row
-    is built once from the inputs its arm reads: a coupled row, with its
-    :func:`corrupt`, per (category, trial, pixel noise, outlier fraction,
-    depth noise), and a decoupled row, which rescales the solve, per
-    (category, trial, pixel noise, outlier fraction, offset). Every other
-    cell sharing those inputs gets a copy carrying its own ``noise``, and
-    each distinct row's IoU is measured once. The decoupled arm's offset
-    from the category anchor is the oracle's, ``gt_offset`` of the trial's
-    true scale times ``1 + scale_rel_error`` (``predictor_kind="oracle"``),
-    or 0, the bare category mean that ignores the instance (``"mean"``,
-    the anchor-only ablation arm), so a ``"mean"`` row is shared across
-    scale errors too.
+    Each fact is computed once. A scene is sampled per (category, trial);
+    every other fact is keyed by (category, trial) and the cell's
+    :class:`NoiseSpec` with the levels its arm does not read set to 0, so
+    a level added to ``NoiseSpec`` splits every key instead of being
+    shared. A coupled row, with its :func:`corrupt`, is keyed by the spec
+    with ``scale_rel_error=0``; a :func:`solve_canonical` by that spec with
+    ``depth_rel_noise=0`` too, since depth does not move the pixels; a
+    decoupled row, which rescales the solve, by the solve's key and its
+    offset. Each other cell sharing a key gets a copy carrying its own
+    ``noise``; each distinct row's IoU is measured once. The decoupled
+    arm's offset is the oracle's, ``gt_offset`` of the trial's true scale
+    times ``1 + scale_rel_error`` (``predictor_kind="oracle"``), or 0, the
+    bare category mean (``"mean"``, the anchor-only ablation arm), so a
+    ``"mean"`` row is shared across scale errors too.
 
     A repeated category or noise point raises ``ValueError``: its cells
     would be copies that the summary merges into one cell counting each
@@ -575,23 +575,25 @@ def run_grid(
         ]
         solved = {}
         for noise in noise_specs:
+            coupled_levels = replace(noise, scale_rel_error=0.0)
+            solve_levels = replace(coupled_levels, depth_rel_noise=0.0)
             for trial, scene in enumerate(scenes):
-                pixels = (category, trial, noise.pixel_noise_sigma, noise.outlier_fraction)
-                coupled = ("coupled", *pixels, noise.depth_rel_noise)
+                solve = (category, trial, solve_levels)
+                coupled = ("coupled", category, trial, coupled_levels)
                 if coupled not in at:
                     observations = corrupt(scene, noise, seed=(master_seed, key, trial, 1))
-                    if pixels not in solved:
-                        solved[pixels] = solve_canonical(scene, observations)
+                    if solve not in solved:
+                        solved[solve] = solve_canonical(scene, observations)
                     at[coupled] = len(rows)
                     rows.append(run_coupled(scene, observations, noise=noise, trial=trial))
                 if predictor_kind == "mean":
                     delta = 0.0
                 else:
                     delta = gt_offset(scene.scale * (1.0 + noise.scale_rel_error), stats)
-                decoupled = ("decoupled", *pixels, delta)
+                decoupled = ("decoupled", *solve, delta)
                 if decoupled not in at:
                     at[decoupled] = len(rows)
-                    rows.append(run_decoupled(scene, solved[pixels], delta, noise=noise, trial=trial))
+                    rows.append(run_decoupled(scene, solved[solve], delta, noise=noise, trial=trial))
                 cells += [(at[decoupled], noise), (at[coupled], noise)]
     extents = [r.canonical_extents for r in rows]
     estimated = box_stack([r.pose for r in rows], [r.estimated_scale for r in rows], extents)

@@ -201,20 +201,19 @@ def reference_record_metrics(detections, ground_truths, use_symmetry=True):
     skipped = []
     for det, gt in zip(detections, matched):
         by_category.get(det.category, skipped).append((det, gt))
-    rows, starts = [], [0]
-    for pairs in by_category.values():
-        rows += [pairs[i] for i in _confidence_order([det for det, _ in pairs])]
-        starts.append(len(rows))
-    unmatched = {"iou": np.nan, "rot_err_deg": np.nan, "trans_err_cm": np.nan}
-    values = [
-        reference_pose_metrics(det, gt, use_symmetry) if gt is not None else unmatched
-        for det, gt in rows
-    ]
+    groups = [[pairs[i] for i in _confidence_order([det for det, _ in pairs])] for pairs in by_category.values()]
+    width = max(len(group) for group in groups)
+    columns = {key: np.full((len(groups), width), np.nan) for key in ("iou", "rot_err_deg", "trans_err_cm")}
+    for i, group in enumerate(groups):
+        for rank, (det, gt) in enumerate(group):
+            if gt is not None:
+                for key, value in reference_pose_metrics(det, gt, use_symmetry).items():
+                    columns[key][i, rank] = value
     return RecordMetrics(
         categories=tuple(by_category),
         n_gt=tuple(n_gt[cat] for cat in by_category),
-        starts=tuple(starts),
-        **{key: np.array([v[key] for v in values], dtype=np.float64) for key in unmatched},
+        starts=tuple(np.cumsum([0] + [len(group) for group in groups]).tolist()),
+        **columns,
         skipped_categories=tuple(sorted({det.category for det, _ in skipped})),
     )
 

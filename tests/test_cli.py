@@ -12,7 +12,7 @@ import pytest
 
 import scalepose
 import writers
-from scalepose import fileio
+from scalepose import errors, fileio
 from scalepose.cli import main
 from scalepose.evaluation import DetectionRecord, GroundTruthBox
 from scalepose.geometry import rotation_error_deg
@@ -467,6 +467,11 @@ SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
             "error: argument --pixel-noise: ", id="empty-noise-axis",
         ),
         pytest.param(
+            {}, SIMULATE + ["--pixel-noise", "abc"],
+            "error: argument --pixel-noise: expected one or more comma-separated floats, got 'abc'",
+            id="noise-not-a-number",
+        ),
+        pytest.param(
             {"c.json": CORRESPONDENCES, "k.json": INTRINSICS}, SOLVE + ["--threshold", "inf"],
             "error: reprojection_threshold must be finite", id="threshold-infinite",
         ),
@@ -562,8 +567,44 @@ SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
                  "--scale cannot be combined with --delta"),
                 ("solve-category-without-stats", ["--category", "mug"], "--category and --delta need --stats"),
                 ("solve-model-without-matrix", ["--model", "m.json"], "--model and --matrix must be given together"),
+                ("solve-stats-without-category", ["--stats", "s.json"],
+                 "--stats needs --category to select the anchor"),
             ]
         ],
+        pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": INTRINSICS, "s.json": [{**MUG_STATS, "category": "bowl"}]},
+            SOLVE_MUG, "error: category 'mug' not present in s.json", id="stats-category-missing",
+        ),
+        pytest.param(
+            {"c.json": [{"image": [320.0, 240.0]}] * 4, "k.json": INTRINSICS}, SOLVE,
+            "error: c.json: records lack 'model' coordinates and no --matrix/--model pair was given",
+            id="correspondences-without-model",
+        ),
+        # a str payload is written as it stands, not as JSON
+        pytest.param(
+            {"c.json": CORRESPONDENCES, "k.json": '{"fx": 577.5,'}, SOLVE, "error: k.json: invalid JSON",
+            id="json-invalid",
+        ),
+        pytest.param(
+            {"c.json": {"image": [320.0, 240.0]}, "k.json": INTRINSICS}, SOLVE,
+            "error: c.json: expected top-level list", id="json-wrong-top-level-type",
+        ),
+        pytest.param(
+            {"in.jsonl": [{"category": "mug", "scale": 1.0}]}, ["stats", "--input", "in.jsonl", "--output", "o.json"],
+            "error: in.jsonl:1 is not an object", id="jsonl-record-not-an-object",
+        ),
+        pytest.param(
+            {"in.jsonl": ""}, ["stats", "--input", "in.jsonl", "--output", "o.json"],
+            "error: in.jsonl: no scale records", id="jsonl-empty",
+        ),
+        pytest.param(
+            {"c.json": [{"image": [320.0, 240.0], "model": [0.0, 0.0]}], "k.json": INTRINSICS}, SOLVE,
+            "error: c.json: entry 0: model must be [x, y, z]", id="correspondence-model-two-numbers",
+        ),
+        pytest.param(
+            {"c.json": [], "k.json": INTRINSICS}, SOLVE, "error: c.json: empty correspondence list",
+            id="correspondences-empty",
+        ),
         pytest.param(
             {"p.jsonl": {**GROUND_TRUTH, "confidence": float("nan")}, "g.jsonl": GROUND_TRUTH},
             EVALUATE, "error: p.jsonl:1: ", id="confidence-nan",
@@ -630,6 +671,15 @@ SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
                 ("matrix-cols-oversized", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
                  {"rows": 4, "cols": 10**12, "triplets": []},
                  "error: x.json: matrix has 1000000000000 columns but model has 2 points"),
+                ("matrix-rows-zero", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
+                 {"rows": 0, "cols": 2, "triplets": []}, "error: x.json: rows and cols must be positive"),
+                ("matrix-without-entries", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
+                 {"rows": 4, "cols": 2}, "error: x.json: need either 'data' or 'triplets'"),
+                ("matrix-triplet-two-numbers", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
+                 {"rows": 4, "cols": 2, "triplets": [[0, 1]]}, "error: x.json: triplets must be [row, col, value]"),
+                ("matrix-triplet-out-of-bounds", {"points": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]},
+                 {"rows": 4, "cols": 2, "triplets": [[0, 2, 1.0]]},
+                 "error: x.json: triplet index (0, 2) out of bounds"),
             ]
         ],
         pytest.param(
@@ -644,7 +694,7 @@ SOLVE_MUG = SOLVE + ["--stats", "s.json", "--category", "mug"]
 def test_malformed_input_is_a_typed_error(tmp_path, monkeypatch, capsys, files, argv, error):
     monkeypatch.chdir(tmp_path)
     for name, payload in files.items():
-        (tmp_path / name).write_text(json.dumps(payload))
+        (tmp_path / name).write_text(payload if isinstance(payload, str) else json.dumps(payload))
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert any(line.startswith(error) for line in err.splitlines()), err
@@ -667,22 +717,43 @@ NOT_UTF8_LINES = b'{"category": "mug", "scale": 1.0}\n{"category": "m\xe9g", "sc
         pytest.param(EVALUATE[:-1] + ["f.txt"], os.path.join("f.txt", "metrics.csv"),
                      id="evaluate-output-dir-is-a-file"),
         pytest.param(SIMULATE + ["--output", "f.txt/x.csv"], "f.txt/x.csv", id="simulate-output-under-a-file"),
+        # a later output that cannot be written: the earlier ones are not written either
+        pytest.param(["stats", "--input", "in.jsonl", "--output", "o.json", "--csv", "f.txt/x.csv"], "f.txt/x.csv",
+                     id="stats-csv-under-a-file"),
+        pytest.param(SIMULATE + ["--output", "t.csv", "--summary", "f.txt/s.csv"], "f.txt/s.csv",
+                     id="simulate-summary-under-a-file"),
+        pytest.param(EVALUATE[:-1] + ["rep"], os.path.join("rep", "metrics.txt"),
+                     id="evaluate-report-is-a-directory"),
     ],
 )
 def test_unusable_path_is_an_input_error(tmp_path, monkeypatch, capsys, argv, path):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
+    (tmp_path / "rep" / "metrics.txt").mkdir(parents=True)
+    (tmp_path / "in.jsonl").write_text(json.dumps({"category": "mug", "scale": 1.0}))
     (tmp_path / "f.txt").write_text("a file, not a directory\n")
     (tmp_path / "latin1.json").write_bytes(json.dumps(CORRESPONDENCES).encode()[:-1] + b', "\xe9"]')
     (tmp_path / "latin1.jsonl").write_bytes(NOT_UTF8_LINES)
     (tmp_path / "k.json").write_text(json.dumps(INTRINSICS))
     (tmp_path / "p.jsonl").write_text(json.dumps({**GROUND_TRUTH, "confidence": 0.9}))
     (tmp_path / "g.jsonl").write_text(json.dumps(GROUND_TRUTH))
+    inputs = sorted(p for p in tmp_path.rglob("*") if p.is_file())
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: cannot "), err
     assert "Traceback" not in err
-    assert not (tmp_path / "o.json").exists()
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == inputs  # no output written
+
+
+def test_every_package_error_is_an_input_or_a_solver_error():
+    """``main`` exits 1 on an ``InputError`` and 2 on a ``SolverError``, so
+    every error class of the package is exactly one of the two; the base
+    class itself is never raised."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.ScalePoseError)]
+    assert len(classes) > 3
+    for cls in classes:
+        if cls is not errors.ScalePoseError:
+            assert issubclass(cls, errors.InputError) != issubclass(cls, errors.SolverError), cls
 
 
 class TestOneParser:

@@ -110,9 +110,9 @@ def crowded_scenes(draw):
 
 
 def _row(detection, gt, use_symmetry=True):
-    """The (iou, rot_err_deg, trans_err_cm) row of one detection against one truth."""
+    """The (iou, rot_err_deg, trans_err_cm) values of one detection against one truth."""
     metrics = match_detections([detection], [gt], use_symmetry=use_symmetry)
-    return {key: float(getattr(metrics, key)[0]) for key in ("iou", "rot_err_deg", "trans_err_cm")}
+    return {key: float(getattr(metrics, key)[0, 0]) for key in ("iou", "rot_err_deg", "trans_err_cm")}
 
 
 class TestPoseMetrics:
@@ -167,13 +167,17 @@ class TestRecordMetrics:
         assert metrics.categories == ("bowl", "camera")
         assert metrics.n_gt == (3, 3)
         assert metrics.starts == (0, 4, 10)
+        for key in ("iou", "rot_err_deg", "trans_err_cm"):
+            column = getattr(metrics, key)
+            assert column.shape == (2, 6), key
+            assert np.isnan(column[0, 4:]).all(), key  # bowl's padding
         # bowl: d5 (spun about y), d6 (nested), d8 (unmatched), d9 (exact)
         a = 0.5 * math.sqrt(0.28)
-        assert metrics.iou[:4] == pytest.approx([a / (0.6 - a), 0.512, math.nan, 1.0], nan_ok=True)
-        assert metrics.rot_err_deg[:4] == pytest.approx([0.0, 0.0, math.nan, 0.0], abs=1e-9, nan_ok=True)
+        assert metrics.iou[0, :4] == pytest.approx([a / (0.6 - a), 0.512, math.nan, 1.0], nan_ok=True)
+        assert metrics.rot_err_deg[0, :4] == pytest.approx([0.0, 0.0, math.nan, 0.0], abs=1e-9, nan_ok=True)
         # camera: d1, d2, d3, then the unmatched d7, d4, d10
-        assert metrics.trans_err_cm[4:7] == pytest.approx([0.0, 18.0, 0.0], abs=1e-9)
-        assert np.isnan(metrics.trans_err_cm[7:]).all()
+        assert metrics.trans_err_cm[1, :3] == pytest.approx([0.0, 18.0, 0.0], abs=1e-9)
+        assert np.isnan(metrics.trans_err_cm[1, 3:]).all()
 
     def test_no_ground_truth_is_an_error(self):
         detections, _ = fixture_records()
@@ -186,8 +190,13 @@ class TestMatching:
         # rows in confidence order per category: bowl d5 d6 d8 d9, then
         # camera d1 d2 d3 d7 d4 d10
         detections, gts = fixture_records()
-        matched = ~np.isnan(match_detections(detections, gts).iou)
-        assert matched.tolist() == [True, True, False, True, True, True, True, False, False, False]
+        metrics = match_detections(detections, gts)
+        matched = ~np.isnan(metrics.iou)
+        counts = np.diff(metrics.starts)
+        assert [row[:n].tolist() for row, n in zip(matched, counts)] == [
+            [True, True, False, True],
+            [True, True, True, False, False, False],
+        ]
 
     def test_each_gt_used_once(self):
         # two exact copies of one truth: the higher-confidence one (the first
@@ -195,7 +204,7 @@ class TestMatching:
         gt = GroundTruthBox("camera", _pose(0.0, 1.0), 1.0, EXT)
         for confidences in ((0.4, 0.9), (0.9, 0.9)):
             dets = [DetectionRecord("camera", c, _pose(0.0, 1.0), 1.0, EXT) for c in confidences]
-            assert match_detections(dets, [gt]).iou == pytest.approx([1.0, math.nan], nan_ok=True)
+            assert match_detections(dets, [gt]).iou == pytest.approx(np.array([[1.0, math.nan]]), nan_ok=True)
 
     @settings(max_examples=100, deadline=None)
     @given(scene=crowded_scenes(), use_symmetry=st.booleans())

@@ -165,9 +165,18 @@ class TestAtomicWrite:
         assert path.read_text() == "two\n"
         assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
 
-    def test_failed_write_names_the_path_and_leaves_no_temp_file(self, tmp_path):
+    def test_failed_write_names_the_path_and_leaves_no_temp_file(self, tmp_path, monkeypatch):
         target = tmp_path / "out"
-        target.mkdir()  # the rename onto a directory fails after the temp file is written
-        with pytest.raises(InputError, match="out: cannot write"):
+        target.mkdir()  # refused before any temp file is made
+        with pytest.raises(InputError, match=r"out: cannot write \(Is a directory\)"):
             fileio.atomic_write_text(str(target), "text\n")
+        assert list(tmp_path.iterdir()) == [target]
+
+        def no_rename(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        # the rename fails after the temp file is written
+        monkeypatch.setattr(fileio.os, "replace", no_rename)
+        with pytest.raises(InputError, match=r"new: cannot write \(Permission denied\)"):
+            fileio.atomic_write_text(str(tmp_path / "new"), "text\n")
         assert list(tmp_path.iterdir()) == [target]

@@ -253,6 +253,9 @@ class TestValueTypes:
         m = random_rotation(rng) + 1e-3 * rng.normal(size=(3, 3))
         r = nearest_rotation(m)
         ensure_rotation(r)
+        # a reflection: the SVD's factors multiply to determinant -1, so one flips
+        r = nearest_rotation(np.diag([1.0, 1.0, -1.0]))
+        ensure_rotation(r)
 
     def test_poses_are_immutable(self):
         pose = RigidPose(np.eye(3), np.zeros(3))

@@ -51,9 +51,9 @@ def decoupled_metrics(grid):
         categories=(category,),
         n_gt=(len(rows),),
         starts=(0, len(rows)),
-        iou=np.array([iou for _, iou in rows]),
-        rot_err_deg=np.array([r.rotation_error_deg for r, _ in rows]),
-        trans_err_cm=np.array([r.translation_error_cm for r, _ in rows]),
+        iou=np.array([[iou for _, iou in rows]]),
+        rot_err_deg=np.array([[r.rotation_error_deg for r, _ in rows]]),
+        trans_err_cm=np.array([[r.translation_error_cm for r, _ in rows]]),
     )
 
 
