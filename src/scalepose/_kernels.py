@@ -21,7 +21,9 @@ eight samples that beats array code. The quartic's roots are not
 polished; each distance triple is, once. A vectorised Grunert with companion
 eigenvalues and an array Newton polish took 1.11 ms per block, about what
 eight scalar calls took while they still made NumPy calls, and a call now
-takes about 30 us. The reprojection kernels are NumPy.
+takes about 30 us. The reprojection kernels are NumPy: they take float64
+arrays (a rotation (3, 3), a translation (3,), points (N, 3), pixels
+(N, 2)) and do not convert them, since every solver passes them so.
 """
 
 import math
@@ -292,10 +294,6 @@ def pixel_errors(cam, pixels, fx, fy, cx, cy):
 
 def reprojection_errors(rotation, translation, obj, pixels, fx, fy, cx, cy):
     """Per-point pixel reprojection error; inf where depth <= 0."""
-    rotation = np.asarray(rotation, dtype=np.float64)
-    translation = np.asarray(translation, dtype=np.float64)
-    obj = np.asarray(obj, dtype=np.float64)
-    pixels = np.asarray(pixels, dtype=np.float64)
     return pixel_errors(obj @ rotation.T + translation, pixels, fx, fy, cx, cy)
 
 
@@ -310,11 +308,6 @@ def reprojection_normal_eqs(rotation, translation, obj, pixels, fx, fy, cx, cy):
 
     Returns (JtJ, Jtr, cost, n_valid).
     """
-    rotation = np.asarray(rotation, dtype=np.float64)
-    translation = np.asarray(translation, dtype=np.float64)
-    obj = np.asarray(obj, dtype=np.float64)
-    pixels = np.asarray(pixels, dtype=np.float64)
-
     rx = obj @ rotation.T
     pc = rx + translation
     ok = pc[:, 2] > 0

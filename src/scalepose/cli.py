@@ -1,9 +1,10 @@
 """Command-line front-end: solve, evaluate, simulate, stats.
 
 Exit codes: 0 success, 1 input/config error, 2 numerical/solver failure.
-Every output path is checked before the first is written, and each file
-is written atomically; re-running a subcommand with the same inputs and
-seeds produces byte-identical files.
+Every output path is checked before the solve or the grid runs and before
+the first file is written; every file is UTF-8 and written atomically, and
+re-running a subcommand with the same inputs and seeds produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -68,10 +69,12 @@ def build_parser():
     p_solve.add_argument("--scale", type=float, default=None, help="explicit metric scale override")
     p_solve.add_argument("--model", help="canonical model JSON (used with --matrix)")
     p_solve.add_argument("--matrix", help="correspondence matrix JSON mapping pixels to model points")
-    p_solve.add_argument("--threshold", type=float, default=2.0, help="RANSAC inlier threshold, px")
-    p_solve.add_argument("--max-iterations", type=int, default=1000)
-    p_solve.add_argument("--confidence", type=float, default=0.999)
-    p_solve.add_argument("--seed", type=int, default=0, help="RANSAC rng seed")
+    p_solve.add_argument(
+        "--threshold", type=float, default=RansacConfig.reprojection_threshold, help="RANSAC inlier threshold, px"
+    )
+    p_solve.add_argument("--max-iterations", type=int, default=RansacConfig.max_iterations)
+    p_solve.add_argument("--confidence", type=float, default=RansacConfig.confidence)
+    p_solve.add_argument("--seed", type=int, default=RansacConfig.rng_seed, help="RANSAC rng seed")
     p_solve.set_defaults(run=cmd_solve)
 
     p_eval = sub.add_parser("evaluate", help="score predictions against ground truth")
@@ -166,6 +169,7 @@ def cmd_solve(args):
         confidence=args.confidence,
         rng_seed=args.seed,
     )
+    fileio.prepare_outputs(args.output)
     result = ransac_pnp(image_pts, model_pts, intrinsics, config)
     pose = RigidPose(result.pose.rotation, scale * result.pose.translation)
 
@@ -258,6 +262,7 @@ def cmd_simulate(args):
             args.pixel_noise, args.outlier_fraction, args.scale_error, args.depth_noise
         )
     ]
+    fileio.prepare_outputs(output, summary_path)
     grid = run_grid(
         args.categories,
         specs,
@@ -266,7 +271,6 @@ def cmd_simulate(args):
         point_count=args.points,
         predictor_kind=args.predictor,
     )
-    fileio.prepare_outputs(output, summary_path)
     fileio.atomic_write_text(output, grid.trials_csv())
     fileio.atomic_write_text(summary_path, grid.summary_csv())
 

@@ -108,10 +108,10 @@ def category_rotation_error_deg(category, estimated, truth, use_symmetry=True):
 class RecordMetrics:
     """Per-record metric columns of matched detections, computed once.
 
-    Each column is a (len(categories), N_max) array, as
-    :func:`padded_groups` lays it out: row ``i`` holds the detections of
-    ``categories[i]`` (lexicographic order) in descending confidence (input
-    order breaks ties), then NaN up to the largest category. Category ``i``
+    Each column is a (len(categories), N_max) array: row ``i`` holds the
+    detections of ``categories[i]`` (lexicographic order) in descending
+    confidence (input order breaks ties), then NaN up to the largest
+    category, as :func:`match_detections` lays it out. Category ``i``
     has ``starts[i + 1] - starts[i]`` detections. Unmatched detections hold
     NaN too, which fails every threshold test.
     """
@@ -123,17 +123,6 @@ class RecordMetrics:
     rot_err_deg: np.ndarray  # (len(categories), N_max)
     trans_err_cm: np.ndarray  # (len(categories), N_max)
     skipped_categories: tuple[str, ...] = ()
-
-
-def padded_groups(column, starts):
-    """The groups of ``column`` (rows ``starts[i]:starts[i + 1]`` form
-    group ``i``) as a (groups, N_max) array: row ``i`` holds group ``i``,
-    then NaN up to the largest group. NaN fails every threshold test, as an
-    unmatched row does, and trailing non-hits leave an AP bit for bit."""
-    counts = np.diff(starts)
-    out = np.full((len(counts), counts.max(initial=0)), np.nan)
-    out[np.arange(out.shape[1]) < counts[:, None]] = column
-    return out
 
 
 def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetrics:

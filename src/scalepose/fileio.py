@@ -5,8 +5,9 @@ which writes floats by the same rule.
 
 One loop reads every record, and an input error names where it is:
 ``path:line`` in a JSON-lines file, ``path: entry i`` in a JSON array, or
-``path``, also for a file that cannot be read or written. A number must be
-a JSON int or float: a bool or a string is not.
+``path``, also for a file that cannot be read or written. Every file is
+read and written as UTF-8, whatever the locale. A number must be a JSON
+int or float: a bool or a string is not.
 
 Serialization is round-trip exact: floats are written with ``repr``, which
 emits the shortest digit string that reproduces the value bit for bit.
@@ -53,7 +54,7 @@ def atomic_write_text(path, text):
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
@@ -71,7 +72,7 @@ def _read_text(path):
     """The text of ``path``, decoded whole, so that bytes which are not
     UTF-8 fail here wherever they lie."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except FileNotFoundError:
         raise InputError(f"file not found: {path}")

@@ -28,15 +28,6 @@ from .errors import (
 ROTATION_TOL = 1e-9
 
 
-def _as_array(x, shape, name):
-    a = np.asarray(x, dtype=np.float64)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite values")
-    return a
-
-
 def _frozen(x, shape, name):
     """Read-only float64 copy of ``x``, which must have ``shape`` and be
     finite, and its entries as Python floats in row-major order. The
@@ -177,7 +168,7 @@ def backproject(pixels, depths, intrinsics):
 
 def rotation_about_axis(axis, angle_deg):
     """Rotation matrix for ``angle_deg`` degrees about ``axis``."""
-    axis = _as_array(axis, (3,), "axis")
+    axis = _frozen(axis, (3,), "axis")[0]
     n = np.linalg.norm(axis)
     if n == 0:
         raise ValueError("axis must be nonzero")
@@ -189,7 +180,7 @@ def rotation_from_rotvec(rvec):
     Rodrigues' formula I + sin(theta)/theta K + 2 sin^2(theta/2)/theta^2 K^2
     with K = skew(rvec); below theta = 1e-12 the factors are their limits
     1 and 1/2, exact in double precision there."""
-    rvec = _as_array(rvec, (3,), "rotvec")
+    rvec = _frozen(rvec, (3,), "rotvec")[0]
     theta = np.linalg.norm(rvec)
     if theta < 1e-12:
         a, b = 1.0, 0.5
@@ -205,7 +196,7 @@ def nearest_rotation(m):
     result passes :class:`RigidPose`'s checks. Least-squares PnP projects
     its linear rotation here; P3P candidates are rotations by construction
     and need no projection."""
-    u, _, vt = np.linalg.svd(_as_array(m, (3, 3), "matrix"))
+    u, _, vt = np.linalg.svd(_frozen(m, (3, 3), "matrix")[0])
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]
     return u @ vt
@@ -219,7 +210,7 @@ def random_rotation(rng):
 
 
 def rotation_from_quaternion(q):
-    q = _as_array(q, (4,), "quaternion")
+    q = _frozen(q, (4,), "quaternion")[0]
     w, x, y, z = q / np.linalg.norm(q)
     return np.array(
         [
@@ -261,7 +252,7 @@ def rotation_error_symmetric_deg(a, b, axis):
     NonUnitAxis
         If ``axis`` is not unit-norm (tolerance 1e-6).
     """
-    axis = _as_array(axis, (3,), "axis")
+    axis = _frozen(axis, (3,), "axis")[0]
     if abs(np.linalg.norm(axis) - 1.0) > 1e-6:
         raise NonUnitAxis(f"axis norm is {np.linalg.norm(axis):.6f}, expected 1")
     va = np.asarray(a, dtype=np.float64) @ axis
@@ -274,8 +265,8 @@ def rotation_error_symmetric_deg(a, b, axis):
 
 def translation_error_cm(a, b):
     """Euclidean distance between two translations, meters in, centimeters out."""
-    a = _as_array(a, (3,), "translation a")
-    b = _as_array(b, (3,), "translation b")
+    a = _frozen(a, (3,), "translation a")[0]
+    b = _frozen(b, (3,), "translation b")[0]
     return 100.0 * float(np.linalg.norm(a - b))
 
 

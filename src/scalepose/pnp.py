@@ -360,8 +360,7 @@ def refine_pnp(initial, image_points, model_points, intrinsics, full_output=Fals
     """
     image, model = _validate_inputs(image_points, model_points)
     k = intrinsics
-    rot = initial.rotation.copy()
-    t = initial.translation.copy()
+    rot, t = initial.rotation, initial.translation
 
     jtj, jtr, cost, n_valid = kernels.reprojection_normal_eqs(
         rot, t, model, image, k.fx, k.fy, k.cx, k.cy

@@ -28,7 +28,7 @@ import numpy as np
 from .boxes import box_stack, iou3d_pairs
 from .boxes import iou3d  # noqa: F401 -- kept for perfbench/spans.py, which wraps this name
 from .errors import PlacementFailed, UnknownCategory
-from .evaluation import category_rotation_error_deg, csv_text, padded_groups, table_ap
+from .evaluation import category_rotation_error_deg, csv_text, table_ap
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
@@ -490,23 +490,25 @@ class GridResult:
 
         Every figure comes from the errors stored with the cell's results
         and from their ``ious``; the AP columns rank the results in trial
-        order, since every simulated detection has confidence 1. One AP
-        call scores every cell, its columns padded with NaN (a miss at
-        every threshold) to the largest cell.
+        order, since every simulated detection has confidence 1. The cells
+        are equal: :func:`run_grid` gives each one row per trial and
+        refuses a repeated category or noise point, so the cells stack into
+        ``(cells, trials)`` arrays that one AP call scores.
         """
         cells = {}
         for r, iou in zip(self.trials, self.ious):
             cells.setdefault((r.category, r.noise, r.pipeline), []).append(
                 (r.rotation_error_deg, r.translation_error_cm, iou)
             )
-        starts = np.cumsum([0] + [len(cell) for cell in cells.values()]).tolist()
-        rot, trans, ious = np.array([row for cell in cells.values() for row in cell]).reshape(-1, 3).T.copy()
-        aps = table_ap(*(padded_groups(c, starts) for c in (ious, rot, trans)), np.diff(starts)).tolist()
+        if not cells:  # an empty category or noise list
+            return csv_text(_SUMMARY_CSV_HEADER, [])
+        rot, trans, ious = np.array(list(cells.values())).transpose(2, 0, 1).copy()
+        aps = table_ap(ious, rot, trans, rot.shape[1]).tolist()
         rows = []
-        for (category, noise, pipeline), lo, hi, ap in zip(cells, starts, starts[1:], aps):
+        for (category, noise, pipeline), r, t, i, ap in zip(cells, rot, trans, ious, aps):
             rows.append(
-                [category, pipeline, *_noise_cells(noise), str(hi - lo), np.median(rot[lo:hi]),
-                 rot[lo:hi].mean(), np.median(trans[lo:hi]), trans[lo:hi].mean(), ious[lo:hi].mean(), *ap]
+                [category, pipeline, *_noise_cells(noise), str(len(r)), np.median(r), r.mean(),
+                 np.median(t), t.mean(), i.mean(), *ap]
             )
         return csv_text(_SUMMARY_CSV_HEADER, rows)
 

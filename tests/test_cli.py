@@ -12,13 +12,14 @@ import pytest
 
 import scalepose
 import writers
-from scalepose import errors, fileio
-from scalepose.cli import main
+from scalepose import cli, errors, fileio
+from scalepose.cli import build_parser, main
 from scalepose.evaluation import DetectionRecord, GroundTruthBox
 from scalepose.geometry import rotation_error_deg
+from scalepose.pnp import RansacConfig
 from scalepose.scale import CategoryStats
 from scalepose.synth import NoiseSpec, corrupt, run_grid, sample_scene
-from test_golden import GOLDEN, SIMULATE_ARGS, evaluate_args
+from test_golden import EVALUATE_FILES, GOLDEN, SIMULATE_ARGS, evaluate_args
 
 
 @pytest.fixture
@@ -206,10 +207,10 @@ class TestEvaluate:
             ["evaluate", "--predictions", str(pred), "--ground-truth", str(gt), "--output-dir", str(out)]
         )
         assert rc == 0
-        text = (out / "metrics.txt").read_text()
+        text = (out / "metrics.txt").read_text(encoding="utf-8")
         assert "100.0" in text
         assert "rotation error: symmetry-aware" in text
-        header = (out / "metrics.csv").read_text().splitlines()[0]
+        header = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "category,IoU50,IoU75,10cm,10°,10°10cm"
         for metric in ("iou", "rotation_deg", "translation_cm"):
             assert (out / f"curve_{metric}.csv").exists()
@@ -227,7 +228,7 @@ class TestEvaluate:
             ]
         )
         assert rc == 0
-        assert "raw geodesic" in (out / "metrics.txt").read_text()
+        assert "raw geodesic" in (out / "metrics.txt").read_text(encoding="utf-8")
 
     def test_schema_error_reports_line(self, tmp_path, records, capsys):
         pred, gt = records
@@ -413,7 +414,7 @@ def test_csv_reports_read_back_with_comma_and_quote_in_category(tmp_path, monkey
     assert main(EVALUATE) == 0
     reports = ["sigma.csv", *(f"out/{name}" for name in ("metrics.csv", "curve_iou.csv"))]
     for name in reports:
-        with open(tmp_path / name, newline="") as fh:
+        with open(tmp_path / name, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), name
         assert category in [row[0] for row in rows] + rows[0], name
@@ -743,6 +744,57 @@ def test_unusable_path_is_an_input_error(tmp_path, monkeypatch, capsys, argv, pa
     assert err.startswith(f"error: {path}: cannot "), err
     assert "Traceback" not in err
     assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == inputs  # no output written
+
+
+@pytest.mark.parametrize(
+    "argv, stub",
+    [
+        pytest.param(SIMULATE + ["--output", "t.csv", "--summary", "f.txt/s.csv"], "run_grid", id="simulate"),
+        pytest.param(SOLVE[:-1] + ["f.txt/p.json"], "ransac_pnp", id="solve"),
+    ],
+)
+def test_outputs_are_checked_before_the_work(tmp_path, monkeypatch, capsys, argv, stub):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text("a file, not a directory\n")
+    (tmp_path / "c.json").write_text(json.dumps(CORRESPONDENCES))
+    (tmp_path / "k.json").write_text(json.dumps(INTRINSICS))
+    inputs = sorted(tmp_path.rglob("*"))
+    calls = []
+    monkeypatch.setattr(cli, stub, lambda *args, **kwargs: calls.append(args))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[-1]}: cannot write"), err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == inputs
+
+
+def test_solve_defaults_are_the_ransac_config_defaults():
+    args = build_parser().parse_args(SOLVE)
+    config = RansacConfig()
+    assert (args.threshold, args.max_iterations, args.confidence, args.seed) == (
+        config.reprojection_threshold, config.max_iterations, config.confidence, config.rng_seed,
+    )
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under an ASCII locale ``evaluate`` still writes its ``10°`` headers
+    byte for byte and ``stats`` reads a UTF-8 category; the console stays
+    UTF-8 so that only the files are tested."""
+    listing = tmp_path / "scales.jsonl"
+    listing.write_bytes('{"category": "café", "scale": 0.1}\n{"category": "café", "scale": 0.2}\n'.encode())
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scalepose.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONIOENCODING": "utf-8"}
+    commands = [evaluate_args(tmp_path / "report"), ["stats", "--input", str(listing), "--output", str(tmp_path / "s.json")]]
+    for argv in commands:
+        result = subprocess.run(
+            [sys.executable, "-c", "from scalepose.cli import entry; entry()", *argv],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+    for name in EVALUATE_FILES:
+        assert (tmp_path / "report" / name).read_bytes() == (GOLDEN / "evaluate" / name).read_bytes(), name
+    assert list(fileio.load_stats(str(tmp_path / "s.json"))) == ["café"]
 
 
 def test_every_package_error_is_an_input_or_a_solver_error():

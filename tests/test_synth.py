@@ -384,6 +384,16 @@ class TestGrid:
         assert len(grid.trials) == 2 * 2 * 3 * 2  # categories x specs x trials x pipelines
         assert {r.pipeline for r in grid.trials} == {"decoupled", "coupled"}
 
+    def test_summary_cells_are_equal(self):
+        # summary_csv stacks its cells into (cells, trials) arrays: every
+        # cell has one row per trial, also where "mean" shares a row across
+        # the two specs that differ only in scale error
+        specs = [NoiseSpec(0.5, 0.2, 0.0, 0.05), NoiseSpec(0.5, 0.2, 0.1, 0.05), NoiseSpec(1.0)]
+        grid = run_grid(["camera", "mug"], specs, trials=3, master_seed=8, point_count=32, predictor_kind="mean")
+        rows = list(csv.DictReader(io.StringIO(grid.summary_csv())))
+        assert len(rows) == 2 * 2 * 3  # pipelines x categories x specs
+        assert [row["trials"] for row in rows] == ["3"] * len(rows)
+
     def test_records_feed_metric_table(self):
         grid = run_grid(["mug"], [NoiseSpec()], trials=3, master_seed=3)
         table = metric_table(decoupled_metrics(grid))
