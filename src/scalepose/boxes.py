@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import NonPositiveScale
-from .geometry import RigidPose
+from .geometry import RigidPose, _frozen
 
 # Points within this fraction of the box scale from a face plane are
 # treated as on the plane (and kept).
@@ -97,11 +97,10 @@ class OrientedBox3:
     extents: np.ndarray
 
     def __post_init__(self):
-        ext = np.asarray(self.extents, dtype=np.float64).reshape(3).copy()
+        ext = np.asarray(self.extents, dtype=np.float64)
         if np.any(ext <= 0) or not np.all(np.isfinite(ext)):
             raise ValueError(f"extents must be positive finite, got {ext}")
-        ext.flags.writeable = False
-        object.__setattr__(self, "extents", ext)
+        object.__setattr__(self, "extents", _frozen(ext, (3,), "extents"))
 
 
 def box_stack(poses, scales, canonical_extents):

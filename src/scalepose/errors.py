@@ -61,8 +61,10 @@ class ConsensusNotFound(SolverError):
 
 # -- nocs / scale -----------------------------------------------------------
 
-class DimensionMismatch(InputError):
-    """Operands have incompatible shapes."""
+class DimensionMismatch(InputError, ValueError):
+    """An array argument or field has the wrong shape, or operands have
+    incompatible shapes. Also a ``ValueError``, as NumPy's own shape
+    errors are, so ``except ValueError`` catches every bad argument."""
 
 
 class RowNotStochastic(InputError):

@@ -22,7 +22,6 @@ are reported but omitted from the mean.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,14 +110,12 @@ class RecordMetrics:
     Each column is a (len(categories), N_max) array: row ``i`` holds the
     detections of ``categories[i]`` (lexicographic order) in descending
     confidence (input order breaks ties), then NaN up to the largest
-    category, as :func:`match_detections` lays it out. Category ``i``
-    has ``starts[i + 1] - starts[i]`` detections. Unmatched detections hold
-    NaN too, which fails every threshold test.
+    category, as :func:`match_detections` lays it out. Unmatched detections
+    hold NaN too, which fails every threshold test.
     """
 
     categories: tuple[str, ...]
     n_gt: tuple[int, ...]
-    starts: tuple[int, ...]  # (len(categories) + 1,)
     iou: np.ndarray  # (len(categories), N_max)
     rot_err_deg: np.ndarray  # (len(categories), N_max)
     trans_err_cm: np.ndarray  # (len(categories), N_max)
@@ -167,8 +164,8 @@ def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetr
     det_index, gt_index = np.concatenate(det_index), np.concatenate(gt_index)
     ious = iou3d_pairs(tuple(v[det_index] for v in det_boxes), tuple(v[gt_index] for v in gt_boxes))
 
-    counts = [len(dets_by_category[cat]) for cat in categories]
-    columns = np.full((3, len(categories), max(counts)), np.nan)  # iou, rotation, translation
+    width = max(map(len, dets_by_category.values()))
+    columns = np.full((3, len(categories), width), np.nan)  # iou, rotation, translation
     at = 0
     for i, cat in enumerate(categories):
         gts, dets = gts_by_category[cat], dets_by_category[cat]
@@ -192,7 +189,6 @@ def match_detections(detections, ground_truths, use_symmetry=True) -> RecordMetr
     return RecordMetrics(
         categories=tuple(categories),
         n_gt=tuple(len(gts_by_category[cat]) for cat in categories),
-        starts=tuple(itertools.accumulate(counts, initial=0)),
         iou=iou,
         rot_err_deg=rot_err_deg,
         trans_err_cm=trans_err_cm,

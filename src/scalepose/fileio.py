@@ -33,9 +33,14 @@ from .synth import PREDICTOR_KINDS
 
 
 def prepare_outputs(*paths):
-    """Make the directory of every output path and refuse a path that is a
-    directory. Each command checks all its outputs before its first write;
-    a failure after that, such as a full disk, can still leave earlier files."""
+    """Refuse two paths to one file, then make the directory of every output
+    path and refuse a path that is a directory. Each command checks all its
+    outputs before its first write; a failure after that, such as a full
+    disk, can still leave earlier files."""
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
+        if real[i] in real[:i]:
+            raise InputError(f"{path}: cannot write (another output is the same file)")
     for path in paths:
         try:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)

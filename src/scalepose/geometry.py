@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DegenerateConfiguration,
+    DimensionMismatch,
     NonPositiveDepth,
     NonUnitAxis,
 )
@@ -28,18 +29,21 @@ from .errors import (
 ROTATION_TOL = 1e-9
 
 
-def _frozen(x, shape, name):
-    """Read-only float64 copy of ``x``, which must have ``shape`` and be
-    finite, and its entries as Python floats in row-major order. The
-    caller's array stays writable."""
-    a = np.array(x, dtype=np.float64, order="C")
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    flat = a.ravel().tolist()
-    if not all(map(math.isfinite, flat)):
+def _frozen(x, shape, name, dtype=np.float64):
+    """Read-only C-ordered copy of ``x`` as ``dtype``: the one check and
+    the one freeze of an array argument or array field. A ``None`` in
+    ``shape`` matches any length. A wrong shape raises
+    :class:`DimensionMismatch` (a ``ValueError``), a non-finite entry
+    ``ValueError``. The caller's array stays writable."""
+    a = np.array(x, dtype=dtype, order="C")
+    if a.shape != shape and (
+        a.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, a.shape))
+    ):
+        raise DimensionMismatch(f"{name} must have shape {str(shape).replace('None', 'N')}, got {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite values")
     a.flags.writeable = False
-    return a, flat
+    return a
 
 
 def _check_rotation(flat, tol):
@@ -67,8 +71,8 @@ def ensure_rotation(r, tol=ROTATION_TOL):
 
     Orthonormality and det(+1) are checked within ``tol``.
     """
-    r, flat = _frozen(r, (3, 3), "rotation")
-    _check_rotation(flat, tol)
+    r = _frozen(r, (3, 3), "rotation")
+    _check_rotation(r.ravel().tolist(), tol)
     return r
 
 
@@ -81,7 +85,7 @@ class RigidPose:
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", ensure_rotation(self.rotation))
-        object.__setattr__(self, "translation", _frozen(self.translation, (3,), "translation")[0])
+        object.__setattr__(self, "translation", _frozen(self.translation, (3,), "translation"))
 
     def transform(self, points):
         """Apply the pose to one point (3,) or a point set (N, 3)."""
@@ -102,7 +106,7 @@ class SimilarityTransform:
             raise ValueError(f"scale must be positive, got {self.scale}")
         object.__setattr__(self, "scale", float(self.scale))
         object.__setattr__(self, "rotation", ensure_rotation(self.rotation))
-        object.__setattr__(self, "translation", _frozen(self.translation, (3,), "translation")[0])
+        object.__setattr__(self, "translation", _frozen(self.translation, (3,), "translation"))
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def backproject(pixels, depths, intrinsics):
 
 def rotation_about_axis(axis, angle_deg):
     """Rotation matrix for ``angle_deg`` degrees about ``axis``."""
-    axis = _frozen(axis, (3,), "axis")[0]
+    axis = _frozen(axis, (3,), "axis")
     n = np.linalg.norm(axis)
     if n == 0:
         raise ValueError("axis must be nonzero")
@@ -180,7 +184,7 @@ def rotation_from_rotvec(rvec):
     Rodrigues' formula I + sin(theta)/theta K + 2 sin^2(theta/2)/theta^2 K^2
     with K = skew(rvec); below theta = 1e-12 the factors are their limits
     1 and 1/2, exact in double precision there."""
-    rvec = _frozen(rvec, (3,), "rotvec")[0]
+    rvec = _frozen(rvec, (3,), "rotvec")
     theta = np.linalg.norm(rvec)
     if theta < 1e-12:
         a, b = 1.0, 0.5
@@ -196,7 +200,7 @@ def nearest_rotation(m):
     result passes :class:`RigidPose`'s checks. Least-squares PnP projects
     its linear rotation here; P3P candidates are rotations by construction
     and need no projection."""
-    u, _, vt = np.linalg.svd(_frozen(m, (3, 3), "matrix")[0])
+    u, _, vt = np.linalg.svd(_frozen(m, (3, 3), "matrix"))
     if np.linalg.det(u @ vt) < 0:
         u[:, 2] = -u[:, 2]
     return u @ vt
@@ -210,7 +214,7 @@ def random_rotation(rng):
 
 
 def rotation_from_quaternion(q):
-    q = _frozen(q, (4,), "quaternion")[0]
+    q = _frozen(q, (4,), "quaternion")
     w, x, y, z = q / np.linalg.norm(q)
     return np.array(
         [
@@ -252,7 +256,7 @@ def rotation_error_symmetric_deg(a, b, axis):
     NonUnitAxis
         If ``axis`` is not unit-norm (tolerance 1e-6).
     """
-    axis = _frozen(axis, (3,), "axis")[0]
+    axis = _frozen(axis, (3,), "axis")
     if abs(np.linalg.norm(axis) - 1.0) > 1e-6:
         raise NonUnitAxis(f"axis norm is {np.linalg.norm(axis):.6f}, expected 1")
     va = np.asarray(a, dtype=np.float64) @ axis
@@ -265,8 +269,8 @@ def rotation_error_symmetric_deg(a, b, axis):
 
 def translation_error_cm(a, b):
     """Euclidean distance between two translations, meters in, centimeters out."""
-    a = _frozen(a, (3,), "translation a")[0]
-    b = _frozen(b, (3,), "translation b")[0]
+    a = _frozen(a, (3,), "translation a")
+    b = _frozen(b, (3,), "translation b")
     return 100.0 * float(np.linalg.norm(a - b))
 
 
@@ -288,10 +292,8 @@ def umeyama_align(src, dst):
     DegenerateConfiguration
         If the demeaned covariance has rank < 2 (e.g. collinear points).
     """
-    src = np.asarray(src, dtype=np.float64)
-    dst = np.asarray(dst, dtype=np.float64)
-    if src.ndim != 2 or src.shape[1] != 3 or src.shape != dst.shape:
-        raise ValueError(f"src/dst must be matching (N, 3) arrays, got {src.shape} and {dst.shape}")
+    src = _frozen(src, (None, 3), "src")
+    dst = _frozen(dst, src.shape, "dst")
     n = src.shape[0]
     if n < 3:
         raise DegenerateConfiguration(f"need at least 3 point pairs, got {n}")

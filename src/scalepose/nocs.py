@@ -15,19 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateExtent, DimensionMismatch, EmptyList, RowNotStochastic
+from .geometry import _frozen
 
 _ROW_SUM_TOL = 1e-6
 _ROW_SUM_RENORM_LIMIT = 1e-3
 
 
 def _points_array(points, name):
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DimensionMismatch(f"{name} must be (N, 3), got {pts.shape}")
-    if pts.shape[0] == 0:
+    pts = _frozen(points, (None, 3), name)
+    if not len(pts):
         raise EmptyList(f"{name} is empty")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{name} contains non-finite values")
     return pts
 
 
@@ -45,9 +42,7 @@ class NocsModel:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _points_array(self.points, "model points").copy()
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _points_array(self.points, "model points"))
 
     def __len__(self):
         return self.points.shape[0]
@@ -64,11 +59,9 @@ class CorrespondenceMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.entries, dtype=np.float64)
-        if c.ndim != 2 or 0 in c.shape:
-            raise DimensionMismatch(f"correspondence matrix must be 2D non-empty, got {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("correspondence matrix contains non-finite values")
+        c = _frozen(self.entries, (None, None), "correspondence matrix")
+        if 0 in c.shape:
+            raise DimensionMismatch(f"correspondence matrix must be non-empty, got {c.shape}")
         if np.any(c < -1e-12):
             raise RowNotStochastic(f"negative entry {c.min():.3e} in correspondence matrix")
         c = np.clip(c, 0.0, None)
@@ -79,9 +72,7 @@ class CorrespondenceMatrix:
             raise RowNotStochastic(f"row {i} sums to {sums[i]:.6f}, beyond renormalization limit")
         if np.any(off > _ROW_SUM_TOL):
             c = c / sums[:, None]
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "entries", c)
+        object.__setattr__(self, "entries", _frozen(c, c.shape, "correspondence matrix"))
 
     @property
     def shape(self):

@@ -29,6 +29,7 @@ from . import _kernels as kernels
 from .errors import (
     ConsensusNotFound,
     DegenerateSample,
+    DimensionMismatch,
     DivergedBehindCamera,
     InsufficientCorrespondences,
     NoRealSolution,
@@ -37,6 +38,7 @@ from .errors import (
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
+    _frozen,
     backproject,
     nearest_rotation,
     rotation_from_rotvec,
@@ -101,9 +103,7 @@ class PnPResult:
     rejected_no_solution: int
 
     def __post_init__(self):
-        mask = np.asarray(self.inlier_mask, dtype=bool).copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "inlier_mask", mask)
+        object.__setattr__(self, "inlier_mask", _frozen(self.inlier_mask, (None,), "inlier mask", bool))
 
     @property
     def inlier_count(self):
@@ -111,18 +111,10 @@ class PnPResult:
 
 
 def _validate_inputs(image_points, model_points):
-    image = np.ascontiguousarray(image_points, dtype=np.float64)
-    model = np.ascontiguousarray(model_points, dtype=np.float64)
-    if image.ndim != 2 or image.shape[1] != 2:
-        raise ValueError(f"image points must be (N, 2), got {image.shape}")
-    if model.ndim != 2 or model.shape[1] != 3:
-        raise ValueError(f"model points must be (N, 3), got {model.shape}")
-    if image.shape[0] != model.shape[0]:
-        raise ValueError(
-            f"correspondence count mismatch: {image.shape[0]} pixels vs {model.shape[0]} points"
-        )
-    if not (np.all(np.isfinite(image)) and np.all(np.isfinite(model))):
-        raise ValueError("correspondences contain non-finite values")
+    image = _frozen(image_points, (None, 2), "image points")
+    model = _frozen(model_points, (None, 3), "model points")
+    if len(image) != len(model):
+        raise DimensionMismatch(f"correspondence count mismatch: {len(image)} pixels vs {len(model)} points")
     return image, model
 
 

@@ -32,6 +32,7 @@ from .evaluation import category_rotation_error_deg, csv_text, table_ap
 from .geometry import (
     CameraIntrinsics,
     RigidPose,
+    _frozen,
     backproject,
     project,
     random_rotation,
@@ -104,10 +105,8 @@ class SyntheticScene:
     depths: np.ndarray  # (N,) ground-truth camera-frame z
 
     def __post_init__(self):
-        for name in ("canonical_extents", "pixels", "depths"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, shape in (("canonical_extents", (3,)), ("pixels", (None, 2)), ("depths", (None,))):
+            object.__setattr__(self, name, _frozen(getattr(self, name), shape, name))
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,9 @@ class CorruptedObservations:
     outlier_mask: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("pixels", np.float64), ("pseudo_depths", np.float64), ("outlier_mask", bool)):
-            arr = np.asarray(getattr(self, name), dtype=dtype).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "pixels", _frozen(self.pixels, (None, 2), "pixels"))
+        object.__setattr__(self, "pseudo_depths", _frozen(self.pseudo_depths, (None,), "pseudo_depths"))
+        object.__setattr__(self, "outlier_mask", _frozen(self.outlier_mask, (None,), "outlier_mask", bool))
 
 
 @dataclass(frozen=True)
@@ -290,9 +288,7 @@ def make_canonical_model(category, point_count=256):
         raise ValueError(f"point_count must be >= 32, got {point_count}")
     raw = _raw_category_points(category, int(point_count))
     pts, _ = normalize_model(raw)
-    extents = pts.max(axis=0) - pts.min(axis=0)
-    extents.flags.writeable = False
-    return NocsModel(pts), extents
+    return NocsModel(pts), _frozen(pts.max(axis=0) - pts.min(axis=0), (3,), "extents")
 
 
 # -- scene sampling --------------------------------------------------------------

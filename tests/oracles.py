@@ -212,7 +212,6 @@ def reference_record_metrics(detections, ground_truths, use_symmetry=True):
     return RecordMetrics(
         categories=tuple(by_category),
         n_gt=tuple(n_gt[cat] for cat in by_category),
-        starts=tuple(np.cumsum([0] + [len(group) for group in groups]).tolist()),
         **columns,
         skipped_categories=tuple(sorted({det.category for det, _ in skipped})),
     )

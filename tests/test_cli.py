@@ -725,6 +725,11 @@ NOT_UTF8_LINES = b'{"category": "mug", "scale": 1.0}\n{"category": "m\xe9g", "sc
                      id="simulate-summary-under-a-file"),
         pytest.param(EVALUATE[:-1] + ["rep"], os.path.join("rep", "metrics.txt"),
                      id="evaluate-report-is-a-directory"),
+        # two outputs at one file: the second write would replace the first
+        pytest.param(["stats", "--input", "in.jsonl", "--output", "o.json", "--csv", "o.json"], "o.json",
+                     id="stats-csv-is-the-output"),
+        pytest.param(SIMULATE + ["--output", "t.csv", "--summary", os.path.join(".", "t.csv")],
+                     os.path.join(".", "t.csv"), id="simulate-summary-is-the-output"),
     ],
 )
 def test_unusable_path_is_an_input_error(tmp_path, monkeypatch, capsys, argv, path):

@@ -166,7 +166,6 @@ class TestRecordMetrics:
         metrics = match_detections(detections, gts)
         assert metrics.categories == ("bowl", "camera")
         assert metrics.n_gt == (3, 3)
-        assert metrics.starts == (0, 4, 10)
         for key in ("iou", "rot_err_deg", "trans_err_cm"):
             column = getattr(metrics, key)
             assert column.shape == (2, 6), key
@@ -192,8 +191,7 @@ class TestMatching:
         detections, gts = fixture_records()
         metrics = match_detections(detections, gts)
         matched = ~np.isnan(metrics.iou)
-        counts = np.diff(metrics.starts)
-        assert [row[:n].tolist() for row, n in zip(matched, counts)] == [
+        assert [row[:n].tolist() for row, n in zip(matched, (4, 6))] == [
             [True, True, False, True],
             [True, True, True, False, False, False],
         ]
@@ -212,7 +210,7 @@ class TestMatching:
         detections, gts = scene
         got = match_detections(detections, gts, use_symmetry=use_symmetry)
         expected = reference_record_metrics(detections, gts, use_symmetry=use_symmetry)
-        for key in ("categories", "n_gt", "starts", "skipped_categories"):
+        for key in ("categories", "n_gt", "skipped_categories"):
             assert getattr(got, key) == getattr(expected, key), key
         for key in ("iou", "rot_err_deg", "trans_err_cm"):
             assert np.array_equal(getattr(got, key), getattr(expected, key), equal_nan=True), key

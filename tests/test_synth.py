@@ -50,7 +50,6 @@ def decoupled_metrics(grid):
     return RecordMetrics(
         categories=(category,),
         n_gt=(len(rows),),
-        starts=(0, len(rows)),
         iou=np.array([[iou for _, iou in rows]]),
         rot_err_deg=np.array([[r.rotation_error_deg for r, _ in rows]]),
         trans_err_cm=np.array([[r.translation_error_cm for r, _ in rows]]),
@@ -393,6 +392,14 @@ class TestGrid:
         rows = list(csv.DictReader(io.StringIO(grid.summary_csv())))
         assert len(rows) == 2 * 2 * 3  # pipelines x categories x specs
         assert [row["trials"] for row in rows] == ["3"] * len(rows)
+
+    @pytest.mark.parametrize(
+        "categories, specs", [(["mug"], []), ([], [NoiseSpec()])], ids=["no-noise-point", "no-category"]
+    )
+    def test_empty_grid_writes_the_headers_alone(self, categories, specs):
+        grid = run_grid(categories, specs, trials=1)
+        for text in (grid.trials_csv(), grid.summary_csv()):
+            assert text.startswith("category,pipeline,") and text.count("\n") == 1, text
 
     def test_records_feed_metric_table(self):
         grid = run_grid(["mug"], [NoiseSpec()], trials=3, master_seed=3)
