@@ -37,10 +37,10 @@ def prepare_outputs(*paths):
     path and refuse a path that is a directory. Each command checks all its
     outputs before its first write; a failure after that, such as a full
     disk, can still leave earlier files."""
-    real = [os.path.realpath(path) for path in paths]
-    for i, path in enumerate(paths):
-        if real[i] in real[:i]:
-            raise InputError(f"{path}: cannot write (another output is the same file)")
+    real = [os.path.realpath(path) for path in paths] if len(paths) > 1 else []
+    for i, path in enumerate(real):
+        if path in real[:i]:
+            raise InputError(f"{paths[i]}: cannot write (another output is the same file)")
     for path in paths:
         try:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
