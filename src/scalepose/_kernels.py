@@ -43,6 +43,9 @@ _ROUNDING = 4.0 * 2.0 ** -52
 # Polynomial coefficients below this times the largest are taken as zero;
 # P3P's leading coefficient can cancel to about 1e-15 instead of to 0.
 _NEGLIGIBLE = 1e-12
+# A leading coefficient below this times the largest, but not negligible,
+# is solved on the reversed quartic when that one's leading term is larger.
+_SMALL_LEADING = 1e-4
 
 
 def _cubic_max_real_root(a, b, c):
@@ -84,13 +87,41 @@ def _quadratic_real_roots(b, c, out):
     out.extend((q, c / q if q != 0.0 else -b - q))
 
 
+def _ferrari_roots(c4, c3, c2, c1, c0):
+    """Real roots of the quartic by Ferrari's method, unsorted (c4 != 0)."""
+    b, c, d, e = c3 / c4, c2 / c4, c1 / c4, c0 / c4
+    # depressed quartic y^4 + p y^2 + q y + r, x = y - b/4
+    p = c - 0.375 * b * b
+    q = d - 0.5 * b * c + 0.125 * b * b * b
+    r = e - 0.25 * b * d + b * b * c / 16.0 - 3.0 * b ** 4 / 256.0
+    shift = -0.25 * b
+    ys = []
+    if abs(q) <= 1e-13 * (1.0 + abs(p) + math.sqrt(abs(r))):
+        zs = []
+        _quadratic_real_roots(p, r, zs)
+        for z in zs:
+            if z >= 0:
+                ys.extend((math.sqrt(z), -math.sqrt(z)))
+            elif z > -1e-12 * (1.0 + abs(p)):
+                ys.append(0.0)
+    else:
+        m = _cubic_max_real_root(p, 0.25 * p * p - r, -0.125 * q * q)
+        if m > 0:
+            s2m = math.sqrt(2.0 * m)
+            half = 0.5 * p + m
+            _quadratic_real_roots(-s2m, half + 0.5 * q / s2m, ys)
+            _quadratic_real_roots(s2m, half - 0.5 * q / s2m, ys)
+    return [y + shift for y in ys]
+
+
 def quartic_roots(c4, c3, c2, c1, c0):
     """Real roots of c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0, ascending.
 
     Ferrari resolvent-cubic factorization; the roots are not polished on
     the quartic (P3P polishes the distance triple built from each root
     instead), and near-coincident roots are merged. Degenerate leading
-    coefficients fall through to the cubic/quadratic/linear case.
+    coefficients fall through to the cubic/quadratic/linear case; a small
+    but not negligible one is solved on the reversed quartic.
     """
     coeffs = (c4, c3, c2, c1, c0)
     scale = max(abs(c) for c in coeffs)
@@ -110,30 +141,14 @@ def quartic_roots(c4, c3, c2, c1, c0):
             roots.append(m)
             # deflate and take the remaining quadratic's real roots
             _quadratic_real_roots(b + m, c + m * (b + m), roots)
+    elif abs(c4) <= _SMALL_LEADING * scale and abs(c0) > abs(c4):
+        # a small leading coefficient puts a root near -c3/c4, and the
+        # depressed quartic's terms of order (c3/c4)^4 swamp the moderate
+        # roots; the reversed quartic's roots are the reciprocals, and its
+        # leading coefficient c0 is the larger
+        roots = [1.0 / w for w in _ferrari_roots(c0, c1, c2, c3, c4) if w != 0.0]
     else:
-        b, c, d, e = c3 / c4, c2 / c4, c1 / c4, c0 / c4
-        # depressed quartic y^4 + p y^2 + q y + r, x = y - b/4
-        p = c - 0.375 * b * b
-        q = d - 0.5 * b * c + 0.125 * b * b * b
-        r = e - 0.25 * b * d + b * b * c / 16.0 - 3.0 * b ** 4 / 256.0
-        shift = -0.25 * b
-        ys = []
-        if abs(q) <= 1e-13 * (1.0 + abs(p) + math.sqrt(abs(r))):
-            zs = []
-            _quadratic_real_roots(p, r, zs)
-            for z in zs:
-                if z >= 0:
-                    ys.extend((math.sqrt(z), -math.sqrt(z)))
-                elif z > -1e-12 * (1.0 + abs(p)):
-                    ys.append(0.0)
-        else:
-            m = _cubic_max_real_root(p, 0.25 * p * p - r, -0.125 * q * q)
-            if m > 0:
-                s2m = math.sqrt(2.0 * m)
-                half = 0.5 * p + m
-                _quadratic_real_roots(-s2m, half + 0.5 * q / s2m, ys)
-                _quadratic_real_roots(s2m, half - 0.5 * q / s2m, ys)
-        roots = [y + shift for y in ys]
+        roots = _ferrari_roots(c4, c3, c2, c1, c0)
 
     roots.sort()
     unique = []

@@ -4,7 +4,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +72,18 @@ class TestQuarticRoots:
                 oracle = _roots_oracle(coeffs)
                 assert len(mine) == len(oracle)
                 assert np.max(np.abs(np.array(mine) - oracle)) < 1e-7
+
+    def test_small_leading_coefficient(self):
+        # eps x^4 puts a root at 1/eps, and Ferrari's depressed quartic
+        # carries terms of order eps^-4 that swamp the moderate roots; the
+        # large root is only as accurate as its reciprocal, about 1e-16
+        for eps in (1e-11, 1e-9, 1e-7, 1e-5):
+            expected = [-1.0, 0.5, 2.0, 1.0 / eps]
+            mine = kernels.quartic_roots(*(eps * np.poly(expected)).tolist())
+            assert len(mine) == 4
+            assert np.max(np.abs(np.array(mine[:3]) - expected[:3])) < 1e-12
+            assert abs(1.0 / mine[3] - eps) < 1e-15
+
 
 
 def _residuals(s, a2, b2, c2, ca, cb, cg):
@@ -149,15 +160,11 @@ class TestP3PDistances:
         sets = kernels.p3p_distance_sets(*kernel_args(pts, pts / dist[:, None]))
         assert min((np.max(np.abs(np.array(s) - dist)) for s in sets), default=np.inf) <= 1e-8 * dist.max()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect (ROADMAP item 2): the quartic's leading coefficient is 1.1e-10 of "
-        "its largest, above _NEGLIGIBLE, and Ferrari's roots (-2359.4, 4721.2, 3.7e9) miss the "
-        "0.559 that numpy.roots finds, so no set is returned",
-    )
     def test_near_vanishing_leading_coefficient_keeps_the_true_set(self):
         # the camera in the triangle's plane, a Hypothesis example of
-        # test_well_conditioned_triangles; true distances (2, 1.414, 1.118)
+        # test_well_conditioned_triangles; true distances (2, 1.414, 1.118).
+        # The quartic's leading coefficient is 1.1e-10 of its largest, and
+        # Ferrari on it gave (-2359.4, 4721.2, 3.7e9) and no set
         pts = np.array([[0.0, 1e-10, 2.0], [0.0, 1.0, 1.0], [0.0, 0.5, 1.0]])
         dist = np.linalg.norm(pts, axis=1)
         sets = kernels.p3p_distance_sets(*kernel_args(pts, pts / dist[:, None]))
